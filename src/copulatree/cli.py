@@ -390,6 +390,7 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="key=value file of flag defaults")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.subcommands = sub.choices
 
     p = sub.add_parser("fit", parents=[common], help="fit a conditional copula tree to a CSV dataset")
     p.add_argument("--input", default=None)
@@ -459,13 +460,30 @@ def _load_config_file(path) -> dict:
     return values
 
 
-def _coerce(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            continue
-    return value
+_TRUE = ("true", "yes", "on", "1")
+_FALSE = ("false", "no", "off", "0")
+
+
+def _config_argv(subparser: argparse.ArgumentParser, values: dict) -> list[str]:
+    """Command-line tokens that set the config file's values.
+
+    Parsing them before the command line's own flags puts every value
+    through the flag's type and choices, and lets an explicit flag win.
+    """
+    options = {a.dest: a for a in subparser._actions if a.option_strings and a.dest != "help"}
+    tokens = []
+    for key, val in values.items():
+        action = options.get(key)
+        if action is None or key == "config":
+            raise ConfigError(f"unknown config key {key!r}")
+        flag = action.option_strings[-1]
+        if isinstance(action, argparse._StoreTrueAction):
+            if val.lower() not in _TRUE + _FALSE:
+                raise ConfigError(f"{key}: expected true or false, got {val!r}")
+            tokens += [flag] if val.lower() in _TRUE else []
+        else:
+            tokens.append(f"{flag}={val}")
+    return tokens
 
 
 def main(argv=None) -> int:
@@ -474,13 +492,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            # config values fill in for flags not given on the command line
-            given = {a.lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
-            for key, val in _load_config_file(args.config).items():
-                if not hasattr(args, key):
-                    raise ConfigError(f"unknown config key {key!r}")
-                if key not in given:
-                    setattr(args, key, _coerce(val))
+            at = argv.index(args.command) + 1
+            tokens = _config_argv(parser.subcommands[args.command], _load_config_file(args.config))
+            try:
+                args = parser.parse_args(argv[:at] + tokens + argv[at:])
+            except ConfigError as exc:
+                raise ConfigError(f"{args.config}: {exc}") from None
         return args.func(args)
     except (SchemaError, IngestionError, OSError) as exc:
         print(f"error: schema: {exc}", file=sys.stderr)

@@ -510,6 +510,216 @@ def _nll_factory(spec: CopulaSpec, uv: np.ndarray):
     return nll, lambda theta: theta
 
 
+def _search_bounds(spec: CopulaSpec) -> tuple[float, float]:
+    """fit_mle's search interval on its own parameter (tau, or Frank's theta)."""
+    if spec.family is Family.FRANK:
+        return -_FRANK_THETA_MAX, _FRANK_THETA_MAX
+    return _TAU_SEARCH_MARGIN, 1.0 - _TAU_SEARCH_MARGIN
+
+
+# ---------------------------------------------------------------------------
+# split screen: a theta grid over fit_mle's search interval, per-row scores
+# on it, and proven caps on a row's curvature in theta between grid nodes.
+#
+# Frank.  With D = (1 - e^-t) - (1 - e^-tu)(1 - e^-tv) = t * M(t), where
+# M(t) = int e^{-ts} mu(ds) for mu = 1[u, u+v] + 1[v, 1], the log-density is
+#     l(t) = log M0(t) - t (u + v) - 2 log M(t),   M0(t) = int_0^1 e^{-ts} ds.
+# A Laplace transform of a positive measure is log-convex, so -2 log M is
+# concave and l'' <= (log M0)'' = 1/t^2 - 1/(4 sinh^2(t/2)) =: V(t), the
+# variance of the exponentially tilted uniform.  V(0) = 1/12 and V falls in
+# |t| (Lazarevic: (sinh w / w)^3 > cosh w), so a cell's cap is V at the
+# cell's smallest |t|.
+#
+# Clayton.  With x = -log u >= y = -log v (symmetric otherwise), d = x - y
+# and r(t) = log(1 + e^{-t d} - e^{-t x}),
+#     l(t) = log(1 + t) - (2 + 1/t) r(t) + (linear in t).
+# At a fixed t put rho(s) = r(s t), so r' = rho'(1) / t, r'' = rho''(1) / t^2:
+#     l'' = -1/(1+t)^2 - 2 rho''(1) / t^2 - sigma / t^3,
+#     sigma = rho''(1) - 2 rho'(1) + 2 rho(1) = int_0^1 s^2 rho'''(s) ds
+# (rho(0) = 0).  Write a = t d <= b = t x and g(s) = e^{-sa} - e^{-sb} in
+# [0, 1), rho = log(1 + g); each derivative of g is a difference of two
+# same-signed terms, so |g^(k)| <= b^k, and on s in [0, 1]
+# |rho'''| <= 6 b^3, whence -sigma <= 2 b^3.  At s = 1,
+#     -rho'' <= b^2 e^-b + max(a e^-a, b e^-b)^2 <= m2(b) + m1(b)^2,
+#     -sigma <= -rho'' + 2 rho' <= m2(b) + m1(b)^2 + 2 m1(b),
+# with m1(B) = sup_{s<=B} s e^-s and m2(B) = sup_{s<=B} s^2 e^-s.  Both
+# bounds rise with b = t x, so the node's largest x = -log min(u, v), X,
+# caps every row.  In B = t X the cap is 2 X^2 phi1(B) + X^3 phi2(B) -
+# 1/(1+t)^2 with phi1, phi2 falling in B, so a cell's cap takes phi1, phi2
+# at its lower node and 1/(1+t)^2 at its upper node.  As phi1, phi2 <= 2,
+# a row also obeys 4 x^2 + 2 x^3 - 1/(1+t)^2 with its own x, which is far
+# tighter near independence for all but the extreme rows.  No finite cap
+# holds uniformly over the square: near independence the tail rows'
+# curvature grows with x, hence the dependence on the node's data.
+#
+# Gumbel.  With x = -log u >= y = -log v, phi(t) = log(1 + (y/x)^t) and
+# A = (x^t + y^t)^(1/t) = x e^p, p = phi / t,
+#     l(t) = -A + (1/t - 2) phi + log(t - 1 + A) + (linear in t),
+#     l'' = -A'' (1 - 1/W) + p'' - 2 phi'' - ((1 + A') / W)^2,   W = t - 1 + A.
+# phi is positive, falling and convex, and so is 1/t, so p = phi (1/t) is
+# convex and A'' = A (p'' + p'^2) >= 0.  Hence the first term is <= 0 when
+# W >= 1, and otherwise, as A <= W and 1 - W <= 2 - t, at most
+# (p'' + p'^2)(2 - t).  In s = t log(x/y),
+#     p'' = Psi(s) / t^3,  Psi = s^2 e^-s / (1 + e^-s)^2 + 2 s e^-s / (1 + e^-s)
+#                                + 2 log(1 + e^-s) <= 4/e^2 + 2/e + 2 log 2,
+#     |p'| <= (1/e + log 2) / t^2,
+# and phi'' >= 0, so l'' <= Psi_max / t^3 + (Psi_max / t^3 + (1/e + log 2)^2
+# / t^4)(2 - t)_+ for every row, a cap that falls in t.
+
+_GUMBEL_PSI = 4.0 * math.exp(-2.0) + 2.0 * math.exp(-1.0) + 2.0 * math.log(2.0)
+_GUMBEL_DP = math.exp(-1.0) + math.log(2.0)
+
+# Screen grid per family: (nodes, base, scale) with theta = base + scale *
+# sinh(z) for z uniform, so nodes are spaced evenly near the independence
+# end and geometrically in |theta - base| further out.
+_GRID = {
+    Family.FRANK: (64, 0.0, 2.0),
+    Family.CLAYTON: (128, 0.0, 0.08),
+    Family.GUMBEL: (128, 1.0, 0.1),
+}
+
+
+def _search_thetas(spec: CopulaSpec) -> tuple[float, float]:
+    """fit_mle's search interval mapped to theta."""
+    lo, hi = _search_bounds(spec)
+    if spec.family is Family.FRANK:
+        return lo, hi
+    return tau_to_theta(spec, lo), tau_to_theta(spec, hi)
+
+
+@functools.lru_cache(maxsize=None)
+def _screen_grid(family: Family) -> np.ndarray:
+    lo, hi = _search_thetas(_SPECS[family])
+    nodes, base, scale = _GRID[family]
+    z = np.linspace(np.arcsinh((lo - base) / scale), np.arcsinh((hi - base) / scale), nodes)
+    theta = base + scale * np.sinh(z)
+    theta[0], theta[-1] = lo, hi  # exactly the thetas fit_mle searches between
+    theta.setflags(write=False)
+    return theta
+
+
+def screen_grid(spec: CopulaSpec) -> np.ndarray:
+    """Increasing theta nodes spanning exactly fit_mle's search interval."""
+    return _screen_grid(spec.family)
+
+
+def _frank_variance(theta):
+    """V(t) = 1/t^2 - 1/(4 sinh^2(t/2)), with V(0) = 1/12 (see above)."""
+    t = np.maximum(np.abs(theta), 1e-3)
+    out = 1.0 / t**2 - 0.25 / np.sinh(0.5 * t) ** 2
+    return np.where(np.abs(theta) < 1e-3, 1.0 / 12.0, out)
+
+
+def _m1(b):
+    return np.where(b <= 1.0, b * np.exp(-b), math.exp(-1.0))
+
+
+def _m2(b):
+    return np.where(b <= 2.0, b * b * np.exp(-b), 4.0 * math.exp(-2.0))
+
+
+def _gumbel_cap(theta):
+    """Psi_max / t^3 + (Psi_max / t^3 + (1/e + log 2)^2 / t^4)(2 - t)_+ (see above)."""
+    p2 = _GUMBEL_PSI / theta**3
+    return p2 + (p2 + _GUMBEL_DP**2 / theta**4) * np.maximum(2.0 - theta, 0.0)
+
+
+def curvature_caps(spec: CopulaSpec, theta: np.ndarray, uv: np.ndarray):
+    """Caps on the curvature in theta of summed row log-densities, per grid cell.
+
+    ``theta`` are grid nodes and ``uv`` the rows the caps must hold for.
+    Returns ``(cap, row_cap, offset)``: for any subset S of the rows and
+    theta in cell [theta[k], theta[k+1]],
+
+        sum_{i in S} l_i''(theta) <= min(|S| cap[k], sum_{i in S} row_cap[i] + |S| offset[k]).
+
+    ``cap`` is never negative.
+    """
+    lo, hi = theta[:-1], theta[1:]
+    none = np.zeros(len(uv)), np.full(len(lo), math.inf)
+    if spec.family is Family.FRANK:
+        closest = np.where((lo < 0.0) & (hi > 0.0), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+        return (_frank_variance(closest), *none)
+    if spec.family is Family.GUMBEL:
+        return (_gumbel_cap(lo), *none)
+    x = -np.log(np.min(uv, axis=1))
+    big = float(np.max(x))
+    b = lo * big
+    m1, m2 = _m1(b), _m2(b)
+    phi1 = (m2 + m1 * m1) / (b * b)
+    phi2 = np.minimum(2.0, (m2 + m1 * m1 + 2.0 * m1) / b**3)
+    offset = -1.0 / (1.0 + hi) ** 2
+    cap = np.maximum(2.0 * big * big * phi1 + big**3 * phi2 + offset, 0.0)
+    # phi1, phi2 <= 2 for every B, so each row also obeys its own 4 x^2 + 2 x^3
+    return cap, 4.0 * x * x + 2.0 * x**3, offset
+
+
+def _clayton_logpdf_and_score(theta, x, y):
+    # with x = -log u, y = -log v: log(u^-t + v^-t - 1) = t hi + log(1 + e_d - e_1)
+    hi, lo = np.maximum(x, y), np.minimum(x, y)
+    t_hi = theta * hi
+    e_d, e_1 = np.exp(theta * (lo - hi)), np.exp(-t_hi)
+    s = 1.0 + e_d - e_1
+    ls = t_hi + np.log(s)
+    k = 2.0 + 1.0 / theta
+    ll = np.log1p(theta) + (theta + 1.0) * (x + y) - k * ls
+    # d/dt log(u^-t + v^-t - 1) = (hi + lo e_d) / s
+    score = 1.0 / (1.0 + theta) + (x + y) + ls / theta**2 - k * (hi + lo * e_d) / s
+    return ll, score
+
+
+def _frank_logpdf_and_score(theta, u, v, small: bool):
+    eu, ev, et = np.exp(-theta * u), np.exp(-theta * v), np.exp(-theta)
+    # D as in _frank_d and dD/dt, in the regime that stays exact
+    if small:
+        mu, mv = np.expm1(-theta * u), np.expm1(-theta * v)
+        d = -np.expm1(-theta) - mu * mv
+        dd = et + u * eu * mv + v * ev * mu
+    else:
+        euv = eu * ev
+        d = eu + ev - euv - et
+        dd = (u + v) * euv - u * eu - v * ev + et
+    ll = np.log(theta * -np.expm1(-theta)) - theta * (u + v) - 2.0 * np.log(np.abs(d))
+    score = 1.0 / theta + 1.0 / np.expm1(theta) - (u + v) - 2.0 * dd / d
+    return ll, score
+
+
+def _gumbel_logpdf_and_score(theta, lu, lv):
+    lx, ly = np.log(-lu), np.log(-lv)
+    hi, lo = np.maximum(lx, ly), np.minimum(lx, ly)
+    r = np.exp(theta * (lo - hi))
+    ls = theta * hi + np.log1p(r)  # log(x^t + y^t), as in _gumbel_parts
+    a = np.exp(ls / theta)
+    w = theta - 1.0 + a
+    ll = -a + (theta - 1.0) * (lx + ly) + (1.0 / theta - 2.0) * ls + np.log(w) - lu - lv
+    dls = (hi + lo * r) / (1.0 + r)
+    da = a * (dls - ls / theta) / theta
+    score = -da + (lx + ly) - ls / theta**2 + (1.0 / theta - 2.0) * dls + (1.0 + da) / w
+    return ll, score
+
+
+def log_density_and_score(spec: CopulaSpec, theta: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """Log-density and its derivative in theta, one column per grid node.
+
+    ``theta`` is a 1-d run of screen-grid nodes, which stay clear of the
+    independence band, and ``u``, ``v`` the rows; both results have shape
+    (len(u), len(theta)).  No argument checks.
+    """
+    u, v = u[:, None], v[:, None]
+    if spec.family is Family.CLAYTON:
+        return _clayton_logpdf_and_score(theta, -np.log(u), -np.log(v))
+    if spec.family is Family.GUMBEL:
+        return _gumbel_logpdf_and_score(theta, np.log(u), np.log(v))
+    small = np.abs(theta) < 1.0
+    ll = np.empty((len(u), len(theta)))
+    score = np.empty_like(ll)
+    for regime in (True, False):
+        cols = small == regime
+        if cols.any():
+            ll[:, cols], score[:, cols] = _frank_logpdf_and_score(theta[cols], u, v, regime)
+    return ll, score
+
+
 def fit_mle(spec: CopulaSpec, data, min_fit_n: int = _DEFAULT_MIN_FIT_N) -> FitResult:
     """Maximum-likelihood fit of theta on pairs in the open unit square.
 
@@ -529,10 +739,7 @@ def fit_mle(spec: CopulaSpec, data, min_fit_n: int = _DEFAULT_MIN_FIT_N) -> FitR
     uv = uv[np.lexsort((uv[:, 1], uv[:, 0]))]
 
     nll, to_theta = _nll_factory(spec, uv)
-    if spec.family is Family.FRANK:
-        lo, hi = -_FRANK_THETA_MAX, _FRANK_THETA_MAX
-    else:
-        lo, hi = _TAU_SEARCH_MARGIN, 1.0 - _TAU_SEARCH_MARGIN
+    lo, hi = _search_bounds(spec)
 
     res = optimize.minimize_scalar(
         nll, bounds=(lo, hi), method="bounded", options={"xatol": 1e-6}

@@ -13,7 +13,8 @@ import json
 import math
 
 from .copulas import FitResult, spec_for
-from .errors import SchemaError
+from .data import CATEGORICAL, NUMERIC
+from .errors import DomainError, SchemaError
 from .pruning import CvReport, PrunePath, lambda_intervals
 from .tree import ColumnSchema, CopulaTree, SplitRule, StoppingConfig, TreeNode
 
@@ -58,36 +59,87 @@ def tree_to_doc(tree: CopulaTree) -> dict:
     }
 
 
-def tree_from_doc(doc: dict) -> CopulaTree:
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise SchemaError(f"unsupported tree format_version {doc.get('format_version')!r}")
-    spec = spec_for(doc["family"])
-    schema = tuple(
-        ColumnSchema(c["name"], c["kind"], tuple(c["levels"]) if "levels" in c else None)
-        for c in doc["covariates"]
-    )
-    raw = {e["id"]: e for e in doc["nodes"]}
+def _fields(obj, keys, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"tree document: {where} is not an object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise SchemaError(f"tree document: {where} lacks {', '.join(map(repr, missing))}")
+    return obj
 
-    def build(node_id: int, depth: int) -> TreeNode:
+
+def _typed(value, kinds, where: str, what: str):
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise SchemaError(f"tree document: {where}: {what}")
+    return value
+
+
+def _names(value, where: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise SchemaError(f"tree document: {where}: levels must be a list of names")
+    return value
+
+
+def tree_from_doc(doc: dict) -> CopulaTree:
+    """Rebuild a tree from its document; SchemaError on any malformed part."""
+    _fields(doc, ("format_version", "family", "nodes", "covariates"), "the document")
+    if doc["format_version"] != FORMAT_VERSION:
+        raise SchemaError(f"unsupported tree format_version {doc['format_version']!r}")
+    try:
+        spec = spec_for(doc["family"])
+    except DomainError as exc:
+        raise SchemaError(f"tree document: {exc}") from None
+    schema = []
+    for i, c in enumerate(_typed(doc["covariates"], list, "covariates", "not a list")):
+        where = f"covariate {i}"
+        _fields(c, ("name", "kind"), where)
+        if c["kind"] not in (NUMERIC, CATEGORICAL) or (c["kind"] == CATEGORICAL) != ("levels" in c):
+            raise SchemaError(f"tree document: {where}: bad kind or levels")
+        levels = tuple(_names(c["levels"], where)) if "levels" in c else None
+        schema.append(ColumnSchema(c["name"], c["kind"], levels))
+    raw = {}
+    for i, e in enumerate(_typed(doc["nodes"], list, "nodes", "not a list")):
+        _fields(e, ("id", "n", "theta", "tau", "loglik"), f"node {i}")
+        raw[_typed(e["id"], int, f"node {i}", "id is not an integer")] = e
+    if not raw:
+        raise SchemaError("tree document: no nodes")
+    seen = set()
+
+    def build(node_id, depth: int) -> TreeNode:
+        if node_id not in raw or node_id in seen:
+            raise SchemaError(f"tree document: node id {node_id!r} is missing or reached twice")
+        seen.add(node_id)
         e = raw[node_id]
-        fit = FitResult(e["theta"], e["tau"], e["loglik"], e["n"], True)
+        where = f"node {node_id}"
+        fit = FitResult(
+            *(_typed(e[k], (int, float), where, f"{k} is not a number") for k in ("theta", "tau", "loglik")),
+            _typed(e["n"], int, where, "n is not an integer"),
+            True,
+        )
         node = TreeNode(node_id, fit, depth)
         if "rule" in e:
-            r = e["rule"]
-            if r["kind"] == "num":
-                node.rule = SplitRule(r["feature"], threshold=float(r["threshold"]))
+            r = _fields(e["rule"], ("feature", "kind"), f"{where} rule")
+            _fields(e, ("left", "right"), where)
+            feature = r["feature"]
+            if not isinstance(feature, int) or not 0 <= feature < len(schema):
+                raise SchemaError(f"tree document: {where}: no covariate {feature!r}")
+            column = schema[feature]
+            if r["kind"] != column.kind:
+                raise SchemaError(f"tree document: {where}: a {r['kind']!r} rule on a {column.kind} covariate")
+            if r["kind"] == NUMERIC:
+                threshold = _fields(r, ("threshold",), where)["threshold"]
+                node.rule = SplitRule(feature, threshold=float(_typed(threshold, (int, float), where, "bad threshold")))
             else:
-                levels = schema[r["feature"]].levels
-                index = {name: i for i, name in enumerate(levels)}
-                node.rule = SplitRule(
-                    r["feature"], left_levels=frozenset(index[name] for name in r["left_levels"])
-                )
+                names = _names(_fields(r, ("left_levels",), where)["left_levels"], where)
+                if not set(names) <= set(column.levels):
+                    raise SchemaError(f"tree document: {where}: left_levels not among the covariate's levels")
+                index = {name: i for i, name in enumerate(column.levels)}
+                node.rule = SplitRule(feature, left_levels=frozenset(index[name] for name in names))
             node.left = build(e["left"], depth + 1)
             node.right = build(e["right"], depth + 1)
         return node
 
-    root_id = min(raw)
-    return CopulaTree(spec, build(root_id, 0), schema, StoppingConfig())
+    return CopulaTree(spec, build(min(raw), 0), tuple(schema), StoppingConfig())
 
 
 def write_tree_json(tree: CopulaTree, path) -> None:
@@ -98,7 +150,11 @@ def write_tree_json(tree: CopulaTree, path) -> None:
 
 def read_tree_json(path) -> CopulaTree:
     with open(path) as fh:
-        return tree_from_doc(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"{path}: not a JSON document ({exc})") from None
+    return tree_from_doc(doc)
 
 
 def write_prune_path_tsv(path_obj: PrunePath, path) -> None:

@@ -13,6 +13,28 @@ only the contiguous cuts of that ordering are tested; levels too sparse
 to fit are first merged into the level with the closest response-rank
 mean.  Ties are broken by (feature index, threshold / shortest left set),
 so the search result does not depend on row or evaluation order.
+
+The search is exact without refitting every cut.  A screen bounds each
+cut's gain from above first:
+
+* every row's log-density and its derivative in theta are evaluated on a
+  fixed per-family grid spanning fit_mle's search interval
+  (``copulas.screen_grid``);
+* prefix sums over the rows in cut order (sorted x, or the level groups
+  of ``order_modalities``) give both sides' sums at every grid node;
+* on each grid cell a side's log-likelihood lies below the two tangent
+  parabolas at the cell's ends whose curvature is a proven cap on the
+  side's summed second derivative (``copulas.curvature_caps``, derived
+  there per family), so the largest maximum of the lower of the two
+  parabolas, over all cells, bounds what fit_mle can reach.
+
+Cuts are then refit with fit_mle in descending order of their bound
+until the next bound falls below the best exact gain (a bound equal to
+it is still refit, for the tie rule).  The winner, its fits and its gain
+come from the same fit_mle calls an exhaustive search makes, so trees
+are bit-identical to refitting every cut; a non-finite bound only means
+that cut is refit.  The grid is processed in column blocks, so the
+screen's memory grows only linearly with the node size.
 """
 
 from __future__ import annotations
@@ -23,7 +45,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import rankdata
 
-from .copulas import CopulaSpec, FitResult, fit_mle
+from .copulas import (
+    CopulaSpec,
+    FitResult,
+    curvature_caps,
+    fit_mle,
+    log_density_and_score,
+    screen_grid,
+)
 from .copulas import log_density as _log_density
 from .data import CATEGORICAL, NUMERIC, Column, Dataset, PseudoObservations
 from .errors import ConfigError, SchemaError
@@ -41,6 +70,13 @@ __all__ = [
     "tree_loglik",
     "calibrate_min_gain",
 ]
+
+
+# Largest array the split screen builds, in values (bounds its memory).
+_SCREEN_BLOCK_ELEMENTS = 1 << 12
+# Per-row allowance for rounding in a screened bound and in fit_mle's own
+# summed objective; it only ever widens a bound.
+_SCREEN_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -281,6 +317,136 @@ def _numeric_split_positions(xs: np.ndarray, min_leaf: int, cap: int | None):
     return ok, 0.5 * (xs[ok] + xs[ok + 1])
 
 
+@dataclass(frozen=True)
+class _FeatureCuts:
+    """The admissible cuts of one feature at a node.
+
+    ``order`` puts the node's rows in cut order (sorted x, or the level
+    groups of ``order_modalities``), so every cut's left side is the first
+    ``n_left`` rows of it.
+    """
+
+    feature: int
+    rules: list[SplitRule]
+    order: np.ndarray
+    n_left: np.ndarray
+
+
+def _feature_cuts(spec, pseudo, data, stopping, idx, j) -> _FeatureCuts:
+    col = data.covariates[j]
+    if col.kind == NUMERIC:
+        order = np.argsort(col.values[idx], kind="stable")
+        positions, thresholds = _numeric_split_positions(
+            col.values[idx][order], stopping.min_leaf, stopping.max_candidates
+        )
+        rules = [SplitRule(j, threshold=float(s)) for s in thresholds]
+        return _FeatureCuts(j, rules, order, positions + 1)
+    groups = order_modalities(spec, pseudo, data, j, idx, stopping.min_fit_n)
+    codes = col.values[idx]
+    rank = np.empty(int(codes.max()) + 1, dtype=np.int64)
+    for r, g in enumerate(groups):
+        rank[list(g)] = r
+    counts = np.cumsum(np.bincount(rank[codes], minlength=len(groups)))
+    rules, n_left = [], []
+    for cut in range(1, len(groups)):
+        n = int(counts[cut - 1])
+        if n < stopping.min_leaf or len(idx) - n < stopping.min_leaf:
+            continue
+        rules.append(SplitRule(j, left_levels=frozenset(c for g in groups[:cut] for c in g)))
+        n_left.append(n)
+    order = np.argsort(rank[codes], kind="stable")
+    return _FeatureCuts(j, rules, order, np.asarray(n_left, dtype=np.int64))
+
+
+def _cut_rows(data, idx, cuts: _FeatureCuts, i):
+    """(left, right) global rows of cut ``i``, in the node's row order."""
+    rule = cuts.rules[i]
+    if rule.is_numeric:
+        n = cuts.n_left[i]
+        return idx[cuts.order[:n]], idx[cuts.order[n:]]
+    mask = np.isin(data.covariates[cuts.feature].values[idx], list(rule.left_levels))
+    return idx[mask], idx[~mask]
+
+
+def _cell_maxima(f, g, curvature, theta):
+    """Upper bound on max L over each grid cell, for every cut side.
+
+    ``f``/``g`` hold a side's summed log-likelihood and score at the nodes
+    (one row per cut side).  Since L'' <= C = ``curvature`` on a cell [a, b], L
+    lies below both tangent parabolas
+        P_a(t) = f(a) + g(a)(t - a) + C/2 (t - a)^2
+        P_b(t) = f(b) + g(b)(t - b) + C/2 (t - b)^2.
+    Their difference is linear, so min(P_a, P_b) is P_a up to their
+    crossing and P_b after it; being convex pieces, its maximum is at a,
+    b or the crossing.
+    """
+    h = np.diff(theta)
+    c = 0.5 * curvature
+    fa, fb, ga, gb = f[:, :-1], f[:, 1:], g[:, :-1], g[:, 1:]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        slope = ga - gb + 2.0 * c * h  # >= 0 when the cap holds
+        s = np.clip((fb - fa - gb * h + c * h * h) / slope, 0.0, h)
+        top = np.where(
+            slope > 0.0,
+            fa + s * (ga + c * s),
+            np.maximum(fa + h * (ga + c * h), fb - h * (gb - c * h)),
+        )
+        out = np.maximum(np.maximum(fa, fb), top)
+    return np.where(np.isfinite(out), out, np.inf)
+
+
+def _screen_bounds(spec, uv, features, parent_loglik) -> np.ndarray:
+    """Upper bound on the gain of every cut, in (feature, position) order.
+
+    Each side's maximal log-likelihood over fit_mle's search interval is
+    bounded from the rows' log-density and score on the screen grid (the
+    prefix sums of the rows in cut order) and the per-cell curvature caps
+    of ``copulas.curvature_caps``.  A non-finite value anywhere in a cut's
+    computation makes its bound +inf, which only means "refit it".
+    The grid is taken in column blocks of about _SCREEN_BLOCK_ELEMENTS
+    values per array (at least one cell per block), so memory grows
+    linearly with the node and the number of cuts.
+    """
+    features = [fc for fc in features if len(fc.rules)]
+    n_cuts = sum(len(fc.rules) for fc in features)
+    if n_cuts == 0:
+        return np.empty(0)
+    theta = screen_grid(spec)
+    caps, row_caps, offset = curvature_caps(spec, theta, uv)
+    n = len(uv)
+    n_left = np.concatenate([fc.n_left for fc in features])
+    sizes = np.concatenate([n_left, n - n_left]).astype(float)
+    w_left = np.concatenate([np.cumsum(row_caps[fc.order])[fc.n_left - 1] for fc in features])
+    weights = np.concatenate([w_left, row_caps.sum() - w_left])
+    starts = [np.concatenate(([0], fc.n_left)) for fc in features]
+    width = max(1, _SCREEN_BLOCK_ELEMENTS // max(n, len(sizes)))
+    best = np.full(len(sizes), -np.inf)
+    for k0 in range(0, len(theta) - 1, width):
+        k1 = min(k0 + width, len(theta) - 1)
+        nodes = theta[k0 : k1 + 1]
+        ll, score = log_density_and_score(spec, nodes, uv[:, 0], uv[:, 1])
+        curvature = np.minimum(
+            sizes[:, None] * caps[k0:k1], weights[:, None] + sizes[:, None] * offset[k0:k1]
+        )
+        cell = _cell_maxima(
+            _side_sums(ll, features, starts),
+            _side_sums(score, features, starts),
+            np.maximum(curvature, 0.0),
+            nodes,
+        )
+        np.maximum(best, cell.max(axis=1), out=best)
+    return best[:n_cuts] + best[n_cuts:] - parent_loglik + _SCREEN_SLACK * n
+
+
+def _side_sums(table, features, starts) -> np.ndarray:
+    """Column sums of ``table`` over every cut's left side, then every right side."""
+    prefix = [
+        np.cumsum(np.add.reduceat(table[fc.order], s, axis=0), axis=0)
+        for fc, s in zip(features, starts)
+    ]
+    return np.concatenate([p[:-1] for p in prefix] + [p[-1] - p[:-1] for p in prefix])
+
+
 def find_optimal_split(
     spec: CopulaSpec,
     pseudo: PseudoObservations,
@@ -292,7 +458,11 @@ def find_optimal_split(
     """Best admissible split of a node, or None when nothing improves.
 
     The candidate maximising gain = loglik(left) + loglik(right) -
-    loglik(parent) is returned only if gain > stopping.min_gain.
+    loglik(parent) is returned only if gain > stopping.min_gain; ties go
+    to the first cut in (feature, position) order.  Cuts are refit with
+    fit_mle in descending order of their screened gain bound until the
+    next bound falls below the best exact gain, so the answer is the one
+    an exhaustive refit of every cut gives.
     """
     idx = np.arange(data.n) if rows is None else np.asarray(rows)
     if len(idx) < 2 * stopping.min_leaf:
@@ -300,42 +470,25 @@ def find_optimal_split(
     if parent_fit is None:
         parent_fit = node_fit(spec, pseudo, idx, stopping.min_fit_n)
 
-    best: _Candidate | None = None
+    features = [
+        _feature_cuts(spec, pseudo, data, stopping, idx, j) for j in range(len(data.covariates))
+    ]
+    cuts = [(fc, i) for fc in features for i in range(len(fc.rules))]
+    bound = _screen_bounds(spec, pseudo.values[idx], features, parent_fit.loglik)
 
-    def consider(rule, left_rows, right_rows):
-        nonlocal best
+    best: _Candidate | None = None
+    best_k = -1
+    for k in np.lexsort((np.arange(len(cuts)), -bound)):
+        if not bound[k] > stopping.min_gain or (best is not None and bound[k] < best.gain):
+            break
+        fc, i = cuts[k]
+        left_rows, right_rows = _cut_rows(data, idx, fc, i)
         lf = fit_mle(spec, pseudo.values[left_rows], min_fit_n=stopping.min_fit_n)
         rf = fit_mle(spec, pseudo.values[right_rows], min_fit_n=stopping.min_fit_n)
         gain = lf.loglik + rf.loglik - parent_fit.loglik
-        if best is None or gain > best.gain:
-            best = _Candidate(rule, gain, lf, rf, left_rows, right_rows)
-
-    for j, col in enumerate(data.covariates):
-        if col.kind == NUMERIC:
-            x = col.values[idx]
-            order = np.argsort(x, kind="stable")
-            xs = x[order]
-            positions, thresholds = _numeric_split_positions(
-                xs, stopping.min_leaf, stopping.max_candidates
-            )
-            for p, s in zip(positions, thresholds):
-                consider(
-                    SplitRule(j, threshold=float(s)),
-                    idx[order[: p + 1]],
-                    idx[order[p + 1 :]],
-                )
-        else:
-            groups = order_modalities(spec, pseudo, data, j, idx, stopping.min_fit_n)
-            if len(groups) < 2:
-                continue
-            codes = col.values[idx]
-            for cut in range(1, len(groups)):
-                left_set = frozenset(c for g in groups[:cut] for c in g)
-                mask = np.isin(codes, list(left_set))
-                n_left = int(mask.sum())
-                if n_left < stopping.min_leaf or len(idx) - n_left < stopping.min_leaf:
-                    continue
-                consider(SplitRule(j, left_levels=left_set), idx[mask], idx[~mask])
+        if best is None or gain > best.gain or (gain == best.gain and k < best_k):
+            best = _Candidate(fc.rules[i], gain, lf, rf, left_rows, right_rows)
+            best_k = k
 
     if best is None or not best.gain > stopping.min_gain:
         return None

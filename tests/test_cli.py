@@ -130,6 +130,30 @@ class TestFit:
         assert rc == EXIT_OK
         assert json.loads((out / "cv_report.json").read_text())["seed"] == 5
 
+    def test_flag_with_equals_beats_config(self, fit_csv, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed=77\nfamily=clayton\nrepeats=2\n")
+        out = tmp_path / "cfgfit3"
+        rc = main(["fit", "--input", str(fit_csv), "--out", str(out),
+                   "--config", str(cfg), "--seed=5", "--max-candidates=16"])
+        assert rc == EXIT_OK
+        doc = json.loads((out / "cv_report.json").read_text())
+        assert doc["seed"] == 5 and doc["repeats"] == 2
+
+    @pytest.mark.parametrize(
+        "line", ["min_leaf = abc", "rule = Bogus", "dry_run = maybe", "no_such_key = 1", "pseudo = magic"]
+    )
+    def test_bad_config_value_is_config_error(self, fit_csv, tmp_path, capsys, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"seed=1\nfamily=clayton\n{line}\n")
+        command = "simulate" if line.startswith("dry_run") else "fit"
+        argv = [command, "--out", str(tmp_path / "o"), "--config", str(cfg)]
+        if command == "fit":
+            argv += ["--input", str(fit_csv)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: ")
+
 
 class TestPredict:
     def test_single_leaf_constant_tau(self, tmp_path):
@@ -175,6 +199,21 @@ class TestPredict:
         rc = main(["predict", "--tree", str(out / "tree.json"), "--input", str(cov), "--out", str(tmp_path / "p.csv")])
         assert rc == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("doc", ['{"format_version": 1}', "not json at all", "[1, 2]",
+                                     '{"format_version": 1, "family": "clayton", "covariates": [],'
+                                     ' "nodes": [{"id": 0, "n": 5, "theta": 2.0, "tau": 0.5,'
+                                     ' "loglik": 1.0, "rule": {"feature": 0, "kind": "num",'
+                                     ' "threshold": 0.5}, "left": 1, "right": 2}]}'])
+    def test_malformed_tree_is_schema_error(self, tmp_path, capsys, doc):
+        tree_path = tmp_path / "tree.json"
+        tree_path.write_text(doc)
+        cov = tmp_path / "cov.csv"
+        cov.write_text("g\na\n")
+        rc = main(["predict", "--tree", str(tree_path), "--input", str(cov), "--out", str(tmp_path / "p.csv")])
+        assert rc == EXIT_SCHEMA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: schema: ")
+
 
 class TestSimulate:
     def test_smoke_and_summary_columns(self, tmp_path):
@@ -196,6 +235,19 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["n_reps"] == 500
         assert summary["config"]["n"] == 1000
+
+    @pytest.mark.parametrize("flag, runs", [("false", True), ("true", False), ("No", True), ("1", False)])
+    def test_config_dry_run_is_a_boolean(self, tmp_path, flag, runs):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"dry_run = {flag}\nseed = 9\n")
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--families", "clayton", "--surfaces", "step", "--sources", "U",
+                   "--reps", "1", "--n", "200", "--min-leaf", "30", "--repeats", "1", "--out", str(out),
+                   "--config", str(cfg)])
+        assert rc == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert bool(summary["cells"]) == runs
+        assert (out / "records.tsv").exists() == runs
 
     def test_invalid_family_exit(self, tmp_path):
         rc = main(["simulate", "--families", "gauss", "--seed", "1", "--out", str(tmp_path / "x")])

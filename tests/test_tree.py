@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copulatree import copulas as cp
 from copulatree import tree as tr
@@ -373,3 +375,166 @@ class TestBuildAndPredict:
         theta1, tau1, id1 = tree.predict(data)
         theta2, tau2, id2 = back.predict(data)
         assert np.array_equal(id1, id2) and np.array_equal(theta1, theta2)
+
+
+# ---------------------------------------------------------------------------
+# the screened split search against a brute-force refit of every cut
+
+FAMILIES = ("clayton", "frank", "gumbel")
+
+
+def random_node(family, n, seed, kinds, taus):
+    """Rows whose dependence steps with the first covariate, plus covariates of ``kinds``."""
+    spec = cp.spec_for(family)
+    rng = np.random.default_rng(seed)
+    covs, first = [], None
+    for j, kind in enumerate(kinds):
+        if kind == "num":
+            x = np.round(rng.random(n), int(rng.integers(1, 4)))  # ties in x
+            covs.append(numeric_column(f"x{j}", x))
+            key = x < 0.5
+        else:
+            codes = rng.integers(0, int(rng.integers(2, 7)), n)
+            covs.append(categorical_column(f"g{j}", [f"l{c}" for c in codes]))
+            key = codes % 2 == 0
+        first = key if first is None else first
+    tau = np.where(first, taus[0], taus[1])
+    theta = np.array([cp.tau_to_theta(spec, t) for t in tau])
+    u = np.clip(rng.random(n), 1e-9, 1 - 1e-9)
+    v = cp.conditional_quantile(spec, theta, u, rng.random(n))
+    return spec, PseudoObservations(np.column_stack([u, v]), "t"), Dataset(np.zeros((n, 2)), tuple(covs))
+
+
+def brute_force_split(spec, pseudo, data, stopping):
+    """Refit every admissible cut in (feature, position) order; keep the first best."""
+    idx = np.arange(data.n)
+    parent = cp.fit_mle(spec, pseudo.values, min_fit_n=stopping.min_fit_n)
+    best = None
+    for j, col in enumerate(data.covariates):
+        if col.kind == "num":
+            order = np.argsort(col.values, kind="stable")
+            positions, thresholds = tr._numeric_split_positions(
+                col.values[order], stopping.min_leaf, stopping.max_candidates
+            )
+            cuts = [
+                (tr.SplitRule(j, threshold=float(s)), order[: p + 1], order[p + 1 :])
+                for p, s in zip(positions, thresholds)
+            ]
+        else:
+            groups = tr.order_modalities(spec, pseudo, data, j, idx, stopping.min_fit_n)
+            cuts = []
+            for cut in range(1, len(groups)):
+                left = frozenset(c for g in groups[:cut] for c in g)
+                mask = np.isin(col.values, list(left))
+                if min(mask.sum(), (~mask).sum()) >= stopping.min_leaf:
+                    cuts.append((tr.SplitRule(j, left_levels=left), idx[mask], idx[~mask]))
+        for rule, left_rows, right_rows in cuts:
+            lf = cp.fit_mle(spec, pseudo.values[left_rows], min_fit_n=stopping.min_fit_n)
+            rf = cp.fit_mle(spec, pseudo.values[right_rows], min_fit_n=stopping.min_fit_n)
+            gain = lf.loglik + rf.loglik - parent.loglik
+            if best is None or gain > best[1]:
+                best = (rule, gain, lf, rf, left_rows, right_rows)
+    return best if best is not None and best[1] > stopping.min_gain else None
+
+
+def assert_same_split(cand, expected):
+    assert (cand.rule, cand.gain, cand.left_fit, cand.right_fit) == expected[:4]
+    assert np.array_equal(cand.left_rows, expected[4]) and np.array_equal(cand.right_rows, expected[5])
+
+
+node_cases = st.fixed_dictionaries(
+    {
+        "family": st.sampled_from(FAMILIES),
+        "n": st.integers(40, 160),
+        "seed": st.integers(0, 2**31),
+        "kinds": st.sampled_from([("num",), ("cat",), ("num", "cat"), ("cat", "num", "num")]),
+        "taus": st.tuples(st.floats(0.05, 0.85), st.floats(0.05, 0.85)),
+        "min_leaf": st.integers(10, 30),
+        "max_candidates": st.one_of(st.none(), st.integers(1, 12)),
+    }
+)
+
+
+class TestScreenedSplitSearch:
+    @given(case=node_cases)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_brute_force(self, case):
+        spec, pseudo, data = random_node(case["family"], case["n"], case["seed"], case["kinds"], case["taus"])
+        stopping = tr.StoppingConfig(min_leaf=case["min_leaf"], max_candidates=case["max_candidates"])
+        cand = tr.find_optimal_split(spec, pseudo, data, stopping)
+        expected = brute_force_split(spec, pseudo, data, stopping)
+        if expected is None:
+            assert cand is None
+        else:
+            assert_same_split(cand, expected)
+
+    @given(case=node_cases, squash=st.sampled_from([1.0, 3.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_every_bound_covers_its_refit_gain(self, case, squash):
+        # squash > 1 pushes rows into the corners, where Clayton's caps are loosest
+        spec, pseudo, data = random_node(case["family"], case["n"], case["seed"], case["kinds"], case["taus"])
+        uv = np.clip(pseudo.values**squash, 1e-300, 1 - 1e-16)
+        pseudo = PseudoObservations(uv, "t")
+        stopping = tr.StoppingConfig(min_leaf=case["min_leaf"], max_candidates=case["max_candidates"])
+        idx = np.arange(data.n)
+        parent = cp.fit_mle(spec, uv)
+        features = [tr._feature_cuts(spec, pseudo, data, stopping, idx, j) for j in range(len(data.covariates))]
+        bounds = iter(tr._screen_bounds(spec, uv, features, parent.loglik))
+        for fc in features:
+            for i in range(len(fc.rules)):
+                left, right = tr._cut_rows(data, idx, fc, i)
+                gain = cp.fit_mle(spec, uv[left]).loglik + cp.fit_mle(spec, uv[right]).loglik - parent.loglik
+                assert next(bounds) >= gain
+
+    @given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**31), squash=st.sampled_from([1.0, 4.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_caps_bound_every_rows_curvature(self, family, seed, squash):
+        spec = cp.spec_for(family)
+        rng = np.random.default_rng(seed)
+        uv = np.clip(rng.random((40, 2)) ** squash, 1e-12, 1 - 1e-12)
+        theta = cp.screen_grid(spec)
+        cap, row_cap, offset = cp.curvature_caps(spec, theta, uv)
+        assert np.all(cap >= 0.0)
+        for k in rng.choice(len(theta) - 1, 16, replace=False):
+            a, b = theta[k], theta[k + 1]
+            t, h = a + (b - a) * rng.uniform(0.05, 0.95), 1e-3 * (b - a)
+            _, score = cp.log_density_and_score(spec, np.array([t - h, t + h]), uv[:, 0], uv[:, 1])
+            curvature = (score[:, 1] - score[:, 0]) / (2.0 * h)
+            limit = np.minimum(cap[k], row_cap + offset[k])
+            assert np.all(curvature <= limit + 1e-6 * (1.0 + np.abs(limit)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("cat_first", [False, True])
+    @pytest.mark.parametrize("later_first", [False, True])
+    def test_equal_partitions_tie_to_the_first_feature(self, seed, cat_first, later_first, monkeypatch):
+        # a categorical copy of a binary numeric covariate offers the same
+        # partition twice; its gain ties exactly and the first feature wins,
+        # also when valid but reversed bounds refit the later cut first
+        if later_first:
+            monkeypatch.setattr(
+                tr, "_screen_bounds", lambda spec, uv, features, ll: 1e9 + np.arange(
+                    sum(len(fc.rules) for fc in features), dtype=float)
+            )
+        rng = np.random.default_rng(seed)
+        n = 120
+        x = (rng.random(n) < 0.5).astype(float)
+        tau = np.where(x > 0, 0.6, 0.2)
+        uv = copula_rows(tau, n, seed + 100)
+        cols = [numeric_column("x", x), categorical_column("g", ["ab"[int(z)] for z in x])]
+        data = Dataset(np.zeros((n, 2)), tuple(cols[::-1] if cat_first else cols))
+        pseudo = PseudoObservations(uv, "t")
+        stopping = tr.StoppingConfig(min_leaf=20)
+        cand = tr.find_optimal_split(CLAYTON, pseudo, data, stopping)
+        expected = brute_force_split(CLAYTON, pseudo, data, stopping)
+        assert_same_split(cand, expected)
+        assert cand.rule.feature == 0
+
+    @given(family=st.sampled_from(FAMILIES), n=st.integers(10, 300), seed=st.integers(0, 2**31),
+           tau=st.floats(0.02, 0.9))
+    @settings(max_examples=40, deadline=None)
+    def test_fit_mle_is_row_permutation_invariant(self, family, n, seed, tau):
+        spec = cp.spec_for(family)
+        rng = np.random.default_rng(seed)
+        uv = cp.sample(spec, cp.tau_to_theta(spec, tau), n, rng)
+        uv = np.clip(uv, 1e-12, 1 - 1e-12)
+        assert cp.fit_mle(spec, uv[rng.permutation(n)]) == cp.fit_mle(spec, uv)
