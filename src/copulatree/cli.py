@@ -182,11 +182,11 @@ def _stopping_from_args(args) -> StoppingConfig:
 def _make_pseudo(args, data: Dataset):
     method = args.pseudo
     if method == "empirical":
-        return pseudo_empirical(data), ()
+        return pseudo_empirical(data)
     if method == "kernel":
         if args.bandwidth is None:
             raise ConfigError("--bandwidth is required for the kernel method")
-        return pseudo_kernel(data, h=args.bandwidth), ()
+        return pseudo_kernel(data, h=args.bandwidth)
     if method == "normal":
         design = None
         if args.design:
@@ -196,14 +196,12 @@ def _make_pseudo(args, data: Dataset):
                 if want not in names:
                     raise SchemaError(f"design column {want!r} not in covariates {names}")
                 design.append(names.index(want))
-        return pseudo_parametric_normal(data, design), ()
+        return pseudo_parametric_normal(data, design)
     if method == "margin-tree":
-        pseudo, trees = pseudo_margin_tree(
-            data, MarginTreeConfig(min_leaf=args.margin_min_leaf, seed=args.seed)
-        )
-        return pseudo, trees
+        config = MarginTreeConfig(min_leaf=args.margin_min_leaf, seed=args.seed)
+        return pseudo_margin_tree(data, config)[0]
     if method == "discrete":
-        return pseudo_discrete(data), ()
+        return pseudo_discrete(data)
     raise ConfigError(f"unknown pseudo method {method!r}")
 
 
@@ -211,7 +209,7 @@ def cmd_fit(args) -> int:
     _require(args, "input", "out", "family", "seed")
     data = read_fit_csv(args.input)
     spec = spec_for(args.family)
-    pseudo, _ = _make_pseudo(args, data)
+    pseudo = _make_pseudo(args, data)
     stopping = _stopping_from_args(args)
     maximal, path, report, subtree = fit_pruned_tree(
         spec, pseudo, data,
@@ -305,7 +303,7 @@ def cmd_flu(args) -> int:
         covs.append(categorical_column("itz", [uy.itz or "?" for uy in unit_years]))
     data = Dataset(y, tuple(covs))
 
-    pseudo, margin_trees = pseudo_margin_tree(
+    pseudo, _ = pseudo_margin_tree(
         data, MarginTreeConfig(min_leaf=args.margin_min_leaf, seed=args.seed)
     )
     spec = spec_for(args.family)

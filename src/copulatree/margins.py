@@ -26,7 +26,8 @@ from scipy.stats import rankdata
 
 from .data import CATEGORICAL, NUMERIC, Dataset, PseudoObservations
 from .errors import ConfigError, RegressionError
-from .tree import ColumnSchema, SplitRule, schema_of
+from .pruning import choose_k, weakest_link_path
+from .tree import ColumnSchema, TreeNode, grow, route, schema_of, sse_fit, sse_split, walk
 
 __all__ = [
     "pseudo_empirical",
@@ -37,6 +38,10 @@ __all__ = [
     "MarginTree",
     "MarginTreeConfig",
 ]
+
+
+# Rows per block of pseudo_kernel's weight matrix.
+_KERNEL_BLOCK_ROWS = 128
 
 
 def _column_ranks(y: np.ndarray) -> np.ndarray:
@@ -56,6 +61,8 @@ def pseudo_kernel(data: Dataset, h: float, clamp_eps: float | None = None) -> Ps
 
     The self term is included, so the weight denominator is never zero;
     the result is clamped to [clamp_eps, 1 - clamp_eps] (default 1/(2n)).
+    Rows are weighted in blocks of _KERNEL_BLOCK_ROWS, so memory grows
+    linearly in n; every row's arithmetic is that of the whole n x n matrix.
     """
     if h <= 0:
         raise ConfigError(f"bandwidth must be > 0, got {h}")
@@ -64,15 +71,17 @@ def pseudo_kernel(data: Dataset, h: float, clamp_eps: float | None = None) -> Ps
     n = data.n
     eps = 1.0 / (2.0 * n) if clamp_eps is None else float(clamp_eps)
     x = np.column_stack([c.values for c in data.covariates]) if data.covariates else np.zeros((n, 1))
-    diff = (x[:, None, :] - x[None, :, :]) / h
-    logw = -0.5 * np.sum(diff * diff, axis=2)  # (i, l): log kernel up to const
-    w = np.exp(logw - logw.max(axis=1, keepdims=True))
-    denom = w.sum(axis=1)
     out = np.empty_like(data.responses)
-    for j in range(data.k):
-        yj = data.responses[:, j]
-        below = yj[None, :] <= yj[:, None]  # (i, l) = 1{Y_l <= Y_i}
-        out[:, j] = (w * below).sum(axis=1) / denom
+    for i0 in range(0, n, _KERNEL_BLOCK_ROWS):
+        rows = slice(i0, i0 + _KERNEL_BLOCK_ROWS)
+        diff = (x[rows, None, :] - x[None, :, :]) / h
+        logw = -0.5 * np.sum(diff * diff, axis=2)  # (i, l): log kernel up to const
+        w = np.exp(logw - logw.max(axis=1, keepdims=True))
+        denom = w.sum(axis=1)
+        for j in range(data.k):
+            yj = data.responses[:, j]
+            below = yj[None, :] <= yj[rows, None]  # (i, l) = 1{Y_l <= Y_i}
+            out[rows, j] = (w * below).sum(axis=1) / denom
     return PseudoObservations(np.clip(out, eps, 1.0 - eps), f"kernel(h={h})")
 
 
@@ -136,200 +145,15 @@ def pseudo_discrete(data: Dataset, grouping: dict | None = None) -> PseudoObserv
 # ---------------------------------------------------------------------------
 # least-squares margin trees
 
+# The most leaves a margin tree is grown to, and the folds of its size choice.
+_MAX_LEAVES = 32
+_CV_FOLDS = 5
+
 
 @dataclass(frozen=True)
 class MarginTreeConfig:
     min_leaf: int = 20
-    max_leaves: int = 32
-    cv_folds: int = 5
     seed: int = 0
-
-
-@dataclass
-class _LsNode:
-    id: int
-    n: int
-    mean: float
-    sse: float
-    depth: int = 0
-    rule: SplitRule | None = None
-    left: "_LsNode | None" = None
-    right: "_LsNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.rule is None
-
-
-def _ls_find_split(y, data, idx, min_leaf):
-    """Best SSE-reducing split; categorical levels ordered by mean response."""
-    best = None  # (gain, rule, left_idx, right_idx, stats...)
-    yv = y[idx]
-    n = len(idx)
-    sse_parent = float(np.sum((yv - yv.mean()) ** 2))
-
-    def consider(rule, mask):
-        nonlocal best
-        n_left = int(mask.sum())
-        if n_left < min_leaf or n - n_left < min_leaf:
-            return
-        yl, yr = yv[mask], yv[~mask]
-        gain = sse_parent - float(np.sum((yl - yl.mean()) ** 2)) - float(np.sum((yr - yr.mean()) ** 2))
-        if best is None or gain > best[0]:
-            best = (gain, rule, idx[mask], idx[~mask])
-
-    for j, col in enumerate(data.covariates):
-        x = col.values[idx]
-        if col.kind == NUMERIC:
-            for s in _ls_thresholds(x, min_leaf):
-                consider(SplitRule(j, threshold=s), x <= s)
-        else:
-            codes = np.unique(x)
-            if len(codes) < 2:
-                continue
-            means = [float(yv[x == c].mean()) for c in codes]
-            order = [int(c) for _, c in sorted(zip(means, codes))]
-            for cut in range(1, len(order)):
-                left = frozenset(order[:cut])
-                consider(SplitRule(j, left_levels=left), np.isin(x, list(left)))
-
-    if best is None or best[0] <= 0.0:
-        return None
-    return best
-
-
-def _ls_thresholds(x, min_leaf):
-    xs = np.sort(x)
-    boundary = np.nonzero(xs[:-1] < xs[1:])[0]
-    ok = boundary[(boundary + 1 >= min_leaf) & (len(xs) - boundary - 1 >= min_leaf)]
-    return 0.5 * (xs[ok] + xs[ok + 1])
-
-
-def _ls_grow(y, data, idx, config):
-    yv = y[idx]
-    root = _LsNode(0, len(idx), float(yv.mean()), float(np.sum((yv - yv.mean()) ** 2)))
-    queue = [(root, idx)]
-    n_terminal, next_id = 1, 1
-    while queue:
-        node, rows = queue.pop(0)
-        if n_terminal >= config.max_leaves or len(rows) < 2 * config.min_leaf:
-            continue
-        found = _ls_find_split(y, data, rows, config.min_leaf)
-        if found is None:
-            continue
-        _, rule, li, ri = found
-        node.rule = rule
-        for rows_child, attr in ((li, "left"), (ri, "right")):
-            yc = y[rows_child]
-            child = _LsNode(
-                next_id, len(rows_child), float(yc.mean()),
-                float(np.sum((yc - yc.mean()) ** 2)), node.depth + 1,
-            )
-            setattr(node, attr, child)
-            next_id += 1
-        n_terminal += 1
-        queue.append((node.left, li))
-        queue.append((node.right, ri))
-    return root
-
-
-def _ls_nodes(root):
-    out, stack = [], [root]
-    while stack:
-        n = stack.pop()
-        out.append(n)
-        if not n.is_leaf:
-            stack.extend([n.right, n.left])
-    return out
-
-
-def _ls_prune_path(root):
-    """Weakest-link collapse on SSE; returns [(leaf_id_set, K, train_sse)]."""
-    leafset = {n.id for n in _ls_nodes(root) if n.is_leaf}
-    by_id = {n.id: n for n in _ls_nodes(root)}
-
-    def leaves_under(node):
-        if node.id in leafset or node.is_leaf:
-            return [node.id]
-        return leaves_under(node.left) + leaves_under(node.right)
-
-    def record():
-        return (frozenset(leafset), len(leafset), sum(by_id[i].sse for i in sorted(leafset)))
-
-    path = [record()]
-    while len(leafset) > 1:
-        candidates = []
-        for node in _ls_nodes(root):
-            if node.is_leaf or node.id in leafset:
-                continue
-            under = leaves_under(node)
-            if not all(i in leafset for i in under):
-                continue
-            g = (node.sse - sum(by_id[i].sse for i in under)) / (len(under) - 1)
-            candidates.append((g, -node.depth, node.id, under))
-        g, _, nid, under = min(candidates)
-        leafset = (leafset - set(under)) | {nid}
-        path.append(record())
-    return path
-
-
-def _ls_route_paths(root, data, idx):
-    """Per-row list of node ids visited from root to maximal-tree leaf."""
-    paths = [[] for _ in range(len(idx))]
-    stack = [(root, np.arange(len(idx)))]
-    while stack:
-        node, rows = stack.pop()
-        for r in rows:
-            paths[r].append(node.id)
-        if node.is_leaf:
-            continue
-        col = data.covariates[node.rule.feature]
-        vals = col.values[idx[rows]]
-        if node.rule.is_numeric:
-            go_left = vals <= node.rule.threshold
-        else:
-            go_left = np.isin(vals, list(node.rule.left_levels))
-        stack.append((node.left, rows[go_left]))
-        stack.append((node.right, rows[~go_left]))
-    return paths
-
-
-def _ls_cv_choose_k(y, data, config):
-    """Repeated-fold validation SSE per leaf count; one-SE smallest K."""
-    n = data.n
-    rng = np.random.default_rng(config.seed)
-    perm = rng.permutation(n)
-    folds = np.array_split(perm, config.cv_folds)
-    per_fold = []  # list of dict K -> val sse
-    for f in range(config.cv_folds):
-        val_idx = folds[f]
-        train_idx = np.concatenate([folds[g] for g in range(config.cv_folds) if g != f])
-        root = _ls_grow(y, data, train_idx, config)
-        path = _ls_prune_path(root)
-        by_id = {nd.id: nd for nd in _ls_nodes(root)}
-        routes = _ls_route_paths(root, data, val_idx)
-        scores = {}
-        for leafset, k, _ in path:
-            sse = 0.0
-            for r, row in enumerate(val_idx):
-                leaf = next(i for i in routes[r] if i in leafset)
-                sse += (y[row] - by_id[leaf].mean) ** 2
-            scores[k] = sse
-        per_fold.append(scores)
-
-    ks = sorted({k for sc in per_fold for k in sc})
-    means, ses = {}, {}
-    for k in ks:
-        vals = []
-        for sc in per_fold:
-            smaller = [kk for kk in sc if kk <= k]
-            vals.append(sc[max(smaller)] if smaller else sc[min(sc)])
-        vals = np.asarray(vals)
-        means[k] = float(vals.mean())
-        ses[k] = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    k_best = min(ks, key=lambda k: (means[k], k))
-    limit = means[k_best] + ses[k_best]
-    return min(k for k in ks if means[k] <= limit)
 
 
 @dataclass
@@ -340,39 +164,13 @@ class MarginTree:
     be evaluated as a within-leaf ECDF (rank over count + 1).
     """
 
-    root: _LsNode
+    root: TreeNode
     schema: tuple[ColumnSchema, ...]
     leaf_values: dict[int, np.ndarray]
     n_leaves: int
 
     def leaf_of_row(self, data: Dataset, row: int) -> int:
-        node = self.root
-        while not node.is_leaf:
-            col = data.covariates[node.rule.feature]
-            val = col.values[row]
-            if node.rule.is_numeric:
-                node = node.left if val <= node.rule.threshold else node.right
-            else:
-                node = node.left if int(val) in node.rule.left_levels else node.right
-        return node.id
-
-    def assign(self, data: Dataset) -> np.ndarray:
-        out = np.empty(data.n, dtype=np.int64)
-        stack = [(self.root, np.arange(data.n))]
-        while stack:
-            node, rows = stack.pop()
-            if node.is_leaf:
-                out[rows] = node.id
-                continue
-            col = data.covariates[node.rule.feature]
-            vals = col.values[rows]
-            if node.rule.is_numeric:
-                go_left = vals <= node.rule.threshold
-            else:
-                go_left = np.isin(vals, list(node.rule.left_levels))
-            stack.append((node.left, rows[go_left]))
-            stack.append((node.right, rows[~go_left]))
-        return out
+        return int(route(self.root, [c.values[[row]] for c in data.covariates], 1)[0])
 
     def cdf(self, t: float, data: Dataset, row: int) -> float:
         leaf = self.leaf_of_row(data, row)
@@ -381,13 +179,32 @@ class MarginTree:
         return min(max(r / (len(vals) + 1.0), 1.0 / (len(vals) + 1.0)), len(vals) / (len(vals) + 1.0))
 
 
-def _prune_to_leafset(node, leafset):
-    if node.id in leafset or node.is_leaf:
-        return _LsNode(node.id, node.n, node.mean, node.sse, node.depth)
-    new = _LsNode(node.id, node.n, node.mean, node.sse, node.depth, node.rule)
-    new.left = _prune_to_leafset(node.left, leafset)
-    new.right = _prune_to_leafset(node.right, leafset)
-    return new
+def _grow_sse(y, data, rows, min_leaf) -> TreeNode:
+    return grow(
+        lambda idx: sse_fit(y[idx]),
+        lambda idx, fit: sse_split(y, data, idx, fit, min_leaf),
+        rows,
+        _MAX_LEAVES,
+    )
+
+
+def _holdout_score(root, y, data, rows) -> float:
+    """Minus the squared error of ``rows`` about their leaf means, summed in row order."""
+    means = {nd.id: nd.fit.mean for nd in walk(root) if nd.is_leaf}
+    leaf = route(root, [c.values[rows] for c in data.covariates], len(rows))
+    resid = y[rows] - np.array([means[i] for i in leaf])
+    return -sum((resid**2).tolist())
+
+
+def _cv_leaf_count(y, data, min_leaf, seed) -> int:
+    """OneSE leaf count over one seeded split of the rows into _CV_FOLDS folds."""
+    folds = np.array_split(np.random.default_rng(seed).permutation(data.n), _CV_FOLDS)
+    scores = []
+    for f, val_idx in enumerate(folds):
+        train_idx = np.concatenate([g for i, g in enumerate(folds) if i != f])
+        path = weakest_link_path(_grow_sse(y, data, train_idx, min_leaf))
+        scores.append({k: _holdout_score(root, y, data, val_idx) for root, k, _ in path})
+    return choose_k(scores, "OneSE")[-1]
 
 
 def pseudo_margin_tree(
@@ -395,11 +212,11 @@ def pseudo_margin_tree(
 ) -> tuple[PseudoObservations, tuple[MarginTree, ...]]:
     """Margin-tree pseudo-observations: within-leaf average ranks.
 
-    One least-squares tree per response column, grown with the same split
-    enumeration as the copula tree (squared-error criterion, categorical
-    levels ordered by mean response), pruned to the cross-validated
-    one-SE leaf count.  Falls back to the empirical estimator when the
-    sample cannot support a split.
+    One least-squares tree per response column, grown and pruned by the
+    engine of the copula tree (``tree.sse_split`` as node criterion,
+    categorical levels ordered by mean response), at the leaf count that
+    5-fold cross-validation picks by the one-SE rule.  Falls back to the
+    empirical estimator when the sample cannot support a split.
     """
     if data.n < 2 * config.min_leaf:
         warnings.warn("too few rows for margin trees; falling back to empirical ranks")
@@ -408,19 +225,14 @@ def pseudo_margin_tree(
 
     out = np.empty_like(data.responses)
     trees = []
-    all_idx = np.arange(data.n)
+    columns = [c.values for c in data.covariates]
     for j in range(data.k):
         y = data.responses[:, j]
-        root = _ls_grow(y, data, all_idx, config)
-        path = _ls_prune_path(root)
-        if len(path) > 1:
-            k_star = _ls_cv_choose_k(y, data, replace(config, seed=config.seed + j))
-            leafset = next(ls for ls, k, _ in path if k <= k_star)
-        else:
-            leafset = path[0][0]
-        pruned = _prune_to_leafset(root, leafset)
-        tree = MarginTree(pruned, schema_of(data), {}, len(leafset))
-        leaf_ids = tree.assign(data)
+        path = weakest_link_path(_grow_sse(y, data, np.arange(data.n), config.min_leaf))
+        k_star = _cv_leaf_count(y, data, config.min_leaf, config.seed + j) if len(path) > 1 else 1
+        root, k, _ = next(entry for entry in path if entry[1] <= k_star)
+        tree = MarginTree(root, schema_of(data), {}, k)
+        leaf_ids = route(root, columns, data.n)
         for leaf in np.unique(leaf_ids):
             mask = leaf_ids == leaf
             block = y[mask]

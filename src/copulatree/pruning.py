@@ -13,6 +13,10 @@ Lambda itself is not chosen directly: repeated k-fold cross-validation
 scores every path size by held-out log-likelihood and either the mean
 maximiser (MaxMean) or the one-standard-error rule (OneSE, Breiman's
 rule) picks the leaf count.
+
+The path and the size chooser read only the nodes' ``fit.loglik``, so the
+least-squares margin trees of ``margins`` (whose ``loglik`` is minus the
+SSE) use them too.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .tree import (
     TreeNode,
     build_maximal_tree,
     tree_loglik,
+    walk,
 )
 
 __all__ = [
@@ -61,23 +66,11 @@ class PrunePath:
 
     def entry_for_k(self, k: int) -> PathEntry:
         """Entry with the largest leaf count <= k."""
-        ok = [e for e in self.entries if e.k <= k]
-        if not ok:
-            return self.entries[-1]
-        return max(ok, key=lambda e: e.k)
+        return next((e for e in self.entries if e.k <= k), self.entries[-1])
 
     @property
     def k_values(self) -> list[int]:
         return [e.k for e in self.entries]
-
-
-def _walk(node: TreeNode):
-    stack = [node]
-    while stack:
-        nd = stack.pop()
-        yield nd
-        if not nd.is_leaf:
-            stack.extend([nd.right, nd.left])
 
 
 def _copy_pruned(node: TreeNode, leafset: frozenset[int]) -> TreeNode:
@@ -89,7 +82,7 @@ def _copy_pruned(node: TreeNode, leafset: frozenset[int]) -> TreeNode:
     return new
 
 
-def prune_path(tree: CopulaTree, pseudo=None, data=None) -> PrunePath:
+def weakest_link_path(root: TreeNode) -> list[tuple[TreeNode, int, float]]:
     """Iterative weakest-link collapse recording every distinct leaf count.
 
     At each step the internal node minimising
@@ -97,10 +90,11 @@ def prune_path(tree: CopulaTree, pseudo=None, data=None) -> PrunePath:
         g(t) = (loglik(subtree at t) - loglik(t as leaf)) / (leaves(t) - 1)
 
     collapses; ties collapse the deepest node first, then the lowest id.
-    Training log-likelihoods come from the fits stored at build time.
+    Returns (pruned copy of the tree, leaf count, summed leaf loglik) for
+    every step, from the full tree down to the root alone.
     """
-    by_id = {nd.id: nd for nd in _walk(tree.root)}
-    leafset = frozenset(nd.id for nd in _walk(tree.root) if nd.is_leaf)
+    by_id = {nd.id: nd for nd in walk(root)}
+    leafset = frozenset(nd.id for nd in by_id.values() if nd.is_leaf)
 
     def leaves_under(node):
         if node.id in leafset or node.is_leaf:
@@ -108,17 +102,16 @@ def prune_path(tree: CopulaTree, pseudo=None, data=None) -> PrunePath:
         return leaves_under(node.left) + leaves_under(node.right)
 
     def snapshot():
-        return PathEntry(
-            CopulaTree(tree.spec, _copy_pruned(tree.root, leafset), tree.schema, tree.stopping),
+        return (
+            _copy_pruned(root, leafset),
             len(leafset),
             sum(by_id[i].fit.loglik for i in sorted(leafset)),
         )
 
-    entries = [snapshot()]
-    n = tree.root.fit.n_obs
+    path = [snapshot()]
     while len(leafset) > 1:
         candidates = []
-        for nd in _walk(tree.root):
+        for nd in walk(root):
             if nd.is_leaf or nd.id in leafset:
                 continue
             under = leaves_under(nd)
@@ -129,24 +122,60 @@ def prune_path(tree: CopulaTree, pseudo=None, data=None) -> PrunePath:
             candidates.append((g, -nd.depth, nd.id, under))
         g, _, nid, under = min(candidates)
         leafset = (leafset - set(under)) | {nid}
-        entries.append(snapshot())
-    return PrunePath(tuple(entries), n)
+        path.append(snapshot())
+    return path
 
 
-def select_penalized(path: PrunePath, lam: float, n: int | None = None) -> PathEntry:
+def prune_path(tree: CopulaTree) -> PrunePath:
+    """The weakest-link path of a copula tree; training log-likelihoods
+    come from the fits stored at build time."""
+    entries = tuple(
+        PathEntry(CopulaTree(tree.spec, root, tree.schema, tree.stopping), k, loglik)
+        for root, k, loglik in weakest_link_path(tree.root)
+    )
+    return PrunePath(entries, tree.root.fit.n_obs)
+
+
+def choose_k(scores: list[dict[int, float]], rule: str, path_ks=()) -> tuple[list[int], dict, dict, int]:
+    """Leaf count chosen from per-fold held-out scores (higher is better).
+
+    ``scores`` maps each leaf count of a fold's path to its held-out score.
+    A leaf count absent from a fold (``path_ks`` adds the full-data path's)
+    takes that fold's nearest smaller entry.  MaxMean picks the best mean
+    score, OneSE the smallest count whose mean is within one standard
+    error of it.  Returns (leaf counts, means, standard errors, choice).
+    """
+    ks = sorted({k for sc in scores for k in sc} | set(path_ks))
+    mean, se = {}, {}
+    for k in ks:
+        vals = []
+        for sc in scores:
+            avail = [kk for kk in sc if kk <= k]
+            vals.append(sc[max(avail)] if avail else sc[min(sc)])
+        arr = np.asarray(vals)
+        mean[k] = float(arr.mean())
+        se[k] = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
+
+    k_best = min(ks, key=lambda k: (-mean[k], k))
+    if rule == "MaxMean":
+        return ks, mean, se, k_best
+    floor = mean[k_best] - se[k_best]
+    return ks, mean, se, min(k for k in ks if mean[k] >= floor)
+
+
+def select_penalized(path: PrunePath, lam: float) -> PathEntry:
     """Path entry maximising train_loglik/n - lam * K; ties favour smaller K."""
     if lam < 0:
         raise ConfigError(f"lambda must be >= 0, got {lam}")
-    n = path.n if n is None else n
     best = None
     for entry in sorted(path.entries, key=lambda e: e.k):
-        score = entry.train_loglik / n - lam * entry.k
+        score = entry.train_loglik / path.n - lam * entry.k
         if best is None or score > best[0]:
             best = (score, entry)
     return best[1]
 
 
-def lambda_intervals(path: PrunePath, n: int | None = None) -> dict[int, tuple[float, float]]:
+def lambda_intervals(path: PrunePath) -> dict[int, tuple[float, float]]:
     """For each K on the penalised-selection envelope, the lambda interval
     over which that entry is the maximiser (half-open, increasing lambda).
 
@@ -154,18 +183,17 @@ def lambda_intervals(path: PrunePath, n: int | None = None) -> dict[int, tuple[f
     the upper-envelope segments, walked structurally from K_max down to 1
     so every step strictly decreases K (no fixed-point hazards).
     """
-    n = path.n if n is None else n
     entries = sorted(path.entries, key=lambda e: e.k, reverse=True)
     out: dict[int, tuple[float, float]] = {}
     lam = 0.0
-    cur = select_penalized(path, 0.0, n)
+    cur = select_penalized(path, 0.0)
     while True:
         smaller = [e for e in entries if e.k < cur.k]
         if not smaller:
             out[cur.k] = (lam, math.inf)
             return out
         crossings = [
-            ((cur.train_loglik - e.train_loglik) / (n * (cur.k - e.k)), e)
+            ((cur.train_loglik - e.train_loglik) / (path.n * (cur.k - e.k)), e)
             for e in smaller
         ]
         crit = min(c for c, _ in crossings)
@@ -245,23 +273,7 @@ def cross_validate(
                 {e.k: tree_loglik(e.tree, val_pseudo, val_data) for e in fold_path.entries}
             )
 
-    ks = sorted({k for sc in scores for k in sc} | set(path.k_values))
-    mean, se = {}, {}
-    for k in ks:
-        vals = []
-        for sc in scores:
-            avail = [kk for kk in sc if kk <= k]
-            vals.append(sc[max(avail)] if avail else sc[min(sc)])
-        arr = np.asarray(vals)
-        mean[k] = float(arr.mean())
-        se[k] = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-
-    k_best = min(ks, key=lambda k: (-mean[k], k))
-    if rule == "MaxMean":
-        chosen = k_best
-    else:
-        floor = mean[k_best] - se[k_best]
-        chosen = min(k for k in ks if mean[k] >= floor)
+    ks, mean, se, chosen = choose_k(scores, rule, path.k_values)
     chosen = path.entry_for_k(chosen).k
 
     intervals = lambda_intervals(path)

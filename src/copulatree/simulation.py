@@ -18,9 +18,7 @@ which leaves the Clayton/Gumbel tau domain; those rows are clamped into
 from __future__ import annotations
 
 import csv
-import json
 import logging
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -378,9 +376,3 @@ def summarize(records: list[RepRecord]) -> dict:
         entry["n_reps"] = len(groups[key][METRICS[0]])
         cells.append(entry)
     return {"format_version": 1, "cells": cells}
-
-
-def write_summary_json(records: list[RepRecord], path) -> None:
-    with open(path, "w") as fh:
-        json.dump(summarize(records), fh, indent=1, sort_keys=True)
-        fh.write("\n")

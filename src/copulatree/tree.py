@@ -6,6 +6,10 @@ routed to it.  A split's gain is the summed child log-likelihood minus
 the parent log-likelihood, and the maximal tree is grown breadth first
 from a work list until the stopping rules bite.
 
+The grower (``grow``), the cut enumeration and the router (``route``)
+are shared with the least-squares margin trees of ``margins``, whose node
+criterion is minus the sum of squared errors (``sse_fit``/``sse_split``).
+
 Numeric features test midpoints between consecutive distinct observed
 values (optionally capped to an evenly spaced subset for large nodes).
 Categorical features are ordered by the per-level fitted parameter and
@@ -40,7 +44,7 @@ screen's memory grows only linearly with the node size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.stats import rankdata
@@ -74,6 +78,9 @@ __all__ = [
 
 # Largest array the split screen builds, in values (bounds its memory).
 _SCREEN_BLOCK_ELEMENTS = 1 << 12
+# Per-row allowance, relative to the node's SSE, for rounding in the prefix
+# sums of sse_split; it only ever widens a bound.
+_SSE_SLACK = 1e-12
 # Per-row allowance for rounding in a screened bound and in fit_mle's own
 # summed objective; it only ever widens a bound.
 _SCREEN_SLACK = 1e-6
@@ -121,11 +128,27 @@ class SplitRule:
     def is_numeric(self) -> bool:
         return self.threshold is not None
 
+    def goes_left(self, values: np.ndarray) -> np.ndarray:
+        """Mask of the ``values`` (of this rule's feature) routed left."""
+        if self.is_numeric:
+            return values <= self.threshold
+        return np.isin(values, list(self.left_levels))
+
+
+@dataclass(frozen=True)
+class SseFit:
+    """Least-squares fit of a node: the mean response, and minus the sum
+    of squared errors as ``loglik``, so that pruning and the CV size
+    choice read one field for both kinds of tree."""
+
+    mean: float
+    loglik: float
+
 
 @dataclass
 class TreeNode:
     id: int
-    fit: FitResult
+    fit: FitResult | SseFit
     depth: int = 0
     rule: SplitRule | None = None
     left: "TreeNode | None" = None
@@ -156,14 +179,7 @@ class CopulaTree:
 
     def nodes(self) -> list[TreeNode]:
         """All nodes in id order."""
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            if not node.is_leaf:
-                stack.extend([node.right, node.left])
-        return sorted(out, key=lambda n: n.id)
+        return sorted(walk(self.root), key=lambda n: n.id)
 
     def leaves(self) -> list[TreeNode]:
         return [n for n in self.nodes() if n.is_leaf]
@@ -181,37 +197,17 @@ class CopulaTree:
         """
         if len(x) != len(self.schema):
             raise SchemaError(f"expected {len(self.schema)} covariates, got {len(x)}")
-        node = self.root
-        while not node.is_leaf:
-            rule = node.rule
-            val = x[rule.feature]
-            if rule.is_numeric:
-                node = node.left if float(val) <= rule.threshold else node.right
-            else:
-                node = node.left if int(val) in rule.left_levels else node.right
+        columns = [
+            np.array([float(v) if sch.kind == NUMERIC else int(v)]) for v, sch in zip(x, self.schema)
+        ]
+        leaf_id = route(self.root, columns, 1)[0]
+        node = next(n for n in self.leaves() if n.id == leaf_id)
         return node.fit.theta_hat, node.fit.tau_hat, node.id
 
     def assign(self, data: Dataset) -> np.ndarray:
         """Vectorised leaf-id assignment for every row of ``data``."""
         _check_schema(self, data)
-        n = data.n
-        out = np.empty(n, dtype=np.int64)
-        stack = [(self.root, np.arange(n))]
-        while stack:
-            node, idx = stack.pop()
-            if node.is_leaf:
-                out[idx] = node.id
-                continue
-            rule = node.rule
-            col = data.covariates[rule.feature]
-            vals = col.values[idx]
-            if rule.is_numeric:
-                go_left = vals <= rule.threshold
-            else:
-                go_left = np.isin(vals, list(rule.left_levels))
-            stack.append((node.left, idx[go_left]))
-            stack.append((node.right, idx[~go_left]))
-        return out
+        return route(self.root, [c.values for c in data.covariates], data.n)
 
     def predict(self, data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(theta, tau, leaf id) arrays for every row of ``data``."""
@@ -220,6 +216,35 @@ class CopulaTree:
         theta = np.array([by_id[i].fit.theta_hat for i in leaf_ids])
         tau = np.array([by_id[i].fit.tau_hat for i in leaf_ids])
         return theta, tau, leaf_ids
+
+
+def walk(node: TreeNode):
+    """Every node of the subtree at ``node``, parents before children."""
+    stack = [node]
+    while stack:
+        nd = stack.pop()
+        yield nd
+        if not nd.is_leaf:
+            stack.extend([nd.right, nd.left])
+
+
+def route(root: TreeNode, columns, n: int) -> np.ndarray:
+    """Leaf id of each of ``n`` rows; ``columns[j]`` holds feature j's values.
+
+    Each internal node splits the rows reaching it with one vectorised
+    ``SplitRule.goes_left``; this is the only walker from root to leaf.
+    """
+    out = np.empty(n, dtype=np.int64)
+    stack = [(root, np.arange(n))]
+    while stack:
+        node, at = stack.pop()
+        if node.is_leaf:
+            out[at] = node.id
+            continue
+        left = node.rule.goes_left(columns[node.rule.feature][at])
+        stack.append((node.left, at[left]))
+        stack.append((node.right, at[~left]))
+    return out
 
 
 def _check_schema(tree: CopulaTree, data: Dataset) -> None:
@@ -267,15 +292,16 @@ def order_modalities(
     rank_mean = (rankdata(uv[:, 0]) + rankdata(uv[:, 1])) / (2.0 * (len(idx) + 1))
 
     groups: list[list[int]] = [[int(c)] for c in np.unique(codes)]
+    group_of = np.empty(len(col.levels), dtype=np.int64)  # level code -> group index
 
-    def group_stats(group):
-        mask = np.isin(codes, group)
-        return int(mask.sum()), float(rank_mean[mask].mean())
-
-    while len(groups) > 1:
-        stats = [group_stats(g) for g in groups]
+    while True:
+        for k, g in enumerate(groups):
+            group_of[g] = k
+        member = group_of[codes]
+        masks = [member == k for k in range(len(groups))]
+        stats = [(int(m.sum()), float(rank_mean[m].mean())) for m in masks]
         sparse = [i for i, (cnt, _) in enumerate(stats) if cnt < min_fit_n]
-        if not sparse:
+        if len(groups) == 1 or not sparse:
             break
         i = min(sparse, key=lambda i: (stats[i][0], groups[i][0]))
         others = [j for j in range(len(groups)) if j != i]
@@ -285,9 +311,8 @@ def order_modalities(
         groups.sort(key=lambda g: g[0])
 
     fitted = []
-    for g in groups:
-        mask = np.isin(codes, g)
-        if mask.sum() >= min_fit_n:
+    for g, mask, (cnt, _) in zip(groups, masks, stats):
+        if cnt >= min_fit_n:
             theta = fit_mle(spec, uv[mask], min_fit_n=min_fit_n).theta_hat
         else:  # single under-sized group left: order degenerates
             theta = 0.0
@@ -300,8 +325,8 @@ def order_modalities(
 class _Candidate:
     rule: SplitRule
     gain: float
-    left_fit: FitResult
-    right_fit: FitResult
+    left_fit: FitResult | SseFit
+    right_fit: FitResult | SseFit
     left_rows: np.ndarray = field(repr=False)
     right_rows: np.ndarray = field(repr=False)
 
@@ -322,50 +347,52 @@ class _FeatureCuts:
     """The admissible cuts of one feature at a node.
 
     ``order`` puts the node's rows in cut order (sorted x, or the level
-    groups of ``order_modalities``), so every cut's left side is the first
+    groups of a categorical feature), so every cut's left side is the first
     ``n_left`` rows of it.
     """
 
-    feature: int
     rules: list[SplitRule]
     order: np.ndarray
     n_left: np.ndarray
 
 
-def _feature_cuts(spec, pseudo, data, stopping, idx, j) -> _FeatureCuts:
-    col = data.covariates[j]
-    if col.kind == NUMERIC:
-        order = np.argsort(col.values[idx], kind="stable")
-        positions, thresholds = _numeric_split_positions(
-            col.values[idx][order], stopping.min_leaf, stopping.max_candidates
-        )
-        rules = [SplitRule(j, threshold=float(s)) for s in thresholds]
-        return _FeatureCuts(j, rules, order, positions + 1)
-    groups = order_modalities(spec, pseudo, data, j, idx, stopping.min_fit_n)
-    codes = col.values[idx]
-    rank = np.empty(int(codes.max()) + 1, dtype=np.int64)
-    for r, g in enumerate(groups):
-        rank[list(g)] = r
-    counts = np.cumsum(np.bincount(rank[codes], minlength=len(groups)))
-    rules, n_left = [], []
-    for cut in range(1, len(groups)):
-        n = int(counts[cut - 1])
-        if n < stopping.min_leaf or len(idx) - n < stopping.min_leaf:
+def _node_cuts(data, idx, min_leaf, cap, level_groups) -> list[_FeatureCuts]:
+    """The admissible cuts of every feature at the node of rows ``idx``.
+
+    A numeric feature is cut between distinct values (at most ``cap`` cuts
+    when given); a categorical one at the contiguous cuts of
+    ``level_groups(j)``, its level groups in cut order.
+    """
+    features = []
+    for j, col in enumerate(data.covariates):
+        x = col.values[idx]
+        if col.kind == NUMERIC:
+            order = np.argsort(x, kind="stable")
+            positions, thresholds = _numeric_split_positions(x[order], min_leaf, cap)
+            rules = [SplitRule(j, threshold=float(s)) for s in thresholds]
+            features.append(_FeatureCuts(rules, order, positions + 1))
             continue
-        rules.append(SplitRule(j, left_levels=frozenset(c for g in groups[:cut] for c in g)))
-        n_left.append(n)
-    order = np.argsort(rank[codes], kind="stable")
-    return _FeatureCuts(j, rules, order, np.asarray(n_left, dtype=np.int64))
+        groups = level_groups(j)
+        rank = np.empty(int(x.max()) + 1, dtype=np.int64)
+        for r, g in enumerate(groups):
+            rank[list(g)] = r
+        counts = np.cumsum(np.bincount(rank[x], minlength=len(groups)))
+        rules, n_left = [], []
+        for cut in range(1, len(groups)):
+            n = int(counts[cut - 1])
+            if n < min_leaf or len(x) - n < min_leaf:
+                continue
+            rules.append(SplitRule(j, left_levels=frozenset(c for g in groups[:cut] for c in g)))
+            n_left.append(n)
+        order = np.argsort(rank[x], kind="stable")
+        features.append(_FeatureCuts(rules, order, np.asarray(n_left, dtype=np.int64)))
+    return features
 
 
-def _cut_rows(data, idx, cuts: _FeatureCuts, i):
-    """(left, right) global rows of cut ``i``, in the node's row order."""
-    rule = cuts.rules[i]
-    if rule.is_numeric:
-        n = cuts.n_left[i]
-        return idx[cuts.order[:n]], idx[cuts.order[n:]]
-    mask = np.isin(data.covariates[cuts.feature].values[idx], list(rule.left_levels))
-    return idx[mask], idx[~mask]
+def _cut_rows(data, idx, rule: SplitRule):
+    """(left, right) global rows of a cut, in the node's row order."""
+    left = rule.goes_left(data.covariates[rule.feature].values[idx])
+    return idx[left], idx[~left]
 
 
 def _cell_maxima(f, g, curvature, theta):
@@ -418,7 +445,6 @@ def _screen_bounds(spec, uv, features, parent_loglik) -> np.ndarray:
     sizes = np.concatenate([n_left, n - n_left]).astype(float)
     w_left = np.concatenate([np.cumsum(row_caps[fc.order])[fc.n_left - 1] for fc in features])
     weights = np.concatenate([w_left, row_caps.sum() - w_left])
-    starts = [np.concatenate(([0], fc.n_left)) for fc in features]
     width = max(1, _SCREEN_BLOCK_ELEMENTS // max(n, len(sizes)))
     best = np.full(len(sizes), -np.inf)
     for k0 in range(0, len(theta) - 1, width):
@@ -429,8 +455,8 @@ def _screen_bounds(spec, uv, features, parent_loglik) -> np.ndarray:
             sizes[:, None] * caps[k0:k1], weights[:, None] + sizes[:, None] * offset[k0:k1]
         )
         cell = _cell_maxima(
-            _side_sums(ll, features, starts),
-            _side_sums(score, features, starts),
+            _side_sums(ll, features),
+            _side_sums(score, features),
             np.maximum(curvature, 0.0),
             nodes,
         )
@@ -438,11 +464,11 @@ def _screen_bounds(spec, uv, features, parent_loglik) -> np.ndarray:
     return best[:n_cuts] + best[n_cuts:] - parent_loglik + _SCREEN_SLACK * n
 
 
-def _side_sums(table, features, starts) -> np.ndarray:
+def _side_sums(table, features) -> np.ndarray:
     """Column sums of ``table`` over every cut's left side, then every right side."""
     prefix = [
-        np.cumsum(np.add.reduceat(table[fc.order], s, axis=0), axis=0)
-        for fc, s in zip(features, starts)
+        np.cumsum(np.add.reduceat(table[fc.order], np.concatenate(([0], fc.n_left)), axis=0), axis=0)
+        for fc in features
     ]
     return np.concatenate([p[:-1] for p in prefix] + [p[-1] - p[:-1] for p in prefix])
 
@@ -470,49 +496,97 @@ def find_optimal_split(
     if parent_fit is None:
         parent_fit = node_fit(spec, pseudo, idx, stopping.min_fit_n)
 
-    features = [
-        _feature_cuts(spec, pseudo, data, stopping, idx, j) for j in range(len(data.covariates))
-    ]
-    cuts = [(fc, i) for fc in features for i in range(len(fc.rules))]
-    bound = _screen_bounds(spec, pseudo.values[idx], features, parent_fit.loglik)
+    features = _node_cuts(
+        data, idx, stopping.min_leaf, stopping.max_candidates,
+        lambda j: order_modalities(spec, pseudo, data, j, idx, stopping.min_fit_n),
+    )
+    return _refit_best(
+        data, idx, features,
+        _screen_bounds(spec, pseudo.values[idx], features, parent_fit.loglik),
+        lambda rows: fit_mle(spec, pseudo.values[rows], min_fit_n=stopping.min_fit_n),
+        lambda lf, rf: lf.loglik + rf.loglik - parent_fit.loglik,
+        stopping.min_gain,
+    )
 
-    best: _Candidate | None = None
-    best_k = -1
-    for k in np.lexsort((np.arange(len(cuts)), -bound)):
-        if not bound[k] > stopping.min_gain or (best is not None and bound[k] < best.gain):
+
+def _refit_best(data, idx, features, bound, fit, gain_of, min_gain) -> _Candidate | None:
+    """Refit cuts in descending order of their gain ``bound`` until the next
+    bound falls below the best exact gain ``gain_of(left fit, right fit)``.
+
+    Ties go to the first cut in (feature, position) order, and only a gain
+    above ``min_gain`` is returned.  Given true upper bounds, the answer is
+    the one refitting every cut gives.
+    """
+    rules = [rule for fc in features for rule in fc.rules]
+    best, best_k = None, -1
+    for k in np.lexsort((np.arange(len(rules)), -bound)):
+        if not bound[k] > min_gain or (best is not None and bound[k] < best.gain):
             break
-        fc, i = cuts[k]
-        left_rows, right_rows = _cut_rows(data, idx, fc, i)
-        lf = fit_mle(spec, pseudo.values[left_rows], min_fit_n=stopping.min_fit_n)
-        rf = fit_mle(spec, pseudo.values[right_rows], min_fit_n=stopping.min_fit_n)
-        gain = lf.loglik + rf.loglik - parent_fit.loglik
+        left_rows, right_rows = _cut_rows(data, idx, rules[k])
+        lf, rf = fit(left_rows), fit(right_rows)
+        gain = gain_of(lf, rf)
         if best is None or gain > best.gain or (gain == best.gain and k < best_k):
-            best = _Candidate(fc.rules[i], gain, lf, rf, left_rows, right_rows)
-            best_k = k
+            best, best_k = _Candidate(rules[k], gain, lf, rf, left_rows, right_rows), k
+    return best if best is not None and best.gain > min_gain else None
 
-    if best is None or not best.gain > stopping.min_gain:
+
+def sse_fit(y: np.ndarray) -> SseFit:
+    """Least-squares fit of the responses ``y`` at a node."""
+    return SseFit(float(y.mean()), -float(np.sum((y - y.mean()) ** 2)))
+
+
+def _levels_by_mean(y, codes) -> list[tuple[int]]:
+    """A node's levels as singleton groups in ascending order of mean response."""
+    levels = np.unique(codes)
+    means = [float(y[codes == c].mean()) for c in levels]
+    return [(int(c),) for _, c in sorted(zip(means, levels))]
+
+
+def sse_split(y: np.ndarray, data: Dataset, idx, parent: SseFit, min_leaf: int) -> _Candidate | None:
+    """Best split of a node by sum of squared errors, or None when none reduces it.
+
+    The cuts are those of the copula criterion without a candidate cap,
+    with a categorical feature's levels ordered by mean response.  Every
+    cut's summed child SSE comes from prefix sums of the centred responses
+    and their squares in cut order; widened by _SSE_SLACK per row against
+    rounding, it bounds the cut's gain for the refit of ``_refit_best``.
+    """
+    if len(idx) < 2 * min_leaf or not data.covariates:
         return None
-    return best
+    yv = y[idx]
+    features = _node_cuts(
+        data, idx, min_leaf, None, lambda j: _levels_by_mean(yv, data.covariates[j].values[idx])
+    )
+    centred = yv - parent.mean
+    s1, s2 = _side_sums(np.column_stack([centred, centred**2]), features).T
+    n_left = np.concatenate([fc.n_left for fc in features])
+    side_sse = s2 - s1**2 / np.concatenate([n_left, len(idx) - n_left])
+    parent_sse = -parent.loglik
+    return _refit_best(
+        data, idx, features,
+        parent_sse * (1.0 + _SSE_SLACK * len(idx)) - side_sse[: len(n_left)] - side_sse[len(n_left) :],
+        lambda rows: sse_fit(y[rows]),
+        lambda lf, rf: parent_sse + lf.loglik + rf.loglik,  # (parent - left) - right, in SSE
+        0.0,
+    )
 
 
-def build_maximal_tree(
-    spec: CopulaSpec,
-    pseudo: PseudoObservations,
-    data: Dataset,
-    stopping: StoppingConfig = StoppingConfig(),
-) -> CopulaTree:
-    """Grow the maximal tree breadth first from a FIFO work list."""
-    if pseudo.values.shape[0] != data.n:
-        raise SchemaError("pseudo-observations and dataset are not row aligned")
-    root = TreeNode(0, node_fit(spec, pseudo, None, stopping.min_fit_n))
-    queue: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(data.n))]
+def grow(fit, split, rows: np.ndarray, max_leaves: int) -> TreeNode:
+    """Grow a maximal tree on ``rows`` breadth first from a FIFO work list.
+
+    The node criterion is ``fit(rows)``, a node's fit, and ``split(rows,
+    node_fit)``, its best admissible split (a ``_Candidate``) or None.
+    Nodes are numbered in the order they are created.
+    """
+    root = TreeNode(0, fit(rows))
+    queue: list[tuple[TreeNode, np.ndarray]] = [(root, rows)]
     n_terminal = 1
     next_id = 1
     while queue:
         node, idx = queue.pop(0)
-        if n_terminal >= stopping.max_leaves:
+        if n_terminal >= max_leaves:
             continue
-        cand = find_optimal_split(spec, pseudo, data, stopping, idx, node.fit)
+        cand = split(idx, node.fit)
         if cand is None:
             continue
         node.rule = cand.rule
@@ -522,6 +596,24 @@ def build_maximal_tree(
         n_terminal += 1
         queue.append((node.left, cand.left_rows))
         queue.append((node.right, cand.right_rows))
+    return root
+
+
+def build_maximal_tree(
+    spec: CopulaSpec,
+    pseudo: PseudoObservations,
+    data: Dataset,
+    stopping: StoppingConfig = StoppingConfig(),
+) -> CopulaTree:
+    """Grow the maximal copula tree by the log-likelihood criterion."""
+    if pseudo.values.shape[0] != data.n:
+        raise SchemaError("pseudo-observations and dataset are not row aligned")
+    root = grow(
+        lambda idx: node_fit(spec, pseudo, idx, stopping.min_fit_n),
+        lambda idx, fit: find_optimal_split(spec, pseudo, data, stopping, idx, fit),
+        np.arange(data.n),
+        stopping.max_leaves,
+    )
     return CopulaTree(spec, root, schema_of(data), stopping)
 
 
@@ -554,13 +646,7 @@ def calibrate_min_gain(
     over those permutations is a noise floor for accepting splits.
     """
     rng = np.random.default_rng(seed)
-    null_stopping = StoppingConfig(
-        min_leaf=stopping.min_leaf,
-        min_gain=-math.inf,
-        max_leaves=stopping.max_leaves,
-        min_fit_n=stopping.min_fit_n,
-        max_candidates=stopping.max_candidates,
-    )
+    null_stopping = replace(stopping, min_gain=-math.inf)
     gains = []
     for _ in range(n_permutations):
         perm = rng.permutation(data.n)

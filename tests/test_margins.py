@@ -1,13 +1,18 @@
 """Tests for the pseudo-observation estimators."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from copulatree import margins as mg
 from copulatree import simulation as sim
+from copulatree.compositional import aggregate_counts, ilr_forward
 from copulatree.data import Dataset, categorical_column, numeric_column
 from copulatree.errors import ConfigError, RegressionError
+from copulatree.fludata import make_flu_fixture
 
 
 def make_dataset(y, covs=()):
@@ -81,6 +86,38 @@ class TestKernel:
         p = mg.pseudo_kernel(d, h=0.2).values[:, 0]
         order = np.argsort(y)
         assert np.all(np.diff(p[order]) >= 0)
+
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_blocks_equal_the_direct_formula(self, n, p):
+        rng = np.random.default_rng(100 * n + p)
+        x = rng.random((n, p))
+        d = make_dataset(rng.normal(size=(n, 2)), [numeric_column(f"x{j}", x[:, j]) for j in range(p)])
+        h = 0.3
+        # the whole n x n weight matrix at once
+        diff = (x[:, None, :] - x[None, :, :]) / h
+        logw = -0.5 * np.sum(diff * diff, axis=2)
+        w = np.exp(logw - logw.max(axis=1, keepdims=True))
+        direct = np.column_stack([
+            (w * (d.responses[None, :, j] <= d.responses[:, None, j])).sum(axis=1) / w.sum(axis=1)
+            for j in range(2)
+        ])
+        eps = 1.0 / (2.0 * n)
+        assert np.array_equal(mg.pseudo_kernel(d, h).values, np.clip(direct, eps, 1.0 - eps))
+
+    def test_memory_grows_linearly(self):
+        # the whole n x n x 2 difference array alone would be 61 MiB
+        rng = np.random.default_rng(12)
+        n = 2000
+        d = make_dataset(rng.normal(size=(n, 2)), [numeric_column(f"x{j}", rng.random(n)) for j in range(2)])
+        tracemalloc.start()
+        try:
+            mg.pseudo_kernel(d, h=0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestParametricNormal:
@@ -222,3 +259,54 @@ class TestSharedInvariants:
         a, _ = mg.pseudo_margin_tree(d, mg.MarginTreeConfig(min_leaf=20, seed=4))
         b, _ = mg.pseudo_margin_tree(d, mg.MarginTreeConfig(min_leaf=20, seed=4))
         assert np.array_equal(a.values, b.values)
+
+
+def flu_dataset(seed):
+    """The responses and covariates that the flu subcommand builds from the fixture."""
+    unit_years = aggregate_counts(make_flu_fixture(seed), min_total=50)
+    points = [ilr_forward(uy.composition) for uy in unit_years]
+    covs = (
+        categorical_column("season", [uy.season for uy in unit_years]),
+        categorical_column("itz", [uy.itz for uy in unit_years]),
+    )
+    return Dataset(np.array([[pt.y1, pt.y2] for pt in points]), covs)
+
+
+def scenario_dataset(seed):
+    ds = sim.generate(sim.ScenarioSpec("frank", "step", 300, seed))
+    return Dataset(ds.y, (numeric_column("x1", ds.x[:, 0]), numeric_column("x2", ds.x[:, 1])))
+
+
+def mixed_dataset(seed, n=400):
+    """Responses that step with a numeric and a categorical covariate."""
+    rng = np.random.default_rng(seed)
+    x = rng.random(n)
+    g = rng.integers(0, 5, n)
+    effect = np.array([0.0, 1.5, -1.0, 3.0, 0.5])
+    y1 = 2.0 * (x > 0.4) + effect[g] + rng.normal(size=n)
+    y2 = -1.5 * (x > 0.7) + effect[::-1][g] + rng.normal(size=n)
+    return Dataset(np.column_stack([y1, y2]), (numeric_column("x", x), categorical_column("g", [f"l{c}" for c in g])))
+
+
+class TestMarginTreeDigests:
+    """Margin-tree pseudo-observations pinned to the bytes of an earlier
+    implementation with its own least-squares grower, prune path, CV and router."""
+
+    # name: (dataset, CV seed, leaves the larger tree must have, sha256 of the values)
+    PINNED = {
+        "flu": (lambda: flu_dataset(1000), 1000, 1,
+                "aaec62fe899523d933b90dcc178b3b15dc8b630ab7a5d6b57d84daf7b58257ea"),
+        "scenario": (lambda: scenario_dataset(1000), 1000, 1,
+                     "996c655c7532810251f1c30065f75a0cadf6645590ebd6ab4986b923d5f6be6a"),
+        "mixed_a": (lambda: mixed_dataset(31), 31, 4,
+                    "3e9ca2fd88fc01a37f42ffc850d6d6f87c8269fcb0cdee82915e6efe55960137"),
+        "mixed_b": (lambda: mixed_dataset(32), 32, 4,
+                    "f640ebccc9b795c0830f4328f6cc32a6eb8043154818405b75ada25f938f559f"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_digest(self, name):
+        make, seed, min_leaves, digest = self.PINNED[name]
+        p, trees = mg.pseudo_margin_tree(make(), mg.MarginTreeConfig(min_leaf=20, seed=seed))
+        assert max(t.n_leaves for t in trees) >= min_leaves
+        assert hashlib.sha256(p.values.tobytes()).hexdigest() == digest

@@ -412,13 +412,12 @@ def brute_force_split(spec, pseudo, data, stopping):
     best = None
     for j, col in enumerate(data.covariates):
         if col.kind == "num":
-            order = np.argsort(col.values, kind="stable")
-            positions, thresholds = tr._numeric_split_positions(
-                col.values[order], stopping.min_leaf, stopping.max_candidates
+            _, thresholds = tr._numeric_split_positions(
+                np.sort(col.values), stopping.min_leaf, stopping.max_candidates
             )
             cuts = [
-                (tr.SplitRule(j, threshold=float(s)), order[: p + 1], order[p + 1 :])
-                for p, s in zip(positions, thresholds)
+                (tr.SplitRule(j, threshold=float(s)), idx[col.values <= s], idx[col.values > s])
+                for s in thresholds
             ]
         else:
             groups = tr.order_modalities(spec, pseudo, data, j, idx, stopping.min_fit_n)
@@ -478,11 +477,14 @@ class TestScreenedSplitSearch:
         stopping = tr.StoppingConfig(min_leaf=case["min_leaf"], max_candidates=case["max_candidates"])
         idx = np.arange(data.n)
         parent = cp.fit_mle(spec, uv)
-        features = [tr._feature_cuts(spec, pseudo, data, stopping, idx, j) for j in range(len(data.covariates))]
+        features = tr._node_cuts(
+            data, idx, stopping.min_leaf, stopping.max_candidates,
+            lambda j: tr.order_modalities(spec, pseudo, data, j, idx, stopping.min_fit_n),
+        )
         bounds = iter(tr._screen_bounds(spec, uv, features, parent.loglik))
         for fc in features:
-            for i in range(len(fc.rules)):
-                left, right = tr._cut_rows(data, idx, fc, i)
+            for rule in fc.rules:
+                left, right = tr._cut_rows(data, idx, rule)
                 gain = cp.fit_mle(spec, uv[left]).loglik + cp.fit_mle(spec, uv[right]).loglik - parent.loglik
                 assert next(bounds) >= gain
 
