@@ -28,7 +28,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy import optimize
+from scipy.special import bernoulli, spence
 
 from .errors import BoundaryError, DomainError, FitError, InsufficientDataError
 
@@ -51,8 +53,8 @@ __all__ = [
 # Below this |tau| every family is evaluated as the product copula.
 INDEP_TAU_EPS = 1e-7
 
-# Frank's tau <-> theta bridge is root-found on theta in [-50, 50]; taus
-# beyond +-theta_to_tau(50) (about 0.9236) are rejected as out of range.
+# Frank's tau -> theta is inverted on theta in [-50, 50]; taus beyond
+# +-theta_to_tau(50) (about 0.9226, _FRANK_TAU_MAX) are rejected.
 _FRANK_THETA_MAX = 50.0
 
 _TAU_SEARCH_MARGIN = 1e-4
@@ -110,11 +112,11 @@ class FitResult:
 
 def _check_theta(spec: CopulaSpec, theta) -> None:
     theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise DomainError(f"{spec.family.value}: theta must be finite")
-    if spec.family is Family.CLAYTON and np.any(theta <= 0.0):
+    if spec.family is Family.CLAYTON and (theta <= 0.0).any():
         raise DomainError(f"clayton: theta must be > 0, got {theta}")
-    if spec.family is Family.GUMBEL and np.any(theta < 1.0):
+    if spec.family is Family.GUMBEL and (theta < 1.0).any():
         raise DomainError(f"gumbel: theta must be >= 1, got {theta}")
     # Frank admits any finite theta; theta == 0 is the independence limit.
 
@@ -289,99 +291,135 @@ def cdf(spec: CopulaSpec, theta, u, v):
 
 # ---------------------------------------------------------------------------
 # Kendall tau bridge
+#
+# x D1(x) = pi^2/6 + x log(1 - e^-x) - Li2(e^-x), Li2(e^-x) = spence(1 - e^-x).
+# Near 0, pi^2/6 - Li2 cancels and Frank's 4/theta magnifies what is left,
+# so below _DEBYE_SWITCH the series D1(x) = 1 - x/4 + sum_k c_k x^2k, with
+# c_k = B_2k / ((2k + 1) (2k)!), takes over (its 18th term is below 1e-19),
+# and Frank's tau = 1 - 4 (1 - D1) / theta = 4 sum_k c_k theta^(2k-1) is
+# summed directly.  Above it dtau/dtheta = 4 (1 - 2 D1) / theta^2 +
+# 4 / (theta (e^theta - 1)).
+
+_DEBYE_SWITCH = 2.0
+_DEBYE_SERIES = np.array(
+    [b / ((k + 1) * math.factorial(k)) for k, b in zip(range(2, 37, 2), bernoulli(36)[2::2])]
+)
+_DEBYE_SLOPE = _DEBYE_SERIES * np.arange(1, 36, 2)  # (2k - 1) c_k
+
+_NEWTON_RTOL = 1e-14  # Frank's tau -> theta stops at steps below this share of theta
+_NEWTON_MAX_STEPS = 64
 
 
-def debye1(x: float) -> float:
+def _scalar_or_array(x: np.ndarray):
+    return float(x) if x.ndim == 0 else x
+
+
+def debye1(x):
     """First Debye function D1(x) = (1/x) * int_0^x t / (e^t - 1) dt.
 
-    Simpson's rule with the panel count doubled until two successive
-    estimates agree within 1e-12; a series expansion covers |x| < 1e-4.
-    Negative arguments use the identity D1(-x) = D1(x) + x/2.
+    Takes scalars or arrays; a scalar gives a float.  Negative arguments
+    use the identity D1(-x) = D1(x) + x/2.
     """
-    if x < 0.0:
-        return debye1(-x) - x / 2.0
-    if x < 1e-4:
-        return 1.0 - x / 4.0 + x * x / 36.0
-    return _debye1_positive(float(x))
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z = -np.expm1(-a)  # 1 - e^-a
+        closed = (math.pi**2 / 6.0 + a * np.log(z) - spence(z)) / a
+        series = 1.0 - a / 4.0 + a * a * polyval(a * a, _DEBYE_SERIES)
+    d1 = np.where(a < _DEBYE_SWITCH, series, closed)
+    return _scalar_or_array(d1 - np.minimum(x, 0.0) / 2.0)
 
 
-@functools.lru_cache(maxsize=4096)
-def _debye1_positive(x: float) -> float:
-    def integrand(t):
-        out = np.ones_like(t)
-        nz = t != 0.0
-        out[nz] = t[nz] / np.expm1(t[nz])
-        return out
-
-    n = 64
-    prev = _simpson(integrand, x, n)
-    for _ in range(16):
-        n *= 2
-        cur = _simpson(integrand, x, n)
-        if abs(cur - prev) < 1e-12:
-            prev = cur
-            break
-        prev = cur
-    return prev / x
+def _frank_tau(a: np.ndarray) -> np.ndarray:
+    """Frank's tau at theta = a >= 0 (tau is odd in theta)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        closed = 1.0 - 4.0 / a * (1.0 - debye1(a))
+        series = 4.0 * a * polyval(a * a, _DEBYE_SERIES)
+    return np.where(a < _DEBYE_SWITCH, series, closed)
 
 
-def _simpson(f, b: float, n: int) -> float:
-    t = np.linspace(0.0, b, n + 1)
-    y = f(t)
-    h = b / n
-    return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+def _frank_slope(a: np.ndarray) -> np.ndarray:
+    """dtau/dtheta of Frank's tau at theta = a >= 0 (even in theta)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        closed = 4.0 * (1.0 - 2.0 * debye1(a)) / a**2 + 4.0 / (a * np.expm1(a))
+        series = 4.0 * polyval(a * a, _DEBYE_SLOPE)
+    return np.where(a < _DEBYE_SWITCH, series, closed)
 
 
-def theta_to_tau(spec: CopulaSpec, theta: float) -> float:
-    """Kendall's tau corresponding to theta (strictly increasing map)."""
-    _check_theta(spec, float(theta))
-    theta = float(theta)
+def theta_to_tau(spec: CopulaSpec, theta):
+    """Kendall's tau corresponding to theta (strictly increasing map).
+
+    Takes scalars or arrays; a scalar gives a float.
+    """
+    theta = np.asarray(theta, dtype=float)
+    _check_theta(spec, theta)
     if spec.family is Family.CLAYTON:
-        return theta / (theta + 2.0)
-    if spec.family is Family.GUMBEL:
-        return 1.0 - 1.0 / theta
-    if abs(theta) < 1e-3:
-        # series: tau = theta/9 - theta^3/900 + O(theta^5)
-        return theta / 9.0 - theta**3 / 900.0
-    return 1.0 - 4.0 / theta * (1.0 - debye1(theta))
+        tau = theta / (theta + 2.0)
+    elif spec.family is Family.GUMBEL:
+        tau = 1.0 - 1.0 / theta
+    else:
+        tau = np.sign(theta) * _frank_tau(np.abs(theta))
+    return _scalar_or_array(tau)
 
 
-def _check_tau(spec: CopulaSpec, tau: float) -> None:
+_FRANK_TAU_MAX = theta_to_tau(_SPECS[Family.FRANK], _FRANK_THETA_MAX)
+
+
+def _check_tau(spec: CopulaSpec, tau: np.ndarray) -> None:
     lo, hi = spec.tau_domain
-    if not (lo < tau < hi) or not math.isfinite(tau):
-        raise DomainError(f"{spec.family.value}: tau={tau} outside ({lo}, {hi})")
-    if spec.family is Family.FRANK and tau == 0.0:
-        raise DomainError("frank: tau=0 is excluded (independence limit)")
+    frank = spec.family is Family.FRANK
+    for bad, why in (
+        (~((lo < tau) & (tau < hi)), f"outside ({lo}, {hi})"),
+        (frank & (tau == 0.0), "is excluded (independence limit)"),
+        (frank & (np.abs(tau) >= _FRANK_TAU_MAX), f"beyond the invertible range "
+         f"+-{_FRANK_TAU_MAX:.4f} of the theta bracket +-{_FRANK_THETA_MAX:g}"),
+    ):
+        if bad.any():
+            raise DomainError(f"{spec.family.value}: tau={tau[bad][0]} {why}")
 
 
-@functools.lru_cache(maxsize=4096)
-def _frank_tau_to_theta(tau: float) -> float:
-    spec = _SPECS[Family.FRANK]
-    tau_max = theta_to_tau(spec, _FRANK_THETA_MAX)
-    if abs(tau) >= tau_max:
-        raise DomainError(
-            f"frank: |tau|={abs(tau):.6f} beyond the invertible range "
-            f"(+-{tau_max:.4f}) for the theta bracket [-50, 50]"
-        )
-    lo, hi = (1e-12, _FRANK_THETA_MAX) if tau > 0 else (-_FRANK_THETA_MAX, -1e-12)
-    if abs(tau) <= theta_to_tau(spec, 1e-12 if tau > 0 else -1e-12):
-        return 9.0 * tau
-    return float(
-        optimize.brentq(
-            lambda t: theta_to_tau(spec, t) - tau, lo, hi, xtol=1e-13, rtol=8.9e-16
-        )
-    )
+def _frank_theta(t: np.ndarray) -> np.ndarray:
+    """Frank's theta > 0 whose tau is t, for 0 < t < _FRANK_TAU_MAX.
+
+    tau is concave in theta >= 0 with slope 1/9 at 0, and tau >= 1 - 4/theta
+    as D1 > 0, so the root lies in [9t, 4/(1 - t)] and Newton's iterates rise
+    monotonically to it from 9t.  As a safeguard, a step that leaves the
+    bracket (shrunk to the iterates on either side) bisects instead.  Each
+    element stops on its own, so an array gives the bits of scalar calls.
+    """
+    lo = 9.0 * t
+    hi = np.minimum(_FRANK_THETA_MAX, 4.0 / (1.0 - t))
+    theta = lo
+    done = np.zeros(t.shape, dtype=bool)
+    for _ in range(_NEWTON_MAX_STEPS):
+        tau = _frank_tau(theta)
+        lo = np.where(tau < t, theta, lo)
+        hi = np.where(tau > t, theta, hi)
+        step = theta - (tau - t) / _frank_slope(theta)
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        converged = np.abs(step - theta) <= _NEWTON_RTOL * theta
+        theta = np.where(done, theta, step)
+        done |= converged
+        if done.all():
+            break
+    return theta
 
 
-def tau_to_theta(spec: CopulaSpec, tau: float) -> float:
-    """Inverse of :func:`theta_to_tau`; raises DomainError outside tau_domain."""
-    tau = float(tau)
+def tau_to_theta(spec: CopulaSpec, tau):
+    """Inverse of :func:`theta_to_tau`; raises DomainError if any tau lies
+    outside tau_domain (Frank: or beyond the tau of the theta bracket).
+
+    Takes scalars or arrays; a scalar gives a float.
+    """
+    tau = np.asarray(tau, dtype=float)
     _check_tau(spec, tau)
     if spec.family is Family.CLAYTON:
-        return 2.0 * tau / (1.0 - tau)
-    if spec.family is Family.GUMBEL:
-        return 1.0 / (1.0 - tau)
-    return _frank_tau_to_theta(tau)
+        theta = 2.0 * tau / (1.0 - tau)
+    elif spec.family is Family.GUMBEL:
+        theta = 1.0 / (1.0 - tau)
+    else:
+        theta = np.sign(tau) * _frank_theta(np.abs(tau))
+    return _scalar_or_array(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -748,10 +786,9 @@ def fit_mle(spec: CopulaSpec, data, min_fit_n: int = _DEFAULT_MIN_FIT_N) -> FitR
     if not math.isfinite(loglik):
         raise FitError(f"{spec.family.value}: log-likelihood not finite at optimum")
     theta_hat = float(to_theta(float(res.x)))
-    tau_hat = theta_to_tau(spec, theta_hat) if abs(theta_hat) > 0 else 0.0
     return FitResult(
         theta_hat=theta_hat,
-        tau_hat=float(tau_hat),
+        tau_hat=theta_to_tau(spec, theta_hat),
         loglik=loglik,
         n_obs=uv.shape[0],
         converged=bool(res.success),

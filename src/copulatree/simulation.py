@@ -115,56 +115,7 @@ def tau_surface(kind: str, x1, x2):
     )[()]
 
 
-# ---------------------------------------------------------------------------
-# fast vectorised Frank tau -> theta (matches copulas.tau_to_theta to ~1e-9)
-
-
-def _frank_debye_vec(theta: np.ndarray, panels: int = 2048):
-    """D1 and its derivative for a vector of thetas via fixed-grid Simpson."""
-    s = np.linspace(0.0, 1.0, panels + 1)
-    t = np.abs(theta)[:, None] * s[None, :]
-    f = np.ones_like(t)
-    nz = t != 0.0
-    f[nz] = t[nz] / np.expm1(t[nz])
-    h = 1.0 / panels
-    integral = h / 3.0 * (f[:, 0] + f[:, -1] + 4.0 * f[:, 1:-1:2].sum(axis=1) + 2.0 * f[:, 2:-1:2].sum(axis=1))
-    d1_abs = integral  # = D1(|theta|) since the 1/theta scaling cancels with dt = theta ds
-    d1 = np.where(theta >= 0, d1_abs, d1_abs + np.abs(theta) / 2.0)
-    return d1
-
-
-def _frank_tau_vec(theta: np.ndarray):
-    theta = np.asarray(theta, dtype=float)
-    small = np.abs(theta) < 1e-3
-    safe = np.where(small, 1.0, theta)
-    tau = 1.0 - 4.0 / safe * (1.0 - _frank_debye_vec(safe))
-    return np.where(small, theta / 9.0 - theta**3 / 900.0, tau)
-
-
-def theta_from_tau(spec: CopulaSpec, taus: np.ndarray) -> np.ndarray:
-    """Vectorised tau -> theta; Frank uses interpolation plus Newton polish."""
-    taus = np.asarray(taus, dtype=float)
-    if spec.family is Family.CLAYTON:
-        return 2.0 * taus / (1.0 - taus)
-    if spec.family is Family.GUMBEL:
-        return 1.0 / (1.0 - taus)
-    uniq, inverse = np.unique(taus, return_inverse=True)
-    if len(uniq) <= 16:
-        thetas = np.array([cop.tau_to_theta(spec, t) for t in uniq])
-        return thetas[inverse]
-    grid = np.linspace(-50.0, 50.0, 801)
-    tau_grid = _frank_tau_vec(grid)
-    theta = np.interp(taus, tau_grid, grid)
-    for _ in range(3):  # Newton: dtau/dtheta = 4/theta^2 (1 - D1) + 4/theta D1'
-        d1 = _frank_debye_vec(theta)
-        tau_cur = 1.0 - 4.0 / theta * (1.0 - d1)
-        d1p = (-d1 + theta / np.expm1(theta)) / theta
-        deriv = 4.0 / theta**2 * (1.0 - d1) + 4.0 / theta * d1p
-        theta = theta - (tau_cur - taus) / deriv
-    return theta
-
-
-def generate(spec: ScenarioSpec, clamp_tau: bool = True) -> SimulatedDataset:
+def generate(spec: ScenarioSpec) -> SimulatedDataset:
     """Synthesise one scenario dataset; deterministic given the seed."""
     family = spec_for(spec.family)
     rng = np.random.default_rng(spec.seed)
@@ -177,10 +128,6 @@ def generate(spec: ScenarioSpec, clamp_tau: bool = True) -> SimulatedDataset:
         bad |= np.abs(tau) < 1e-6
     n_clamped = int(bad.sum())
     if n_clamped:
-        if not clamp_tau:
-            raise ScenarioError(
-                f"{spec.family}/{spec.surface}: {n_clamped} tau values outside the family domain"
-            )
         if family.family is Family.FRANK:
             sign = np.where(tau >= 0, 1.0, -1.0)
             tau = np.where(bad, sign * np.maximum(np.abs(tau), 1e-6), tau)
@@ -193,7 +140,7 @@ def generate(spec: ScenarioSpec, clamp_tau: bool = True) -> SimulatedDataset:
         )
         logger.debug("clamped row indices: %s", np.nonzero(bad)[0].tolist())
 
-    theta = theta_from_tau(family, tau)
+    theta = cop.tau_to_theta(family, tau)
     u1 = np.clip(rng.random(spec.n), 1e-12, 1.0 - 1e-12)
     w = rng.random(spec.n)
     u2 = np.asarray(cop.conditional_quantile(family, theta, u1, w))

@@ -346,14 +346,22 @@ def _numeric_split_positions(xs: np.ndarray, min_leaf: int, cap: int | None):
 class _FeatureCuts:
     """The admissible cuts of one feature at a node.
 
-    ``order`` puts the node's rows in cut order (sorted x, or the level
-    groups of a categorical feature), so every cut's left side is the first
-    ``n_left`` rows of it.
+    ``cuts`` holds each cut's numeric threshold, or the level set it sends
+    left.  ``order`` puts the node's rows in cut order (sorted x, or the
+    level groups of a categorical feature), so every cut's left side is
+    the first ``n_left`` rows of it.
     """
 
-    rules: list[SplitRule]
+    feature: int
+    cuts: np.ndarray | list[frozenset[int]]
     order: np.ndarray
     n_left: np.ndarray
+
+    def rule(self, k: int) -> SplitRule:
+        cut = self.cuts[k]
+        if isinstance(cut, frozenset):
+            return SplitRule(self.feature, left_levels=cut)
+        return SplitRule(self.feature, threshold=float(cut))
 
 
 def _node_cuts(data, idx, min_leaf, cap, level_groups) -> list[_FeatureCuts]:
@@ -369,23 +377,22 @@ def _node_cuts(data, idx, min_leaf, cap, level_groups) -> list[_FeatureCuts]:
         if col.kind == NUMERIC:
             order = np.argsort(x, kind="stable")
             positions, thresholds = _numeric_split_positions(x[order], min_leaf, cap)
-            rules = [SplitRule(j, threshold=float(s)) for s in thresholds]
-            features.append(_FeatureCuts(rules, order, positions + 1))
+            features.append(_FeatureCuts(j, thresholds, order, positions + 1))
             continue
         groups = level_groups(j)
         rank = np.empty(int(x.max()) + 1, dtype=np.int64)
         for r, g in enumerate(groups):
             rank[list(g)] = r
         counts = np.cumsum(np.bincount(rank[x], minlength=len(groups)))
-        rules, n_left = [], []
+        level_sets, n_left = [], []
         for cut in range(1, len(groups)):
             n = int(counts[cut - 1])
             if n < min_leaf or len(x) - n < min_leaf:
                 continue
-            rules.append(SplitRule(j, left_levels=frozenset(c for g in groups[:cut] for c in g)))
+            level_sets.append(frozenset(c for g in groups[:cut] for c in g))
             n_left.append(n)
         order = np.argsort(rank[x], kind="stable")
-        features.append(_FeatureCuts(rules, order, np.asarray(n_left, dtype=np.int64)))
+        features.append(_FeatureCuts(j, level_sets, order, np.asarray(n_left, dtype=np.int64)))
     return features
 
 
@@ -434,8 +441,8 @@ def _screen_bounds(spec, uv, features, parent_loglik) -> np.ndarray:
     values per array (at least one cell per block), so memory grows
     linearly with the node and the number of cuts.
     """
-    features = [fc for fc in features if len(fc.rules)]
-    n_cuts = sum(len(fc.rules) for fc in features)
+    features = [fc for fc in features if len(fc.n_left)]
+    n_cuts = sum(len(fc.n_left) for fc in features)
     if n_cuts == 0:
         return np.empty(0)
     theta = screen_grid(spec)
@@ -517,16 +524,18 @@ def _refit_best(data, idx, features, bound, fit, gain_of, min_gain) -> _Candidat
     above ``min_gain`` is returned.  Given true upper bounds, the answer is
     the one refitting every cut gives.
     """
-    rules = [rule for fc in features for rule in fc.rules]
+    starts = np.cumsum([0] + [len(fc.n_left) for fc in features])
     best, best_k = None, -1
-    for k in np.lexsort((np.arange(len(rules)), -bound)):
+    for k in np.lexsort((np.arange(len(bound)), -bound)):
         if not bound[k] > min_gain or (best is not None and bound[k] < best.gain):
             break
-        left_rows, right_rows = _cut_rows(data, idx, rules[k])
+        f = int(np.searchsorted(starts, k, side="right")) - 1
+        rule = features[f].rule(k - starts[f])
+        left_rows, right_rows = _cut_rows(data, idx, rule)
         lf, rf = fit(left_rows), fit(right_rows)
         gain = gain_of(lf, rf)
         if best is None or gain > best.gain or (gain == best.gain and k < best_k):
-            best, best_k = _Candidate(rules[k], gain, lf, rf, left_rows, right_rows), k
+            best, best_k = _Candidate(rule, gain, lf, rf, left_rows, right_rows), k
     return best if best is not None and best.gain > min_gain else None
 
 

@@ -3,7 +3,8 @@
 Derived expectations are checked against independent oracles: central
 finite differences of the CDF for densities, tensor Gauss-Legendre
 quadrature of the density for CDF values, and scipy quad + bisect for the
-Frank tau bridge.
+Frank tau bridge, plus quad of the Genest-MacKay generator formula, which
+does not pass through the Debye function, for Frank's tau.
 """
 
 import numpy as np
@@ -30,6 +31,25 @@ def gl_box_integral(spec, theta, u0, v0):
     U, V = np.meshgrid(un, vn, indexing="ij")
     dens = np.exp(cp.log_density(spec, theta, U, V))
     return float(np.einsum("i,j,ij->", wu, wv, dens))
+
+
+def frank_tau_oracle(theta):
+    """Frank's tau by quad of tau = 1 + 4 int_0^1 phi(t) / phi'(t) dt, with the
+    generator phi(t) = -log(r(t)), r(t) = (e^-theta t - 1) / (e^-theta - 1).
+
+    phi / phi' = log(r) (e^theta t - 1) / theta, and log r is formed from
+    log(1 - e^-x), each in the form that keeps its relative accuracy.
+    """
+    a = abs(theta)
+
+    def log1m_exp(x):
+        return np.log(-np.expm1(-x)) if x < 1.0 else np.log1p(-np.exp(-x))
+
+    def ratio(t):
+        log_r = log1m_exp(a * t) - log1m_exp(a) - (a * (1.0 - t) if theta < 0 else 0.0)
+        return log_r * np.expm1(theta * t) / theta
+
+    return 1.0 + 4.0 * integrate.quad(ratio, 0.0, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
 
 
 def fd_density(spec, theta, u, v, h=1e-4):
@@ -157,6 +177,51 @@ class TestTauBridge:
             cp.tau_to_theta(FRANK, 0.0)
         with pytest.raises(DomainError):
             cp.tau_to_theta(FRANK, 0.97)
+
+    def test_frank_tau_matches_generator_quadrature(self):
+        # |theta| geometric over [1e-3, 50], both signs, and both sides of the
+        # switch from the Bernoulli series to the closed form of D1
+        s = cp._DEBYE_SWITCH
+        grid = np.concatenate([np.geomspace(1e-3, 50.0, 41), [np.nextafter(s, 0.0), s, 1.01 * s]])
+        for theta in np.concatenate([-grid, grid]):
+            assert abs(cp.theta_to_tau(FRANK, theta) - frank_tau_oracle(theta)) <= 1e-12, theta
+
+    def test_debye1_matches_quadrature(self):
+        for x in (-30.0, -2.0, -0.5, 1e-3, 0.5, np.nextafter(cp._DEBYE_SWITCH, 0.0), 2.0, 7.0, 50.0):
+            d1 = integrate.quad(lambda t: t / np.expm1(t), 0.0, x, epsabs=1e-15, epsrel=1e-13)[0] / x
+            assert cp.debye1(x) == pytest.approx(d1, rel=1e-12, abs=0.0), x
+
+    @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.family.value)
+    def test_array_calls_equal_scalar_calls(self, spec):
+        lo, hi = spec.tau_domain
+        taus = np.array([t for t in np.linspace(-0.92, 0.92, 47) if lo < t < hi and t != 0.0])
+        thetas = cp.tau_to_theta(spec, taus)
+        assert thetas.shape == taus.shape
+        assert np.array_equal(thetas, [cp.tau_to_theta(spec, t) for t in taus])
+        back = cp.theta_to_tau(spec, thetas)
+        assert np.array_equal(back, [cp.theta_to_tau(spec, th) for th in thetas])
+        grid = np.geomspace(1e-3, 50.0, 22)
+        x = np.concatenate([-grid, [0.0], grid]).reshape(3, 3, 5)
+        assert np.array_equal(cp.debye1(x), np.reshape([cp.debye1(v) for v in x.ravel()], x.shape))
+        assert isinstance(cp.tau_to_theta(spec, 0.5), float)
+        assert isinstance(cp.theta_to_tau(spec, thetas[-1]), float)
+        assert isinstance(cp.debye1(1.0), float)
+
+    @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.family.value)
+    def test_array_roundtrip(self, spec):
+        lo, hi = spec.tau_domain
+        taus = np.concatenate([-np.geomspace(1e-9, 0.92, 60), np.geomspace(1e-9, 0.92, 60)])
+        taus = taus[(taus > lo) & (taus < hi)]
+        assert np.abs(cp.theta_to_tau(spec, cp.tau_to_theta(spec, taus)) - taus).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "spec, bad",
+        [(CLAYTON, -0.2), (CLAYTON, 1.0), (GUMBEL, 0.0), (GUMBEL, np.nan),
+         (FRANK, 0.0), (FRANK, 0.95), (FRANK, -1.0), (FRANK, np.nan)],
+    )
+    def test_one_bad_element_raises(self, spec, bad):
+        with pytest.raises(DomainError):
+            cp.tau_to_theta(spec, np.array([0.3, 0.5, bad, 0.7]))
 
     @given(tau=st.floats(0.02, 0.92))
     @settings(max_examples=25, deadline=None)

@@ -38,14 +38,14 @@ class TestThetaFromTau:
     def test_matches_scalar_bridge(self):
         taus = np.linspace(-0.85, 0.85, 41)
         taus = taus[np.abs(taus) > 0.02]
-        vec = sim.theta_from_tau(FRANK, taus)
+        vec = cp.tau_to_theta(FRANK, taus)
         ref = np.array([cp.tau_to_theta(FRANK, t) for t in taus])
         assert np.abs(vec - ref).max() < 1e-8
 
     def test_closed_forms(self):
-        assert sim.theta_from_tau(CLAYTON, np.array([0.5]))[0] == pytest.approx(2.0)
+        assert cp.tau_to_theta(CLAYTON, np.array([0.5]))[0] == pytest.approx(2.0)
         gum = cp.spec_for("gumbel")
-        assert sim.theta_from_tau(gum, np.array([0.75]))[0] == pytest.approx(4.0)
+        assert cp.tau_to_theta(gum, np.array([0.75]))[0] == pytest.approx(4.0)
 
 
 class TestGenerate:
@@ -72,10 +72,6 @@ class TestGenerate:
         assert ds.n_clamped > 0
         assert ds.tau_true.min() >= sim.TAU_CLAMP[0]
         assert any("clamped" in r.message for r in caplog.records)
-
-    def test_clamp_disabled_raises(self):
-        with pytest.raises(ScenarioError):
-            sim.generate(sim.ScenarioSpec("clayton", "steep_sigmoid", n=1000, seed=3), clamp_tau=False)
 
     def test_y_means_follow_linear_model(self):
         ds = sim.generate(sim.ScenarioSpec("clayton", "step", n=20_000, seed=11))
@@ -106,7 +102,7 @@ class TestEvaluate:
 
         ds = sim.generate(sim.ScenarioSpec("clayton", "step", n=10_000, seed=21))
         tau_hat = np.full(10_000, ds.tau_true.mean())
-        theta_hat = sim.theta_from_tau(CLAYTON, tau_hat)
+        theta_hat = cp.tau_to_theta(CLAYTON, tau_hat)
         mt, _, _ = sim.evaluate(CLAYTON, theta_hat, tau_hat, ds, ds.u)
         assert mt == pytest.approx(variance, abs=0.01)
 

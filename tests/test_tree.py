@@ -17,7 +17,7 @@ CLAYTON = cp.spec_for("clayton")
 
 
 def copula_rows(tau, n, seed):
-    theta = cp.tau_to_theta(CLAYTON, tau) if np.isscalar(tau) else 2 * np.asarray(tau) / (1 - np.asarray(tau))
+    theta = cp.tau_to_theta(CLAYTON, tau)
     rng = np.random.default_rng(seed)
     u = np.clip(rng.random(n), 1e-9, 1 - 1e-9)
     v = cp.conditional_quantile(CLAYTON, theta, u, rng.random(n))
@@ -399,7 +399,7 @@ def random_node(family, n, seed, kinds, taus):
             key = codes % 2 == 0
         first = key if first is None else first
     tau = np.where(first, taus[0], taus[1])
-    theta = np.array([cp.tau_to_theta(spec, t) for t in tau])
+    theta = cp.tau_to_theta(spec, tau)
     u = np.clip(rng.random(n), 1e-9, 1 - 1e-9)
     v = cp.conditional_quantile(spec, theta, u, rng.random(n))
     return spec, PseudoObservations(np.column_stack([u, v]), "t"), Dataset(np.zeros((n, 2)), tuple(covs))
@@ -483,8 +483,8 @@ class TestScreenedSplitSearch:
         )
         bounds = iter(tr._screen_bounds(spec, uv, features, parent.loglik))
         for fc in features:
-            for rule in fc.rules:
-                left, right = tr._cut_rows(data, idx, rule)
+            for k in range(len(fc.n_left)):
+                left, right = tr._cut_rows(data, idx, fc.rule(k))
                 gain = cp.fit_mle(spec, uv[left]).loglik + cp.fit_mle(spec, uv[right]).loglik - parent.loglik
                 assert next(bounds) >= gain
 
@@ -515,7 +515,7 @@ class TestScreenedSplitSearch:
         if later_first:
             monkeypatch.setattr(
                 tr, "_screen_bounds", lambda spec, uv, features, ll: 1e9 + np.arange(
-                    sum(len(fc.rules) for fc in features), dtype=float)
+                    sum(len(fc.n_left) for fc in features), dtype=float)
             )
         rng = np.random.default_rng(seed)
         n = 120
