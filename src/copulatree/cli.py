@@ -68,9 +68,8 @@ class _Parser(argparse.ArgumentParser):
 # CSV input for fit/predict
 
 
-def read_fit_csv(path) -> Dataset:
-    """Header convention: responses ``y_*``; covariates ``x_<name>:num`` or
-    ``x_<name>:cat``."""
+def _read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of a CSV; every row spans the header."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -80,6 +79,16 @@ def read_fit_csv(path) -> Dataset:
         rows = list(reader)
     if not rows:
         raise SchemaError(f"{path}: no data rows")
+    for i, row in enumerate(rows):
+        if len(row) < len(header):
+            raise SchemaError(f"{path}: line {i + 2}: short row")
+    return header, rows
+
+
+def read_fit_csv(path) -> Dataset:
+    """Header convention: responses ``y_*``; covariates ``x_<name>:num`` or
+    ``x_<name>:cat``."""
+    header, rows = _read_csv(path)
 
     y_cols, x_cols = [], []
     for i, name in enumerate(header):
@@ -98,14 +107,11 @@ def read_fit_csv(path) -> Dataset:
 
     try:
         y = np.array([[float(row[i]) for i in y_cols] for row in rows])
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"{path}: bad response value ({exc})") from None
     covs = []
     for i, colname, kind in x_cols:
-        try:
-            raw = [row[i] for row in rows]
-        except IndexError:
-            raise SchemaError(f"{path}: short row") from None
+        raw = [row[i] for row in rows]
         if kind == NUMERIC:
             try:
                 covs.append(numeric_column(colname, [float(v) for v in raw]))
@@ -123,15 +129,7 @@ def _covariates_for_tree(path, tree) -> Dataset:
     column names.  Unseen categorical labels extend the level table past
     the training codes, which routes them right at every categorical rule.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        rows = list(reader)
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
+    header, rows = _read_csv(path)
 
     def matches(col_header, want):
         if col_header == want:
@@ -370,17 +368,17 @@ def _write_leaf_report(tree, path) -> None:
 # argument wiring
 
 
-def _add_stopping_flags(p):
-    p.add_argument("--min-leaf", type=int, default=50)
-    p.add_argument("--min-gain", type=float, default=0.0)
-    p.add_argument("--max-leaves", type=int, default=32)
-    p.add_argument("--max-candidates", type=int, default=None)
+def _add_stopping_flags(p, stopping=StoppingConfig()):
+    p.add_argument("--min-leaf", type=int, default=stopping.min_leaf)
+    p.add_argument("--min-gain", type=float, default=stopping.min_gain)
+    p.add_argument("--max-leaves", type=int, default=stopping.max_leaves)
+    p.add_argument("--max-candidates", type=int, default=stopping.max_candidates)
 
 
-def _add_cv_flags(p, repeats_default=10):
-    p.add_argument("--folds", type=int, default=3)
-    p.add_argument("--repeats", type=int, default=repeats_default)
-    p.add_argument("--rule", choices=["MaxMean", "OneSE"], default="OneSE")
+def _add_cv_flags(p, repeats, folds=3, rule="OneSE"):
+    p.add_argument("--folds", type=int, default=folds)
+    p.add_argument("--repeats", type=int, default=repeats)
+    p.add_argument("--rule", choices=["MaxMean", "OneSE"], default=rule)
 
 
 def build_parser() -> _Parser:
@@ -398,10 +396,10 @@ def build_parser() -> _Parser:
                    choices=["empirical", "kernel", "normal", "margin-tree", "discrete"])
     p.add_argument("--bandwidth", type=float, default=None)
     p.add_argument("--design", default=None, help="comma-separated design columns for --pseudo normal")
-    p.add_argument("--margin-min-leaf", type=int, default=20)
+    p.add_argument("--margin-min-leaf", type=int, default=MarginTreeConfig.min_leaf)
     p.add_argument("--seed", type=int, default=None)
     _add_stopping_flags(p)
-    _add_cv_flags(p)
+    _add_cv_flags(p, repeats=10)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", parents=[common], help="apply a fitted tree JSON to covariates")
@@ -410,22 +408,22 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_predict)
 
+    study = sim.PipelineConfig()
     p = sub.add_parser("simulate", parents=[common], help="run the scenario study")
     p.add_argument("--families", default="all")
     p.add_argument("--surfaces", default="all")
-    p.add_argument("--sources", default="U,V,W")
+    p.add_argument("--sources", default=",".join(study.sources))
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--scale", choices=["desk", "paper"], default="desk")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
-    p.add_argument("--bandwidth", type=float, default=None)
+    p.add_argument("--bandwidth", type=float, default=study.kernel_h)
     p.add_argument("--dry-run", action="store_true", help="echo the resolved config without running")
-    _add_stopping_flags(p)
-    p.set_defaults(max_candidates=16)
-    _add_cv_flags(p, repeats_default=5)
-    p.set_defaults(rule="MaxMean", func=cmd_simulate)
+    _add_stopping_flags(p, study.stopping)
+    _add_cv_flags(p, repeats=study.cv_repeats, folds=study.cv_folds, rule=study.cv_rule)
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("flu", parents=[common], help="end-to-end compositional pipeline")
     p.add_argument("--input", default=None)
@@ -433,9 +431,9 @@ def build_parser() -> _Parser:
     p.add_argument("--family", default="frank")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--min-cases", type=int, default=50)
-    p.add_argument("--margin-min-leaf", type=int, default=20)
+    p.add_argument("--margin-min-leaf", type=int, default=MarginTreeConfig.min_leaf)
     _add_stopping_flags(p)
-    _add_cv_flags(p, repeats_default=50)
+    _add_cv_flags(p, repeats=50)
     p.set_defaults(func=cmd_flu)
 
     return parser

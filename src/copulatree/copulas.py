@@ -139,48 +139,77 @@ def _indep_mask(spec: CopulaSpec, theta):
 
 
 # ---------------------------------------------------------------------------
-# family formulas (log space, broadcasting over theta, u, v)
+# family row terms (log space, broadcasting over theta, u, v)
+#
+# Each family's log-density is linear in per-row logs but for one nonlinear
+# term, computed only here: log_density, cdf, fit_mle's objective and the
+# split screen all evaluate it.  On request it also returns its derivative
+# in theta, which only the screen asks for.  Terms in theta alone
+# (1 - e^-t, ...) stay with the callers: fit_mle forms them with math.*,
+# log_density with numpy, and the two can differ in the last bit.
 
 
-def _clayton_logpdf(theta, lu, lv):
+def _clayton_ls(theta, lu, lv, deriv=False):
+    """ls = log(u^-t + v^-t - 1) and, if ``deriv``, d ls/dt (else None).
+
+    Shifted by m = max(a, b), a = -t log u, b = -t log v, against overflow:
+    one shifted power is 1 and the other exp(-|a - b|).
+    """
     a = -theta * lu
     b = -theta * lv
     m = np.maximum(a, b)
-    # log(u^-theta + v^-theta - 1), computed without overflow
-    ls = m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m))
-    return np.log1p(theta) - (theta + 1.0) * (lu + lv) - (2.0 + 1.0 / theta) * ls
+    e = np.exp(-np.abs(a - b))
+    s = 1.0 + e - np.exp(-m)
+    ls = m + np.log(s)
+    if not deriv:
+        return ls, None
+    # with x = -log u, y = -log v: d ls/dt = (max(x, y) + min(x, y) e) / s
+    return ls, (-np.minimum(lu, lv) - np.maximum(lu, lv) * e) / s
 
 
-def _clayton_logcdf(theta, lu, lv):
-    a = -theta * lu
-    b = -theta * lv
-    m = np.maximum(a, b)
-    ls = m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m))
-    return -ls / theta
+def _frank_log_d(theta, u, v, em, et, deriv=False):
+    """log|D| for D = (1 - e^-t) - (1 - e^-tu)(1 - e^-tv) and, if ``deriv``,
+    dD/dt / D (else None).
 
-
-def _frank_d(theta, u, v):
-    """(1 - e^-t) - (1 - e^-tu)(1 - e^-tv), stable over the theta bracket.
-
+    The caller supplies em = 1 - e^-t and et = e^-t, shaped like theta.
     The expm1 product rounds to 1 once theta*u and theta*v exceed ~38,
     wiping out the difference; the expanded form keeps the surviving
-    exponentials.  Below |theta| = 1 the expanded form cancels instead,
-    so the two regimes each use the representation that stays exact.
+    exponentials.  Below |theta| = 1 the expanded form cancels instead, so
+    each theta takes the representation that stays exact.  Thetas on both
+    sides of 1 are split by regime: a 1-d theta along the result's last
+    axis (the screen's grid columns), anything else element by element.
     """
-    small = np.abs(theta) < 1.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        naive = -np.expm1(-theta) - np.expm1(-theta * u) * np.expm1(-theta * v)
-        expanded = (
-            np.exp(-theta * u) + np.exp(-theta * v)
-            - np.exp(-theta * (u + v)) - np.exp(-theta)
-        )
-    return np.where(small, naive, expanded)
+    small = abs(theta) < 1.0
+    if isinstance(small, np.ndarray):
+        if small.any() and not small.all():
+            return _frank_split(theta, u, v, em, et, deriv, small)
+        small = small.any()
+    if small:
+        mu, mv = np.expm1(-theta * u), np.expm1(-theta * v)
+        d = em - mu * mv
+        dd = et + u * (mu + 1.0) * mv + v * (mv + 1.0) * mu if deriv else None
+    else:
+        eu, ev, euv = np.exp(-theta * u), np.exp(-theta * v), np.exp(-theta * (u + v))
+        d = eu + ev - euv - et
+        dd = (u + v) * euv - u * eu - v * ev + et if deriv else None
+    return np.log(np.abs(d)), (dd / d if deriv else None)
 
 
-def _frank_logpdf(theta, u, v):
-    em = -np.expm1(-theta)  # 1 - e^{-theta}, sign follows theta
-    d = _frank_d(theta, u, v)
-    return np.log(theta * em) - theta * (u + v) - 2.0 * np.log(np.abs(d))
+def _frank_split(theta, u, v, em, et, deriv, small):
+    """_frank_log_d on an array of thetas on both sides of |theta| = 1."""
+    shape = np.broadcast(theta, u, v).shape
+    if small.ndim != 1 or shape[-1] != small.size:
+        theta, u, v, em, et = np.broadcast_arrays(theta, u, v, em, et)
+        small = abs(theta) < 1.0
+    out = np.empty((2,) + shape)
+    for sel in (small, ~small):
+        args = (x[..., sel] if np.shape(x)[np.ndim(x) - sel.ndim:] == sel.shape else x
+                for x in (theta, u, v, em, et))
+        log_d, dlog_d = _frank_log_d(*args, deriv)
+        out[0][..., sel] = log_d
+        if deriv:
+            out[1][..., sel] = dlog_d
+    return out[0], (out[1] if deriv else None)
 
 
 def _frank_cdf(theta, u, v):
@@ -195,31 +224,57 @@ def _frank_cdf(theta, u, v):
     return np.where(small, naive, expanded)
 
 
-def _gumbel_parts(theta, lu, lv):
-    lx = np.log(-lu)
-    ly = np.log(-lv)
+def _gumbel_logs(lu, lv):
+    """lx = log(-log u), ly = log(-log v), hi = max(lx, ly), dlo = min(lx, ly) - hi."""
+    lx, ly = np.log(-lu), np.log(-lv)
     hi = np.maximum(lx, ly)
-    lo = np.minimum(lx, ly)
-    # log(x^theta + y^theta) without overflow for large theta
-    ls = theta * hi + np.log1p(np.exp(theta * (lo - hi)))
-    a = np.exp(ls / theta)  # (x^theta + y^theta)^(1/theta)
-    return lx, ly, ls, a
+    return lx, ly, hi, np.minimum(lx, ly) - hi
 
 
-def _gumbel_logpdf(theta, lu, lv):
-    lx, ly, ls, a = _gumbel_parts(theta, lu, lv)
-    return (
-        -a
-        + (theta - 1.0) * (lx + ly)
-        + (1.0 / theta - 2.0) * ls
-        + np.log(theta - 1.0 + a)
-        - lu
-        - lv
-    )
+def _gumbel_ls(theta, hi, dlo, deriv=False):
+    """ls = log(x^t + y^t) and A = exp(ls/t) for x = -log u, y = -log v (from
+    _gumbel_logs) and, if ``deriv``, (d ls/dt, dA/dt) (else None).
+
+    Shifted by the larger of x^t, y^t against overflow for large theta.
+    """
+    r = np.exp(theta * dlo)
+    ls = theta * hi + np.log1p(r)
+    a = np.exp(ls / theta)
+    if not deriv:
+        return ls, a, None
+    dls = hi + dlo * (r / (1.0 + r))
+    return ls, a, (dls, a * (dls - ls / theta) / theta)
 
 
-def _gumbel_logcdf(theta, lu, lv):
-    return -_gumbel_parts(theta, lu, lv)[3]
+def _logpdf(spec: CopulaSpec, theta, u, v, score: bool = False):
+    """Log-density at thetas outside the independence band and, if
+    ``score``, its derivative in theta (else None); broadcasts.
+
+    log_density and the split screen both evaluate through here.
+    """
+    if spec.family is Family.CLAYTON:
+        lu, lv = np.log(u), np.log(v)
+        ls, dls = _clayton_ls(theta, lu, lv, score)
+        k = 2.0 + 1.0 / theta
+        ll = np.log1p(theta) - (theta + 1.0) * (lu + lv) - k * ls
+        if score:
+            return ll, 1.0 / (1.0 + theta) - (lu + lv) + ls / theta**2 - k * dls
+    elif spec.family is Family.FRANK:
+        em = -np.expm1(-theta)  # 1 - e^{-theta}, sign follows theta
+        log_d, dlog_d = _frank_log_d(theta, u, v, em, np.exp(-theta), score)
+        ll = np.log(theta * em) - theta * (u + v) - 2.0 * log_d
+        if score:
+            return ll, 1.0 / theta + 1.0 / np.expm1(theta) - (u + v) - 2.0 * dlog_d
+    else:
+        lu, lv = np.log(u), np.log(v)
+        lx, ly, hi, dlo = _gumbel_logs(lu, lv)
+        ls, a, d = _gumbel_ls(theta, hi, dlo, score)
+        w = theta - 1.0 + a
+        ll = -a + (theta - 1.0) * (lx + ly) + (1.0 / theta - 2.0) * ls + np.log(w) - lu - lv
+        if score:
+            dls, da = d
+            return ll, -da + (lx + ly) - ls / theta**2 + (1.0 / theta - 2.0) * dls + (1.0 + da) / w
+    return ll, None
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +295,7 @@ def log_density(spec: CopulaSpec, theta, u, v):
     # Clamp thetas in the independence band to a safe evaluation point; the
     # result there is overwritten with the exact limit 0 below.
     safe = np.where(indep, _safe_theta(spec), theta)
-    if spec.family is Family.CLAYTON:
-        out = _clayton_logpdf(safe, np.log(u), np.log(v))
-    elif spec.family is Family.FRANK:
-        out = _frank_logpdf(safe, u, v)
-    else:
-        out = _gumbel_logpdf(safe, np.log(u), np.log(v))
-    return np.where(indep, 0.0, out)[()]
+    return np.where(indep, 0.0, _logpdf(spec, safe, u, v)[0])[()]
 
 
 def _safe_theta(spec: CopulaSpec) -> float:
@@ -279,11 +328,11 @@ def cdf(spec: CopulaSpec, theta, u, v):
     indep = _indep_mask(spec, theta)
     safe = np.where(indep, _safe_theta(spec), theta)
     if spec.family is Family.CLAYTON:
-        out = np.exp(_clayton_logcdf(safe, np.log(ub), np.log(vb)))
+        out = np.exp(-_clayton_ls(safe, np.log(ub), np.log(vb))[0] / safe)
     elif spec.family is Family.FRANK:
         out = _frank_cdf(safe, ub, vb)
     else:
-        out = np.exp(_gumbel_logcdf(safe, np.log(ub), np.log(vb)))
+        out = np.exp(-_gumbel_ls(safe, *_gumbel_logs(np.log(ub), np.log(vb))[2:])[1])
     out = np.where(indep, ub * vb, out)
     out = np.where(edge_zero, 0.0, out)
     return np.clip(out, 0.0, 1.0)[()]
@@ -454,7 +503,8 @@ def conditional_quantile(spec: CopulaSpec, theta, u, w):
 
 
 def _gumbel_cond_cdf(theta, lu, lv):
-    lx, ly, ls, a = _gumbel_parts(theta, lu, lv)
+    lx, _, hi, dlo = _gumbel_logs(lu, lv)
+    ls, a, _ = _gumbel_ls(theta, hi, dlo)
     return np.exp(-a + (theta - 1.0) * lx + (1.0 / theta - 1.0) * ls - lu)
 
 
@@ -497,27 +547,21 @@ def _nll_factory(spec: CopulaSpec, uv: np.ndarray):
 
         def nll(tau):
             theta = 2.0 * tau / (1.0 - tau)
-            a = -theta * lu
-            b = -theta * lv
-            m = np.maximum(a, b)
-            ls = m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m))
-            ll = len(u) * np.log1p(theta) - (theta + 1.0) * slog - (2.0 + 1.0 / theta) * float(np.sum(ls))
+            sls = float(np.sum(_clayton_ls(theta, lu, lv)[0]))
+            ll = len(u) * np.log1p(theta) - (theta + 1.0) * slog - (2.0 + 1.0 / theta) * sls
             return -ll
 
         return nll, lambda tau: 2.0 * tau / (1.0 - tau)
 
     if spec.family is Family.GUMBEL:
         lu, lv = np.log(u), np.log(v)
-        lx, ly = np.log(-lu), np.log(-lv)
-        hi = np.maximum(lx, ly)
-        dlo = np.minimum(lx, ly) - hi
+        lx, ly, hi, dlo = _gumbel_logs(lu, lv)
         sxy = float(np.sum(lx + ly))
         slog_uv = float(np.sum(lu + lv))
 
         def nll(tau):
             theta = 1.0 / (1.0 - tau)
-            ls = theta * hi + np.log1p(np.exp(theta * dlo))
-            a = np.exp(ls / theta)
+            ls, a, _ = _gumbel_ls(theta, hi, dlo)
             ll = (
                 -float(np.sum(a))
                 + (theta - 1.0) * sxy
@@ -535,14 +579,8 @@ def _nll_factory(spec: CopulaSpec, uv: np.ndarray):
         if abs(theta) < 9e-7:  # independence band: product copula
             return 0.0
         em = -math.expm1(-theta)
-        if abs(theta) < 1.0:
-            d = em - np.expm1(-theta * u) * np.expm1(-theta * v)
-        else:
-            d = (
-                np.exp(-theta * u) + np.exp(-theta * v)
-                - np.exp(-theta * (u + v)) - math.exp(-theta)
-            )
-        ll = len(u) * math.log(theta * em) - theta * suv - 2.0 * float(np.sum(np.log(np.abs(d))))
+        log_d = _frank_log_d(theta, u, v, em, math.exp(-theta))[0]
+        ll = len(u) * math.log(theta * em) - theta * suv - 2.0 * float(np.sum(log_d))
         return -ll
 
     return nll, lambda theta: theta
@@ -692,70 +730,15 @@ def curvature_caps(spec: CopulaSpec, theta: np.ndarray, uv: np.ndarray):
     return cap, 4.0 * x * x + 2.0 * x**3, offset
 
 
-def _clayton_logpdf_and_score(theta, x, y):
-    # with x = -log u, y = -log v: log(u^-t + v^-t - 1) = t hi + log(1 + e_d - e_1)
-    hi, lo = np.maximum(x, y), np.minimum(x, y)
-    t_hi = theta * hi
-    e_d, e_1 = np.exp(theta * (lo - hi)), np.exp(-t_hi)
-    s = 1.0 + e_d - e_1
-    ls = t_hi + np.log(s)
-    k = 2.0 + 1.0 / theta
-    ll = np.log1p(theta) + (theta + 1.0) * (x + y) - k * ls
-    # d/dt log(u^-t + v^-t - 1) = (hi + lo e_d) / s
-    score = 1.0 / (1.0 + theta) + (x + y) + ls / theta**2 - k * (hi + lo * e_d) / s
-    return ll, score
-
-
-def _frank_logpdf_and_score(theta, u, v, small: bool):
-    eu, ev, et = np.exp(-theta * u), np.exp(-theta * v), np.exp(-theta)
-    # D as in _frank_d and dD/dt, in the regime that stays exact
-    if small:
-        mu, mv = np.expm1(-theta * u), np.expm1(-theta * v)
-        d = -np.expm1(-theta) - mu * mv
-        dd = et + u * eu * mv + v * ev * mu
-    else:
-        euv = eu * ev
-        d = eu + ev - euv - et
-        dd = (u + v) * euv - u * eu - v * ev + et
-    ll = np.log(theta * -np.expm1(-theta)) - theta * (u + v) - 2.0 * np.log(np.abs(d))
-    score = 1.0 / theta + 1.0 / np.expm1(theta) - (u + v) - 2.0 * dd / d
-    return ll, score
-
-
-def _gumbel_logpdf_and_score(theta, lu, lv):
-    lx, ly = np.log(-lu), np.log(-lv)
-    hi, lo = np.maximum(lx, ly), np.minimum(lx, ly)
-    r = np.exp(theta * (lo - hi))
-    ls = theta * hi + np.log1p(r)  # log(x^t + y^t), as in _gumbel_parts
-    a = np.exp(ls / theta)
-    w = theta - 1.0 + a
-    ll = -a + (theta - 1.0) * (lx + ly) + (1.0 / theta - 2.0) * ls + np.log(w) - lu - lv
-    dls = (hi + lo * r) / (1.0 + r)
-    da = a * (dls - ls / theta) / theta
-    score = -da + (lx + ly) - ls / theta**2 + (1.0 / theta - 2.0) * dls + (1.0 + da) / w
-    return ll, score
-
-
 def log_density_and_score(spec: CopulaSpec, theta: np.ndarray, u: np.ndarray, v: np.ndarray):
     """Log-density and its derivative in theta, one column per grid node.
 
     ``theta`` is a 1-d run of screen-grid nodes, which stay clear of the
     independence band, and ``u``, ``v`` the rows; both results have shape
-    (len(u), len(theta)).  No argument checks.
+    (len(u), len(theta)).  The rows' terms are log_density's own.  No
+    argument checks.
     """
-    u, v = u[:, None], v[:, None]
-    if spec.family is Family.CLAYTON:
-        return _clayton_logpdf_and_score(theta, -np.log(u), -np.log(v))
-    if spec.family is Family.GUMBEL:
-        return _gumbel_logpdf_and_score(theta, np.log(u), np.log(v))
-    small = np.abs(theta) < 1.0
-    ll = np.empty((len(u), len(theta)))
-    score = np.empty_like(ll)
-    for regime in (True, False):
-        cols = small == regime
-        if cols.any():
-            ll[:, cols], score[:, cols] = _frank_logpdf_and_score(theta[cols], u, v, regime)
-    return ll, score
+    return _logpdf(spec, theta, u[:, None], v[:, None], score=True)
 
 
 def fit_mle(spec: CopulaSpec, data, min_fit_n: int = _DEFAULT_MIN_FIT_N) -> FitResult:

@@ -130,7 +130,7 @@ def prune_path(tree: CopulaTree) -> PrunePath:
     """The weakest-link path of a copula tree; training log-likelihoods
     come from the fits stored at build time."""
     entries = tuple(
-        PathEntry(CopulaTree(tree.spec, root, tree.schema, tree.stopping), k, loglik)
+        PathEntry(CopulaTree(tree.spec, root, tree.schema), k, loglik)
         for root, k, loglik in weakest_link_path(tree.root)
     )
     return PrunePath(entries, tree.root.fit.n_obs)

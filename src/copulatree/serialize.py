@@ -16,7 +16,7 @@ from .copulas import FitResult, spec_for
 from .data import CATEGORICAL, NUMERIC
 from .errors import DomainError, SchemaError
 from .pruning import CvReport, PrunePath, lambda_intervals
-from .tree import ColumnSchema, CopulaTree, SplitRule, StoppingConfig, TreeNode
+from .tree import ColumnSchema, CopulaTree, SplitRule, TreeNode
 
 FORMAT_VERSION = 1
 
@@ -139,7 +139,7 @@ def tree_from_doc(doc: dict) -> CopulaTree:
             node.right = build(e["right"], depth + 1)
         return node
 
-    return CopulaTree(spec, build(min(raw), 0), tuple(schema), StoppingConfig())
+    return CopulaTree(spec, build(min(raw), 0), tuple(schema))
 
 
 def write_tree_json(tree: CopulaTree, path) -> None:

@@ -74,9 +74,7 @@ class PipelineConfig:
     """How each replication fits its models."""
 
     sources: tuple[str, ...] = ("U", "V", "W")
-    stopping: StoppingConfig = field(
-        default_factory=lambda: StoppingConfig(min_leaf=50, max_leaves=32, max_candidates=16)
-    )
+    stopping: StoppingConfig = field(default_factory=lambda: StoppingConfig(max_candidates=16))
     cv_folds: int = 3
     cv_repeats: int = 5
     cv_rule: str = "MaxMean"

@@ -175,7 +175,6 @@ class CopulaTree:
     spec: CopulaSpec
     root: TreeNode
     schema: tuple[ColumnSchema, ...]
-    stopping: StoppingConfig
 
     def nodes(self) -> list[TreeNode]:
         """All nodes in id order."""
@@ -623,7 +622,7 @@ def build_maximal_tree(
         np.arange(data.n),
         stopping.max_leaves,
     )
-    return CopulaTree(spec, root, schema_of(data), stopping)
+    return CopulaTree(spec, root, schema_of(data))
 
 
 def tree_loglik(tree: CopulaTree, pseudo: PseudoObservations, data: Dataset) -> float:

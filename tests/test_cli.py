@@ -9,8 +9,11 @@ import pytest
 from scipy.special import ndtri
 
 from copulatree import copulas as cp
-from copulatree.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCHEMA, main
+from copulatree import simulation as sim
+from copulatree.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCHEMA, build_parser, main
 from copulatree.fludata import write_flu_fixture_csv
+from copulatree.margins import MarginTreeConfig
+from copulatree.tree import StoppingConfig
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +98,14 @@ class TestFit:
         for name in os.listdir(out1):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_short_row_is_schema_error(self, fit_csv, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        lines = fit_csv.read_text().splitlines()
+        short.write_text("\n".join(lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:]) + "\n")
+        assert run_fit(short, tmp_path / "fit") == EXIT_SCHEMA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: schema: {short}: line 4: short row"]
+
     def test_missing_column_schema_exit(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("y_a,x_g:cat\n1.0,a\n")
@@ -155,6 +166,24 @@ class TestFit:
         assert len(err) == 1 and err[0].startswith("error: config: ")
 
 
+class TestParser:
+    def test_defaults_are_the_config_defaults(self):
+        parser = build_parser()
+        study = sim.PipelineConfig()
+        for command, stopping in (("fit", StoppingConfig()), ("flu", StoppingConfig()),
+                                  ("simulate", study.stopping)):
+            args = parser.parse_args([command])
+            assert (args.min_leaf, args.min_gain, args.max_leaves, args.max_candidates) == (
+                stopping.min_leaf, stopping.min_gain, stopping.max_leaves, stopping.max_candidates)
+        for command in ("fit", "flu"):
+            assert parser.parse_args([command]).margin_min_leaf == MarginTreeConfig().min_leaf
+        args = parser.parse_args(["simulate"])
+        assert (args.sources, args.folds, args.repeats, args.rule, args.bandwidth) == (
+            ",".join(study.sources), study.cv_folds, study.cv_repeats, study.cv_rule, study.kernel_h)
+        # the study preset itself
+        assert (args.max_candidates, args.repeats, args.rule) == (16, 5, "MaxMean")
+
+
 class TestPredict:
     def test_single_leaf_constant_tau(self, tmp_path):
         doc = {
@@ -198,6 +227,17 @@ class TestPredict:
         cov.write_text("x_other:num\n1.0\n")
         rc = main(["predict", "--tree", str(out / "tree.json"), "--input", str(cov), "--out", str(tmp_path / "p.csv")])
         assert rc == EXIT_SCHEMA
+
+    def test_short_row_is_schema_error(self, fit_csv, tmp_path, capsys):
+        out = tmp_path / "fit"
+        assert run_fit(fit_csv, out) == EXIT_OK
+        cov = tmp_path / "cov.csv"
+        cov.write_text("x_g:cat,x_z:num\na,0.5\nb\n")
+        capsys.readouterr()
+        rc = main(["predict", "--tree", str(out / "tree.json"), "--input", str(cov), "--out", str(tmp_path / "p.csv")])
+        assert rc == EXIT_SCHEMA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: schema: ") and err[0].endswith("short row")
 
     @pytest.mark.parametrize("doc", ['{"format_version": 1}', "not json at all", "[1, 2]",
                                      '{"format_version": 1, "family": "clayton", "covariates": [],'

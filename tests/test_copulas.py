@@ -293,10 +293,13 @@ class TestFitMle:
         with pytest.raises(InsufficientDataError):
             cp.fit_mle(CLAYTON, uv)
 
-    def test_loglik_is_summed_logdensity(self):
-        uv = cp.sample(GUMBEL, 3.0, 400, seed=9)
-        fit = cp.fit_mle(GUMBEL, uv)
-        ll = float(np.sum(cp.log_density(GUMBEL, fit.theta_hat, uv[:, 0], uv[:, 1])))
+    @pytest.mark.parametrize(
+        "spec, theta", [(CLAYTON, 2.0), (FRANK, 6.0), (GUMBEL, 3.0)], ids=["clayton", "frank", "gumbel"]
+    )
+    def test_loglik_is_summed_logdensity(self, spec, theta):
+        uv = cp.sample(spec, theta, 400, seed=9)
+        fit = cp.fit_mle(spec, uv)
+        ll = float(np.sum(cp.log_density(spec, fit.theta_hat, uv[:, 0], uv[:, 1])))
         assert fit.loglik == pytest.approx(ll, rel=1e-12)
 
     @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.family.value)
@@ -311,3 +314,31 @@ class TestFitMle:
                 errs.append(abs(cp.fit_mle(spec, uv).tau_hat - tau0))
             med.append(float(np.median(errs)))
         assert med[0] >= med[1] >= med[2]
+
+
+class TestScreenDensity:
+    """The split screen evaluates log_density's own row terms on its grid."""
+
+    @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.family.value)
+    @pytest.mark.parametrize("power", [1, 3], ids=["uniform", "corners"])
+    def test_columns_equal_log_density(self, spec, power):
+        uv = cp.sample(spec, cp.tau_to_theta(spec, 0.5), 300, seed=4) ** power
+        grid = cp.screen_grid(spec)
+        if spec is FRANK:  # both regimes of D, in one call
+            assert (np.abs(grid) < 1.0).any() and (np.abs(grid) >= 1.0).any()
+        ll, _ = cp.log_density_and_score(spec, grid, uv[:, 0], uv[:, 1])
+        for k, theta in enumerate(grid):
+            np.testing.assert_allclose(
+                ll[:, k], cp.log_density(spec, theta, uv[:, 0], uv[:, 1]), rtol=1e-12, atol=0.0
+            )
+
+    @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.family.value)
+    @pytest.mark.parametrize("power", [1, 3], ids=["uniform", "corners"])
+    def test_score_is_the_log_density_slope(self, spec, power):
+        uv = cp.sample(spec, cp.tau_to_theta(spec, 0.5), 300, seed=5) ** power
+        grid = cp.screen_grid(spec)
+        _, score = cp.log_density_and_score(spec, grid, uv[:, 0], uv[:, 1])
+        for k in range(1, len(grid) - 1, 5):
+            t, h = grid[k], 1e-5 * (grid[k + 1] - grid[k])
+            hi, lo = (cp.log_density(spec, t + s, uv[:, 0], uv[:, 1]) for s in (h, -h))
+            np.testing.assert_allclose(score[:, k], (hi - lo) / (2.0 * h), rtol=1e-4, atol=1e-4)

@@ -133,11 +133,11 @@ class TestSelectPenalized:
         # collinear and tied log-likelihoods give coincident crossings;
         # the envelope walk must still strictly descend in K
         from copulatree.copulas import FitResult
-        from copulatree.tree import CopulaTree, StoppingConfig, TreeNode
+        from copulatree.tree import CopulaTree, TreeNode
 
         def entry(k, ll):
             fit = FitResult(1.0, 1 / 3, ll, 100, True)
-            tree = CopulaTree(CLAYTON, TreeNode(0, fit), (), StoppingConfig())
+            tree = CopulaTree(CLAYTON, TreeNode(0, fit), ())
             return pr.PathEntry(tree, k, ll)
 
         for lls in ([5.0, 4.0, 3.0, 2.0], [5.0, 5.0, 5.0, 1.0], [5.0, 4.999999999, 3.0, 0.0]):

@@ -286,7 +286,7 @@ class TestBuildAndPredict:
         row = np.zeros(2)
         row[rule.feature] = rule.threshold
         _, _, leaf_id = tree.predict_row(row)
-        left_ids = {n.id for n in tr.CopulaTree(tree.spec, tree.root.left, tree.schema, tree.stopping).nodes()}
+        left_ids = {n.id for n in tr.CopulaTree(tree.spec, tree.root.left, tree.schema).nodes()}
         assert leaf_id in left_ids
 
     def test_training_partition_matches_n_obs(self):
