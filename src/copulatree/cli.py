@@ -69,7 +69,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_csv(path) -> tuple[list[str], list[list[str]]]:
-    """Header and data rows of a CSV; every row spans the header."""
+    """Header and data rows of a CSV; every row has the header's length."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -80,8 +80,8 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     for i, row in enumerate(rows):
-        if len(row) < len(header):
-            raise SchemaError(f"{path}: line {i + 2}: short row")
+        if len(row) != len(header):
+            raise SchemaError(f"{path}: line {i + 2}: {'short' if len(row) < len(header) else 'long'} row")
     return header, rows
 
 

@@ -23,22 +23,27 @@ cut's gain from above first:
 
 * every row's log-density and its derivative in theta are evaluated on a
   fixed per-family grid spanning fit_mle's search interval
-  (``copulas.screen_grid``);
-* prefix sums over the rows in cut order (sorted x, or the level groups
-  of ``order_modalities``) give both sides' sums at every grid node;
+  (``copulas.screen_grid``), once per maximal tree (``_row_table``);
+* prefix sums over a node's rows in cut order (sorted x, or the level
+  groups of ``order_modalities``) give both sides' sums at every grid node;
 * on each grid cell a side's log-likelihood lies below the two tangent
   parabolas at the cell's ends whose curvature is a proven cap on the
   side's summed second derivative (``copulas.curvature_caps``, derived
   there per family), so the largest maximum of the lower of the two
   parabolas, over all cells, bounds what fit_mle can reach.
 
-Cuts are then refit with fit_mle in descending order of their bound
-until the next bound falls below the best exact gain (a bound equal to
-it is still refit, for the tie rule).  The winner, its fits and its gain
-come from the same fit_mle calls an exhaustive search makes, so trees
-are bit-identical to refitting every cut; a non-finite bound only means
-that cut is refit.  The grid is processed in column blocks, so the
-screen's memory grows only linearly with the node size.
+The cut with the top bound is refit first.  Its exact gain g* leaves few
+cuts whose bound still reaches it, and only their grid cells that can
+still lift them to g* are bisected, a few levels deep, with the row
+kernel evaluated at the new midpoints alone.  Cuts are then refit with
+fit_mle in descending order of their bound until the next bound falls
+below the best exact gain (a bound equal to it is still refit, for the
+tie rule).  The winner, its fits and its gain come from the same fit_mle
+calls an exhaustive search makes, so trees are bit-identical to
+refitting every cut; a non-finite bound only means that cut is refit.
+Apart from the row table, every array of the screen is built in blocks
+of at most about _SCREEN_BUDGET values, so memory grows only linearly
+with the rows.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.stats import rankdata
 
 from .copulas import (
@@ -76,8 +82,10 @@ __all__ = [
 ]
 
 
-# Largest array the split screen builds, in values (bounds its memory).
-_SCREEN_BLOCK_ELEMENTS = 1 << 12
+# Values in the largest temporary array of the split screen (bounds its memory).
+_SCREEN_BUDGET = 1 << 16
+# Bisection levels of the screen's live cells before any cut is refit.
+_REFINE_LEVELS = 3
 # Per-row allowance, relative to the node's SSE, for rounding in the prefix
 # sums of sse_split; it only ever widens a bound.
 _SSE_SLACK = 1e-12
@@ -109,6 +117,8 @@ class StoppingConfig:
             raise ConfigError("min_gain must be >= 0")
         if self.max_leaves < 1:
             raise ConfigError("max_leaves must be >= 1")
+        if self.max_candidates is not None and self.max_candidates < 1:
+            raise ConfigError("max_candidates must be >= 1 or unset")
 
 
 @dataclass(frozen=True)
@@ -401,21 +411,68 @@ def _cut_rows(data, idx, rule: SplitRule):
     return idx[left], idx[~left]
 
 
-def _cell_maxima(f, g, curvature, theta):
-    """Upper bound on max L over each grid cell, for every cut side.
+def _side_sums(splits, n_rows):
+    """A function that sums the rows of an (``n_rows``, ...) array over every
+    cut's left side, then every right side.
 
-    ``f``/``g`` hold a side's summed log-likelihood and score at the nodes
-    (one row per cut side).  Since L'' <= C = ``curvature`` on a cell [a, b], L
-    lies below both tangent parabolas
+    ``splits`` holds, per feature, the rows in cut order (as row numbers of
+    that array) and the left-side sizes of its cuts, ascending.  One sparse
+    product sums each feature's rows between consecutive cuts, and prefix
+    sums of those segments give the sides, so no row of the array is copied.
+    """
+    if not splits:
+        return lambda values: np.empty((0,) + values.shape[1:])
+    ends = [np.append(n_left, len(rows)) for rows, n_left in splits]
+    starts = np.cumsum([0] + [len(rows) for rows, _ in splits])
+    indptr = np.concatenate([[0]] + [s + e for s, e in zip(starts, ends)])
+    indices = np.concatenate([rows for rows, _ in splits])
+    segments = csr_array((np.ones(len(indices)), indices, indptr), shape=(len(indptr) - 1, n_rows))
+    features = np.cumsum([len(e) for e in ends])[:-1]
+
+    def sums(values):
+        prefix = [np.cumsum(p, axis=0) for p in np.split(segments @ values.reshape(n_rows, -1), features)]
+        sides = np.concatenate([p[:-1] for p in prefix] + [p[-1] - p[:-1] for p in prefix])
+        return sides.reshape((len(sides),) + values.shape[1:])
+
+    return sums
+
+
+def _row_table(spec, uv) -> np.ndarray:
+    """Every row's log-density and score at every screen-grid node, shape (rows, 2, nodes).
+
+    Built in row blocks of a quarter of _SCREEN_BUDGET values, as the
+    kernel keeps several block-sized temporaries alive at once, so that
+    only the table itself grows with the number of rows.
+    """
+    theta = screen_grid(spec)
+    table = np.empty((len(uv), 2, len(theta)))
+    step = max(1, _SCREEN_BUDGET // (4 * len(theta)))
+    for r in range(0, len(uv), step):
+        rows = uv[r : r + step]
+        table[r : r + step] = np.stack(log_density_and_score(spec, theta, rows[:, 0], rows[:, 1]), axis=1)
+    return table
+
+
+def _block_width(rows: int) -> int:
+    """Grid cells per column block when the block's arrays have ``rows`` rows."""
+    return max(1, _SCREEN_BUDGET // (2 * rows) - 1)
+
+
+def _cell_maxima(fa, fb, ga, gb, curvature, a, b):
+    """Upper bound on max L over each cell [a, b], for every cut side.
+
+    ``fa``/``ga`` and ``fb``/``gb`` hold a side's summed log-likelihood and
+    score at the cell's ends.  Since L'' <= C = ``curvature`` on the cell,
+    L lies below both tangent parabolas
         P_a(t) = f(a) + g(a)(t - a) + C/2 (t - a)^2
         P_b(t) = f(b) + g(b)(t - b) + C/2 (t - b)^2.
     Their difference is linear, so min(P_a, P_b) is P_a up to their
     crossing and P_b after it; being convex pieces, its maximum is at a,
-    b or the crossing.
+    b or the crossing.  All arguments broadcast, so the grid's cells and
+    the bisected cells of the refinement share this.
     """
-    h = np.diff(theta)
+    h = b - a
     c = 0.5 * curvature
-    fa, fb, ga, gb = f[:, :-1], f[:, 1:], g[:, :-1], g[:, 1:]
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         slope = ga - gb + 2.0 * c * h  # >= 0 when the cap holds
         s = np.clip((fb - fa - gb * h + c * h * h) / slope, 0.0, h)
@@ -428,55 +485,150 @@ def _cell_maxima(f, g, curvature, theta):
     return np.where(np.isfinite(out), out, np.inf)
 
 
-def _screen_bounds(spec, uv, features, parent_loglik) -> np.ndarray:
-    """Upper bound on the gain of every cut, in (feature, position) order.
+class _Screen:
+    """Upper bounds on the gain of every cut of a node, in (feature, position) order.
 
     Each side's maximal log-likelihood over fit_mle's search interval is
-    bounded from the rows' log-density and score on the screen grid (the
-    prefix sums of the rows in cut order) and the per-cell curvature caps
-    of ``copulas.curvature_caps``.  A non-finite value anywhere in a cut's
-    computation makes its bound +inf, which only means "refit it".
-    The grid is taken in column blocks of about _SCREEN_BLOCK_ELEMENTS
-    values per array (at least one cell per block), so memory grows
-    linearly with the node and the number of cuts.
+    bounded from the rows' log-density and score on the screen grid, read
+    from the row table (``table[at[i]]`` holds node row i), and the
+    per-cell curvature caps of ``copulas.curvature_caps``.  A non-finite
+    value anywhere in a cut's computation makes its bound +inf, which only
+    means "refit it".  Every temporary array holds about _SCREEN_BUDGET
+    values at most (column blocks), so memory grows linearly with the
+    node and the number of cuts.
     """
-    features = [fc for fc in features if len(fc.n_left)]
-    n_cuts = sum(len(fc.n_left) for fc in features)
-    if n_cuts == 0:
-        return np.empty(0)
-    theta = screen_grid(spec)
-    caps, row_caps, offset = curvature_caps(spec, theta, uv)
-    n = len(uv)
-    n_left = np.concatenate([fc.n_left for fc in features])
-    sizes = np.concatenate([n_left, n - n_left]).astype(float)
-    w_left = np.concatenate([np.cumsum(row_caps[fc.order])[fc.n_left - 1] for fc in features])
-    weights = np.concatenate([w_left, row_caps.sum() - w_left])
-    width = max(1, _SCREEN_BLOCK_ELEMENTS // max(n, len(sizes)))
-    best = np.full(len(sizes), -np.inf)
-    for k0 in range(0, len(theta) - 1, width):
-        k1 = min(k0 + width, len(theta) - 1)
-        nodes = theta[k0 : k1 + 1]
-        ll, score = log_density_and_score(spec, nodes, uv[:, 0], uv[:, 1])
-        curvature = np.minimum(
-            sizes[:, None] * caps[k0:k1], weights[:, None] + sizes[:, None] * offset[k0:k1]
-        )
-        cell = _cell_maxima(
-            _side_sums(ll, features),
-            _side_sums(score, features),
-            np.maximum(curvature, 0.0),
-            nodes,
-        )
-        np.maximum(best, cell.max(axis=1), out=best)
-    return best[:n_cuts] + best[n_cuts:] - parent_loglik + _SCREEN_SLACK * n
+
+    def __init__(self, spec, table, at, uv, features, parent_loglik):
+        self.spec, self.table, self.uv = spec, table, uv
+        self.theta = screen_grid(spec)
+        features = [fc for fc in features if len(fc.n_left)]
+        self.n_left = np.concatenate([fc.n_left for fc in features] + [np.empty(0, dtype=np.int64)])
+        self.slot = np.repeat(np.arange(len(features)), [len(fc.n_left) for fc in features])
+        self.orders = [fc.order for fc in features]
+        self.table_orders = [at[fc.order] for fc in features]
+        n = len(uv)
+        self.caps, row_caps, self.offset = curvature_caps(spec, self.theta, uv)
+        self.sizes = np.concatenate([self.n_left, n - self.n_left]).astype(float)
+        self.weights = _side_sums(self._splits(np.arange(len(self.n_left)), self.orders), n)(row_caps)
+        self.base = parent_loglik - _SCREEN_SLACK * n  # bound = left + right - base
+
+    def _splits(self, ks, orders):
+        """_side_sums' splits of the cuts ``ks`` (ascending)."""
+        return [(orders[f], self.n_left[ks[self.slot[ks] == f]]) for f in np.unique(self.slot[ks])]
+
+    def _grid_cells(self, ks):
+        """(first cell, side sums, curvature, cell bounds) per column block, for the cuts ``ks``.
+
+        Side sums have shape (sides, 2, nodes): log-likelihood and score.
+        """
+        sides = np.concatenate([ks, len(self.n_left) + ks])
+        size, weight = self.sizes[sides, None], self.weights[sides, None]
+        side_sums = _side_sums(self._splits(ks, self.table_orders), len(self.table))
+        last = len(self.theta) - 1
+        if 2 * len(sides) * len(self.theta) <= _SCREEN_BUDGET:
+            width = last  # one block, summed straight from the table
+        else:  # each block copies its columns of the table
+            width = _block_width(max(len(self.table), len(sides)))
+        for k0 in range(0, last, width):
+            k1 = min(k0 + width, last)
+            table = self.table if width == last else self.table[:, :, k0 : k1 + 1]
+            f, g = side_sums(table).transpose(1, 0, 2)
+            curvature = np.minimum(size * self.caps[k0:k1], weight + size * self.offset[k0:k1])
+            curvature = np.maximum(curvature, 0.0)
+            a, b = self.theta[k0:k1], self.theta[k0 + 1 : k1 + 1]
+            yield k0, f, g, curvature, _cell_maxima(f[:, :-1], f[:, 1:], g[:, :-1], g[:, 1:], curvature, a, b)
+
+    def bounds(self) -> np.ndarray:
+        """The grid's bound on every cut's gain."""
+        n_cuts = len(self.n_left)
+        best = np.full(2 * n_cuts, -np.inf)
+        if not n_cuts:
+            return best
+        for *_, cell in self._grid_cells(np.arange(n_cuts)):
+            np.maximum(best, cell.max(axis=1), out=best)
+        self.best = best
+        return best[:n_cuts] + best[n_cuts:] - self.base
+
+    def refine(self, bound, top, target, min_gain) -> np.ndarray:
+        """``bound`` (from ``bounds``) tightened for the cuts that can still
+        reach ``target``, the exact gain of cut ``top``.
+
+        A cell of such a cut is live while its bound plus the other side's
+        best can still reach ``target`` (and exceed ``min_gain``).  Live
+        cells are bisected up to _REFINE_LEVELS times: the row kernel is
+        evaluated at the new midpoints only, summed per side, and each half
+        is bounded under its parent cell's curvature cap, which holds on
+        any sub-cell.  Frank's cell around theta = 0, where the kernel is
+        undefined, is kept whole.
+        """
+        ks = np.flatnonzero((bound >= target) & (bound > min_gain))
+        ks = ks[ks != top]
+        if not len(ks):
+            return bound
+        m = len(ks)
+        other = np.concatenate([np.arange(m, 2 * m), np.arange(m)])  # the other side of each side
+        best = self.best[np.concatenate([ks, len(self.n_left) + ks])]
+        rest = np.full(2 * m, -np.inf)  # each side's largest bound over its dead cells
+        # a live cell is a column (side, a, b, f(a), f(b), g(a), g(b), curvature, bound)
+        live = []
+        for k0, f, g, curvature, cell in self._grid_cells(ks):
+            alive = self._reaches(cell + best[other, None], target, min_gain)
+            np.maximum(rest, np.where(alive, -np.inf, cell).max(axis=1), out=rest)
+            r, c = np.nonzero(alive)
+            live.append(np.stack([r, self.theta[k0 + c], self.theta[k0 + c + 1], f[r, c], f[r, c + 1],
+                                  g[r, c], g[r, c + 1], curvature[r, c], cell[r, c]]))
+        cells = np.concatenate(live, axis=1)
+        for level in range(_REFINE_LEVELS + 1):
+            side = cells[0].astype(np.intp)
+            best = rest.copy()
+            np.maximum.at(best, side, cells[-1])
+            if level == _REFINE_LEVELS or cells.size > _SCREEN_BUDGET:
+                break
+            alive = self._reaches(cells[-1] + best[other[side]], target, min_gain)
+            np.maximum.at(rest, side[~alive], cells[-1][~alive])
+            if not alive.any():
+                break
+            cells = self._bisect(cells[:, alive], ks)
+        out = bound.copy()
+        out[ks] = np.minimum(bound[ks], best[:m] + best[m:] - self.base)
+        return out
+
+    def _reaches(self, total, target, min_gain):
+        gain = total - self.base
+        return (gain >= target) & (gain > min_gain)
+
+    def _bisect(self, cells, ks) -> np.ndarray:
+        """Both halves of every live cell, with their bounds (see ``refine``)."""
+        whole = (cells[1] < 0.0) & (cells[2] > 0.0)
+        kept, cells = cells[:, whole], cells[:, ~whole]
+        side, a, b, fa, fb, ga, gb, curvature, parent = cells
+        side = side.astype(np.intp)
+        mid = 0.5 * (a + b)
+        grid, col = np.unique(mid, return_inverse=True)
+        fm, gm = np.empty(len(mid)), np.empty(len(mid))
+        side_sums = _side_sums(self._splits(ks, self.orders), len(self.uv))
+        width = _block_width(max(len(self.uv), 2 * len(ks)))
+        for c0 in range(0, len(grid), width):
+            ll, score = log_density_and_score(self.spec, grid[c0 : c0 + width], self.uv[:, 0], self.uv[:, 1])
+            sums = side_sums(np.stack([ll, score], axis=1))
+            sel = (col >= c0) & (col < c0 + width)
+            fm[sel], gm[sel] = sums[side[sel], 0, col[sel] - c0], sums[side[sel], 1, col[sel] - c0]
+        low = np.minimum(_cell_maxima(fa, fm, ga, gm, curvature, a, mid), parent)
+        high = np.minimum(_cell_maxima(fm, fb, gm, gb, curvature, mid, b), parent)
+        return np.concatenate([
+            np.stack([side, a, mid, fa, fm, ga, gm, curvature, low]),
+            np.stack([side, mid, b, fm, fb, gm, gb, curvature, high]),
+            kept,
+        ], axis=1)
 
 
-def _side_sums(table, features) -> np.ndarray:
-    """Column sums of ``table`` over every cut's left side, then every right side."""
-    prefix = [
-        np.cumsum(np.add.reduceat(table[fc.order], np.concatenate(([0], fc.n_left)), axis=0), axis=0)
-        for fc in features
-    ]
-    return np.concatenate([p[:-1] for p in prefix] + [p[-1] - p[:-1] for p in prefix])
+def _rule(features, k: int) -> SplitRule:
+    """Rule of cut ``k`` in (feature, position) order."""
+    for fc in features:
+        if k < len(fc.n_left):
+            return fc.rule(k)
+        k -= len(fc.n_left)
+    raise IndexError(k)
 
 
 def find_optimal_split(
@@ -486,6 +638,8 @@ def find_optimal_split(
     stopping: StoppingConfig,
     rows=None,
     parent_fit: FitResult | None = None,
+    *,
+    _table: np.ndarray | None = None,
 ) -> _Candidate | None:
     """Best admissible split of a node, or None when nothing improves.
 
@@ -494,44 +648,60 @@ def find_optimal_split(
     to the first cut in (feature, position) order.  Cuts are refit with
     fit_mle in descending order of their screened gain bound until the
     next bound falls below the best exact gain, so the answer is the one
-    an exhaustive refit of every cut gives.
+    an exhaustive refit of every cut gives.  The cut with the top grid
+    bound is refit first; its exact gain lets ``_Screen.refine`` tighten
+    the bounds of the cuts that might beat it.
+
+    ``_table`` is internal: ``build_maximal_tree`` passes the row table of
+    all of ``pseudo``'s rows.  Without it the node's rows get their own.
     """
     idx = np.arange(data.n) if rows is None else np.asarray(rows)
     if len(idx) < 2 * stopping.min_leaf:
         return None
     if parent_fit is None:
         parent_fit = node_fit(spec, pseudo, idx, stopping.min_fit_n)
-
+    if _table is None:
+        table, at = _row_table(spec, pseudo.values[idx]), np.arange(len(idx))
+    else:
+        table, at = _table, idx
     features = _node_cuts(
         data, idx, stopping.min_leaf, stopping.max_candidates,
         lambda j: order_modalities(spec, pseudo, data, j, idx, stopping.min_fit_n),
     )
-    return _refit_best(
-        data, idx, features,
-        _screen_bounds(spec, pseudo.values[idx], features, parent_fit.loglik),
-        lambda rows: fit_mle(spec, pseudo.values[rows], min_fit_n=stopping.min_fit_n),
-        lambda lf, rf: lf.loglik + rf.loglik - parent_fit.loglik,
-        stopping.min_gain,
-    )
+
+    def fit(rows):
+        return fit_mle(spec, pseudo.values[rows], min_fit_n=stopping.min_fit_n)
+
+    def gain_of(lf, rf):
+        return lf.loglik + rf.loglik - parent_fit.loglik
+
+    screen = _Screen(spec, table, at, pseudo.values[idx], features, parent_fit.loglik)
+    bound = screen.bounds()
+    fitted = {}
+    if len(bound) and bound.max() > stopping.min_gain:
+        top = int(np.argmax(bound))  # the first cut _refit_best would refit
+        fitted[top] = tuple(fit(rows) for rows in _cut_rows(data, idx, _rule(features, top)))
+        bound = screen.refine(bound, top, gain_of(*fitted[top]), stopping.min_gain)
+    return _refit_best(data, idx, features, bound, fit, gain_of, stopping.min_gain, fitted)
 
 
-def _refit_best(data, idx, features, bound, fit, gain_of, min_gain) -> _Candidate | None:
+def _refit_best(data, idx, features, bound, fit, gain_of, min_gain, fitted=None) -> _Candidate | None:
     """Refit cuts in descending order of their gain ``bound`` until the next
     bound falls below the best exact gain ``gain_of(left fit, right fit)``.
 
     Ties go to the first cut in (feature, position) order, and only a gain
     above ``min_gain`` is returned.  Given true upper bounds, the answer is
-    the one refitting every cut gives.
+    the one refitting every cut gives.  ``fitted`` maps cuts fitted
+    already to their (left, right) fits.
     """
-    starts = np.cumsum([0] + [len(fc.n_left) for fc in features])
+    fitted = fitted or {}
     best, best_k = None, -1
     for k in np.lexsort((np.arange(len(bound)), -bound)):
         if not bound[k] > min_gain or (best is not None and bound[k] < best.gain):
             break
-        f = int(np.searchsorted(starts, k, side="right")) - 1
-        rule = features[f].rule(k - starts[f])
+        rule = _rule(features, k)
         left_rows, right_rows = _cut_rows(data, idx, rule)
-        lf, rf = fit(left_rows), fit(right_rows)
+        lf, rf = fitted[k] if k in fitted else (fit(left_rows), fit(right_rows))
         gain = gain_of(lf, rf)
         if best is None or gain > best.gain or (gain == best.gain and k < best_k):
             best, best_k = _Candidate(rule, gain, lf, rf, left_rows, right_rows), k
@@ -566,7 +736,8 @@ def sse_split(y: np.ndarray, data: Dataset, idx, parent: SseFit, min_leaf: int) 
         data, idx, min_leaf, None, lambda j: _levels_by_mean(yv, data.covariates[j].values[idx])
     )
     centred = yv - parent.mean
-    s1, s2 = _side_sums(np.column_stack([centred, centred**2]), features).T
+    side_sums = _side_sums([(fc.order, fc.n_left) for fc in features], len(idx))
+    s1, s2 = side_sums(np.column_stack([centred, centred**2])).T
     n_left = np.concatenate([fc.n_left for fc in features])
     side_sse = s2 - s1**2 / np.concatenate([n_left, len(idx) - n_left])
     parent_sse = -parent.loglik
@@ -613,12 +784,17 @@ def build_maximal_tree(
     data: Dataset,
     stopping: StoppingConfig = StoppingConfig(),
 ) -> CopulaTree:
-    """Grow the maximal copula tree by the log-likelihood criterion."""
+    """Grow the maximal copula tree by the log-likelihood criterion.
+
+    The rows' screen entries are computed once (``_row_table``), and every
+    node's split search reads its rows from that table.
+    """
     if pseudo.values.shape[0] != data.n:
         raise SchemaError("pseudo-observations and dataset are not row aligned")
+    table = _row_table(spec, pseudo.values)
     root = grow(
         lambda idx: node_fit(spec, pseudo, idx, stopping.min_fit_n),
-        lambda idx, fit: find_optimal_split(spec, pseudo, data, stopping, idx, fit),
+        lambda idx, fit: find_optimal_split(spec, pseudo, data, stopping, idx, fit, _table=table),
         np.arange(data.n),
         stopping.max_leaves,
     )

@@ -106,6 +106,30 @@ class TestFit:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: schema: {short}: line 4: short row"]
 
+    def test_long_row_is_schema_error(self, fit_csv, tmp_path, capsys):
+        # an unquoted comma in a categorical value splits it into an extra field
+        long = tmp_path / "long.csv"
+        lines = fit_csv.read_text().splitlines()
+        long.write_text("\n".join(lines[:6] + [lines[6] + ",b"] + lines[7:]) + "\n")
+        assert run_fit(long, tmp_path / "fit") == EXIT_SCHEMA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: schema: {long}: line 7: long row"]
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_max_candidates_below_one_is_config_error(self, fit_csv, tmp_path, capsys, value, via_config):
+        argv = ["fit", "--input", str(fit_csv), "--out", str(tmp_path / "o"), "--family", "clayton", "--seed", "1"]
+        if via_config:
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(f"max_candidates = {value}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--max-candidates", value]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: config: max_candidates must be >= 1 or unset"]
+
     def test_missing_column_schema_exit(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("y_a,x_g:cat\n1.0,a\n")
@@ -164,6 +188,23 @@ class TestFit:
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: config: ")
+
+
+class TestSimulateConfig:
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_max_candidates_below_one_is_config_error(self, tmp_path, capsys, value, via_config):
+        argv = ["simulate", "--families", "clayton", "--surfaces", "step", "--reps", "1", "--n", "200",
+                "--seed", "1", "--out", str(tmp_path / "sim")]
+        if via_config:
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(f"max_candidates = {value}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--max-candidates", value]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: config: max_candidates must be >= 1 or unset"]
 
 
 class TestParser:
@@ -238,6 +279,18 @@ class TestPredict:
         assert rc == EXIT_SCHEMA
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: schema: ") and err[0].endswith("short row")
+
+    def test_long_row_is_schema_error(self, fit_csv, tmp_path, capsys):
+        out = tmp_path / "fit"
+        assert run_fit(fit_csv, out) == EXIT_OK
+        cov = tmp_path / "cov.csv"
+        cov.write_text("x_g:cat,x_z:num\na,0.5\na,b,0.5\n")
+        capsys.readouterr()
+        rc = main(["predict", "--tree", str(out / "tree.json"), "--input", str(cov), "--out", str(tmp_path / "p.csv")])
+        assert rc == EXIT_SCHEMA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: schema: {cov}: line 3: long row"]
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("doc", ['{"format_version": 1}', "not json at all", "[1, 2]",
                                      '{"format_version": 1, "family": "clayton", "covariates": [],'

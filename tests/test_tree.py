@@ -1,6 +1,7 @@
 """Tests for the copula tree: split search, growth, prediction."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -481,12 +482,20 @@ class TestScreenedSplitSearch:
             data, idx, stopping.min_leaf, stopping.max_candidates,
             lambda j: tr.order_modalities(spec, pseudo, data, j, idx, stopping.min_fit_n),
         )
-        bounds = iter(tr._screen_bounds(spec, uv, features, parent.loglik))
+        gains = []
         for fc in features:
             for k in range(len(fc.n_left)):
                 left, right = tr._cut_rows(data, idx, fc.rule(k))
-                gain = cp.fit_mle(spec, uv[left]).loglik + cp.fit_mle(spec, uv[right]).loglik - parent.loglik
-                assert next(bounds) >= gain
+                gains.append(cp.fit_mle(spec, uv[left]).loglik + cp.fit_mle(spec, uv[right]).loglik - parent.loglik)
+        gains = np.array(gains)
+        screen = tr._Screen(spec, tr._row_table(spec, uv), idx, uv, features, parent.loglik)
+        bound = screen.bounds()
+        assert np.all(bound >= gains)
+        if len(gains):
+            top = int(np.argmax(bound))
+            # the search's own target, the top cut's gain, and one that refines every cut
+            for target in (gains[top], gains.min()):
+                assert np.all(screen.refine(bound, top, target, -np.inf) >= gains)
 
     @given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**31), squash=st.sampled_from([1.0, 4.0]))
     @settings(max_examples=30, deadline=None)
@@ -513,10 +522,8 @@ class TestScreenedSplitSearch:
         # partition twice; its gain ties exactly and the first feature wins,
         # also when valid but reversed bounds refit the later cut first
         if later_first:
-            monkeypatch.setattr(
-                tr, "_screen_bounds", lambda spec, uv, features, ll: 1e9 + np.arange(
-                    sum(len(fc.n_left) for fc in features), dtype=float)
-            )
+            monkeypatch.setattr(tr._Screen, "bounds", lambda self: 1e9 + np.arange(len(self.n_left), dtype=float))
+            monkeypatch.setattr(tr._Screen, "refine", lambda self, bound, *rest: bound)
         rng = np.random.default_rng(seed)
         n = 120
         x = (rng.random(n) < 0.5).astype(float)
@@ -540,3 +547,58 @@ class TestScreenedSplitSearch:
         uv = cp.sample(spec, cp.tau_to_theta(spec, tau), n, rng)
         uv = np.clip(uv, 1e-12, 1 - 1e-12)
         assert cp.fit_mle(spec, uv[rng.permutation(n)]) == cp.fit_mle(spec, uv)
+
+
+def node_rows(tree, data):
+    """(node, its training rows) for every node of ``tree``."""
+    out, stack = [], [(tree.root, np.arange(data.n))]
+    while stack:
+        node, rows = stack.pop()
+        out.append((node, rows))
+        if not node.is_leaf:
+            left = node.rule.goes_left(data.covariates[node.rule.feature].values[rows])
+            stack += [(node.left, rows[left]), (node.right, rows[~left])]
+    return out
+
+
+class TestMaximalTreeSearch:
+    @given(case=node_cases, squash=st.sampled_from([1.0, 3.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_every_node_equals_brute_force(self, case, squash):
+        # the tree's shared row table must give each node the split a brute-force
+        # refit of that node's rows alone gives; no leaf is left by the leaf cap
+        spec, pseudo, data = random_node(case["family"], case["n"], case["seed"], case["kinds"], case["taus"])
+        pseudo = PseudoObservations(np.clip(pseudo.values**squash, 1e-300, 1 - 1e-16), "t")
+        stopping = tr.StoppingConfig(
+            min_leaf=case["min_leaf"], max_candidates=case["max_candidates"], max_leaves=64
+        )
+        tree = tr.build_maximal_tree(spec, pseudo, data, stopping)
+        for node, rows in node_rows(tree, data):
+            expected = brute_force_split(
+                spec, PseudoObservations(pseudo.values[rows], "t"), data.subset(rows), stopping
+            )
+            if node.is_leaf:
+                assert expected is None
+                continue
+            gain = node.left.fit.loglik + node.right.fit.loglik - node.fit.loglik
+            assert (node.rule, gain, node.left.fit, node.right.fit) == expected[:4]
+
+    def test_memory_stays_linear_in_n(self):
+        # an uncapped root search: the row table is the only array that grows with
+        # the rows, every other one is held to the screen's budget
+        peaks = {}
+        for n in (2000, 4000):
+            rng = np.random.default_rng(3)
+            x = rng.random((n, 2))
+            pseudo = PseudoObservations(copula_rows(np.where(x[:, 0] < 0.4, 0.3, 0.6), n, 4), "t")
+            data = Dataset(np.zeros((n, 2)), (numeric_column("x1", x[:, 0]), numeric_column("x2", x[:, 1])))
+            parent = tr.node_fit(CLAYTON, pseudo)
+            tracemalloc.start()
+            try:
+                cand = tr.find_optimal_split(CLAYTON, pseudo, data, tr.StoppingConfig(min_leaf=50), parent_fit=parent)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert cand.rule.feature == 0
+        assert peaks[4000] <= 2.2 * peaks[2000]
+        assert peaks[4000] < 24 * 2**20
