@@ -29,7 +29,6 @@ from enum import Enum
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy import optimize
 from scipy.special import bernoulli, spence
 
 from .errors import BoundaryError, DomainError, FitError, InsufficientDataError
@@ -762,17 +761,105 @@ def fit_mle(spec: CopulaSpec, data, min_fit_n: int = _DEFAULT_MIN_FIT_N) -> FitR
     nll, to_theta = _nll_factory(spec, uv)
     lo, hi = _search_bounds(spec)
 
-    res = optimize.minimize_scalar(
-        nll, bounds=(lo, hi), method="bounded", options={"xatol": 1e-6}
-    )
-    loglik = -float(res.fun)
+    x, fun, success = _fminbound(nll, lo, hi, 1e-6)
+    loglik = -float(fun)
     if not math.isfinite(loglik):
         raise FitError(f"{spec.family.value}: log-likelihood not finite at optimum")
-    theta_hat = float(to_theta(float(res.x)))
+    theta_hat = float(to_theta(x))
     return FitResult(
         theta_hat=theta_hat,
         tau_hat=theta_to_tau(spec, theta_hat),
         loglik=loglik,
         n_obs=uv.shape[0],
-        converged=bool(res.success),
+        converged=success,
     )
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _fminbound(func, lo: float, hi: float, xatol: float, maxfun: int = 500):
+    """Brent's bounded minimiser of a scalar function on [lo, hi].
+
+    A port of scipy's ``minimize_scalar(method="bounded")`` (scipy 1.17)
+    that performs the same floating-point operations in the same order, so
+    it evaluates ``func`` at the same points and returns the same bits.
+    Returns ``(x, fun, success)``; ``success`` is False when ``maxfun``
+    evaluations are spent or the result is NaN.  ``lo <= hi``, both finite.
+
+    The step ``rat`` is never NaN: a parabolic step passes three ordered
+    comparisons, which NaN fails, and the other steps are finite.  So the
+    plain-float sign and max below equal numpy's sign and maximum.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    flag = 0
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (-1.0 if xm < xf else 1.0)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            flag = 1
+            break
+
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        flag = 2
+    return xf, fx, flag == 0

@@ -46,6 +46,25 @@ def categorical_column(name: str, labels) -> Column:
     return Column(name, CATEGORICAL, codes, levels)
 
 
+def average_ranks(x) -> np.ndarray:
+    """1-based ranks of a finite 1-d array; tied values share their mean rank.
+
+    The ranks are exact half-integers, so they equal
+    ``scipy.stats.rankdata(x, method="average")`` bit for bit.
+    """
+    x = np.asarray(x)
+    order = np.argsort(x)
+    xs = x[order]
+    first = np.empty(len(xs), dtype=bool)  # starts of the runs of equal values
+    first[:1] = True
+    first[1:] = xs[1:] != xs[:-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(xs))
+    ranks = np.empty(len(xs))
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return ranks
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Response matrix (n x 2) plus tagged covariate columns, row aligned."""

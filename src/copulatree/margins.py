@@ -22,9 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import rankdata
 
-from .data import CATEGORICAL, NUMERIC, Dataset, PseudoObservations
+from .data import CATEGORICAL, NUMERIC, Dataset, PseudoObservations, average_ranks
 from .errors import ConfigError, RegressionError
 from .pruning import choose_k, weakest_link_path
 from .tree import ColumnSchema, TreeNode, grow, route, schema_of, sse_fit, sse_split, walk
@@ -45,9 +44,7 @@ _KERNEL_BLOCK_ROWS = 128
 
 
 def _column_ranks(y: np.ndarray) -> np.ndarray:
-    return np.column_stack(
-        [rankdata(y[:, j], method="average") for j in range(y.shape[1])]
-    )
+    return np.column_stack([average_ranks(y[:, j]) for j in range(y.shape[1])])
 
 
 def pseudo_empirical(data: Dataset) -> PseudoObservations:
@@ -236,7 +233,7 @@ def pseudo_margin_tree(
         for leaf in np.unique(leaf_ids):
             mask = leaf_ids == leaf
             block = y[mask]
-            out[mask, j] = rankdata(block, method="average") / (block.size + 1)
+            out[mask, j] = average_ranks(block) / (block.size + 1)
             tree.leaf_values[int(leaf)] = np.sort(block)
         trees.append(tree)
     return PseudoObservations(out, "margin_tree"), tuple(trees)

@@ -53,7 +53,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.stats import rankdata
 
 from .copulas import (
     CopulaSpec,
@@ -64,7 +63,7 @@ from .copulas import (
     screen_grid,
 )
 from .copulas import log_density as _log_density
-from .data import CATEGORICAL, NUMERIC, Column, Dataset, PseudoObservations
+from .data import CATEGORICAL, NUMERIC, Column, Dataset, PseudoObservations, average_ranks
 from .errors import ConfigError, SchemaError
 
 __all__ = [
@@ -297,8 +296,7 @@ def order_modalities(
     idx = np.arange(data.n) if rows is None else np.asarray(rows)
     codes = col.values[idx]
     uv = pseudo.values[idx]
-    # merge key: mean over both response columns of the within-node ranks
-    rank_mean = (rankdata(uv[:, 0]) + rankdata(uv[:, 1])) / (2.0 * (len(idx) + 1))
+    rank_mean = None  # merge key, ranked only once a merge is needed
 
     groups: list[list[int]] = [[int(c)] for c in np.unique(codes)]
     group_of = np.empty(len(col.levels), dtype=np.int64)  # level code -> group index
@@ -308,19 +306,23 @@ def order_modalities(
             group_of[g] = k
         member = group_of[codes]
         masks = [member == k for k in range(len(groups))]
-        stats = [(int(m.sum()), float(rank_mean[m].mean())) for m in masks]
-        sparse = [i for i, (cnt, _) in enumerate(stats) if cnt < min_fit_n]
+        counts = [int(m.sum()) for m in masks]
+        sparse = [i for i, cnt in enumerate(counts) if cnt < min_fit_n]
         if len(groups) == 1 or not sparse:
             break
-        i = min(sparse, key=lambda i: (stats[i][0], groups[i][0]))
+        if rank_mean is None:
+            # mean over both response columns of the within-node ranks
+            rank_mean = (average_ranks(uv[:, 0]) + average_ranks(uv[:, 1])) / (2.0 * (len(idx) + 1))
+        means = [float(rank_mean[m].mean()) for m in masks]
+        i = min(sparse, key=lambda i: (counts[i], groups[i][0]))
         others = [j for j in range(len(groups)) if j != i]
-        j = min(others, key=lambda j: (abs(stats[j][1] - stats[i][1]), groups[j][0]))
+        j = min(others, key=lambda j: (abs(means[j] - means[i]), groups[j][0]))
         merged = sorted(groups[i] + groups[j])
         groups = [g for k, g in enumerate(groups) if k not in (i, j)] + [merged]
         groups.sort(key=lambda g: g[0])
 
     fitted = []
-    for g, mask, (cnt, _) in zip(groups, masks, stats):
+    for g, mask, cnt in zip(groups, masks, counts):
         if cnt >= min_fit_n:
             theta = fit_mle(spec, uv[mask], min_fit_n=min_fit_n).theta_hat
         else:  # single under-sized group left: order degenerates

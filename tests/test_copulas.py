@@ -7,6 +7,9 @@ Frank tau bridge, plus quad of the Genest-MacKay generator formula, which
 does not pass through the Debye function, for Frank's tau.
 """
 
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -314,6 +317,94 @@ class TestFitMle:
                 errs.append(abs(cp.fit_mle(spec, uv).tau_hat - tau0))
             med.append(float(np.median(errs)))
         assert med[0] >= med[1] >= med[2]
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _recorded(func):
+    """``func`` plus the list of the points it is called at."""
+    points = []
+
+    def wrapped(x):
+        points.append(_bits(x))
+        return func(x)
+
+    return wrapped, points
+
+
+def assert_same_search(func, lo, hi, xatol, maxfun=500):
+    """_fminbound and scipy's bounded method visit the same points and agree
+    bit for bit on x, fun, the evaluation count and success."""
+    theirs, their_points = _recorded(func)
+    ours, our_points = _recorded(func)
+    res = optimize.minimize_scalar(
+        theirs, bounds=(lo, hi), method="bounded", options={"xatol": xatol, "maxiter": maxfun}
+    )
+    x, fun, success = cp._fminbound(ours, lo, hi, xatol, maxfun)
+    assert our_points == their_points
+    assert (_bits(x), _bits(fun)) == (_bits(res.x), _bits(res.fun))
+    assert len(our_points) == res.nfev
+    assert success is bool(res.success)
+    return res
+
+
+class TestBoundedSearch:
+    """cp._fminbound against scipy's minimize_scalar(method="bounded")."""
+
+    @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.family.value)
+    @pytest.mark.parametrize("power", [1, 3], ids=["uniform", "corners"])
+    def test_fit_objectives_match_scipy(self, spec, power):
+        taus = (0.02, 0.3, 0.75) + ((-0.05, -0.4) if spec is FRANK else ())
+        lo, hi = cp._search_bounds(spec)
+        for tau, n in ((tau, n) for tau in taus for n in (10, 60, 400, 1200)):
+            uv = cp.sample(spec, cp.tau_to_theta(spec, tau), n, seed=n) ** power
+            uv = uv[np.lexsort((uv[:, 1], uv[:, 0]))]
+            nll, _ = cp._nll_factory(spec, uv)
+            assert assert_same_search(nll, lo, hi, 1e-6).success
+
+    @pytest.mark.parametrize(
+        "func",
+        [
+            lambda x: math.inf if x < 0.3 else (x - 0.6) ** 2,
+            lambda x: math.inf if 0.35 < x < 0.4 else (x - 0.8) ** 2,  # inf at the first point
+            lambda x: math.nan if x > 0.7 else (x - 0.9) ** 2,
+            lambda x: math.nan if 0.35 < x < 0.4 else (x - 0.1) ** 2,  # nan at the first point
+            lambda x: np.float64(math.nan),
+            lambda x: math.inf,
+            lambda x: 1.0,
+            lambda x: 0.0 if x < 0.6 else 1.0,  # flat pieces: ties between points
+            lambda x: x,
+            lambda x: -x,
+            lambda x: np.log(x) if x > 0.5 else np.float64(math.nan),
+        ],
+        ids=["inf-left", "inf-first", "nan-right", "nan-first", "nan", "inf", "flat",
+             "step", "min-at-lo", "min-at-hi", "log-nan-left"],
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # scipy's numpy scalars
+    def test_non_finite_flat_and_bound_objectives_match_scipy(self, func):
+        assert_same_search(func, 0.0, 1.0, 1e-6)
+
+    def test_nan_result_is_not_a_success(self):
+        assert not assert_same_search(lambda x: math.nan, 0.0, 1.0, 1e-6).success
+
+    def test_exhausted_maxfun_is_not_a_success(self):
+        # with xatol = 0 the tolerance shrinks with |x| and never lets |x| -> 0 stop
+        res = assert_same_search(abs, -1.0, 1.0, 0.0)
+        assert res.nfev == 500 and not res.success
+
+    @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.family.value)
+    def test_exhausted_search_gives_an_unconverged_fit(self, spec, monkeypatch):
+        uv = cp.sample(spec, cp.tau_to_theta(spec, 0.4), 300, seed=2)
+        uv = uv[np.lexsort((uv[:, 1], uv[:, 0]))]
+        nll, to_theta = cp._nll_factory(spec, uv)
+        lo, hi = cp._search_bounds(spec)
+        res = assert_same_search(nll, lo, hi, 1e-6, maxfun=5)
+        monkeypatch.setattr(cp, "_fminbound", functools.partial(cp._fminbound, maxfun=5))
+        fit = cp.fit_mle(spec, uv)
+        assert not fit.converged
+        assert fit.theta_hat == to_theta(float(res.x)) and fit.loglik == -float(res.fun)
 
 
 class TestScreenDensity:

@@ -5,12 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
 
 from copulatree import margins as mg
 from copulatree import simulation as sim
 from copulatree.compositional import aggregate_counts, ilr_forward
-from copulatree.data import Dataset, categorical_column, numeric_column
+from copulatree.data import Dataset, average_ranks, categorical_column, numeric_column
 from copulatree.errors import ConfigError, RegressionError
 from copulatree.fludata import make_flu_fixture
 
@@ -40,6 +42,54 @@ class TestEmpirical:
 
     def test_single_row_is_half(self):
         assert np.allclose(mg.pseudo_empirical(make_dataset([4.2])).values, 0.5)
+
+
+def scipy_ranks(x):
+    return stats.rankdata(x, method="average")
+
+
+class TestAverageRanks:
+    """data.average_ranks against scipy.stats.rankdata(method="average")."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([-0.0, 0.0, 1.0, 2.5, -3.0]),  # heavy ties
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    @example([4.2])
+    @example([1.0, 1.0])
+    @example([2.0, 1.0])
+    @example([-0.0, 0.0, -0.0])
+    def test_equals_scipy_bit_for_bit(self, values):
+        x = np.array(values)
+        got = average_ranks(x)
+        assert got.dtype == np.float64
+        assert got.tobytes() == scipy_ranks(x).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    @pytest.mark.filterwarnings("ignore:too few rows")
+    def test_call_sites_equal_scipy_ranks(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        x = rng.random(n)
+        y = np.round(rng.normal(size=(n, 2)) + 3.0 * (x > 0.5)[:, None], 1)  # many ties
+        numeric = Dataset(y, (numeric_column("x", x),))
+        discrete = Dataset(y, (categorical_column("g", rng.integers(0, 3, n)),))
+
+        def estimates():
+            config = mg.MarginTreeConfig(min_leaf=20, seed=0)
+            pseudo, trees = mg.pseudo_margin_tree(numeric, config)
+            assert n < 40 or trees[0].n_leaves > 1
+            return mg.pseudo_empirical(numeric), mg.pseudo_discrete(discrete), pseudo
+
+        ours = estimates()
+        monkeypatch.setattr(mg, "average_ranks", scipy_ranks)
+        for a, b in zip(ours, estimates()):
+            assert a.values.tobytes() == b.values.tobytes()
 
 
 class TestKernel:

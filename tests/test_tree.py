@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from copulatree import copulas as cp
 from copulatree import tree as tr
@@ -89,6 +90,36 @@ class TestOrderModalities:
         groups = tr.order_modalities(CLAYTON, PseudoObservations(uv, "t"), data, 0)
         assert len(groups) == 2  # the 3-row level joined a neighbour
         assert sorted(c for g in groups for c in g) == [0, 1, 2]
+
+    def test_ranks_only_when_merging(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tr, "average_ranks", lambda x: calls.append(len(x)) or stats.rankdata(x))
+        pseudo, data = self._dataset([0.3, 0.7], 60, 400)
+        tr.order_modalities(CLAYTON, pseudo, data, 0)
+        assert calls == []  # no level group below min_fit_n
+        uv = np.vstack([pseudo.values, copula_rows(0.5, 3, 5), copula_rows(0.5, 2, 6)])
+        labs = ["l0"] * 60 + ["l1"] * 60 + ["tiny"] * 3 + ["wee"] * 2
+        data = Dataset(np.zeros((125, 2)), (categorical_column("g", labs),))
+        tr.order_modalities(CLAYTON, PseudoObservations(uv, "t"), data, 0)
+        assert calls == [125, 125]  # both columns, once for all merges
+
+    @settings(max_examples=30)
+    @given(
+        counts=st.lists(st.integers(1, 25), min_size=2, max_size=6),
+        seed=st.integers(0, 1000),
+    )
+    def test_merges_equal_scipy_ranks(self, counts, seed):
+        taus = np.linspace(0.1, 0.7, len(counts))
+        uv = np.vstack([copula_rows(t, c, seed + i) for i, (t, c) in enumerate(zip(taus, counts))])
+        uv = np.clip(np.round(uv, 1), 0.05, 0.95)  # heavy ties
+        labs = [f"l{i}" for i, c in enumerate(counts) for _ in range(c)]
+        data = Dataset(np.zeros((len(uv), 2)), (categorical_column("g", labs),))
+        rows = np.random.default_rng(seed).permutation(len(uv))[: max(2, len(uv) - 3)]
+        pseudo = PseudoObservations(uv, "t")
+        ours = tr.order_modalities(CLAYTON, pseudo, data, 0, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tr, "average_ranks", stats.rankdata)
+            assert tr.order_modalities(CLAYTON, pseudo, data, 0, rows) == ours
 
     def test_numeric_feature_rejected(self):
         pseudo, _ = self._dataset([0.4], 50, 500)
