@@ -52,17 +52,8 @@ def average_ranks(x) -> np.ndarray:
     The ranks are exact half-integers, so they equal
     ``scipy.stats.rankdata(x, method="average")`` bit for bit.
     """
-    x = np.asarray(x)
-    order = np.argsort(x)
-    xs = x[order]
-    first = np.empty(len(xs), dtype=bool)  # starts of the runs of equal values
-    first[:1] = True
-    first[1:] = xs[1:] != xs[:-1]
-    starts = np.flatnonzero(first)
-    counts = np.diff(starts, append=len(xs))
-    ranks = np.empty(len(xs))
-    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
-    return ranks
+    _, inv, cnt = np.unique(np.asarray(x), return_inverse=True, return_counts=True)
+    return (np.cumsum(cnt) - (cnt - 1) / 2.0)[inv]
 
 
 @dataclass(frozen=True)

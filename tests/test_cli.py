@@ -59,7 +59,7 @@ def test_cli_import_leaves_out_scipy_optimize_and_stats():
         "import sys, copulatree.cli; "
         "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
     )
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
