@@ -127,10 +127,13 @@ def aggregate_counts(
     take the pseudo-count before normalisation.
     """
     sums: dict[tuple[str, str], list] = {}
+    seasons: dict[str, str] = {}  # iso_week -> season, each week worked out once
     for i, rec in enumerate(records):
         if min(rec.count_h1, rec.count_h3, rec.count_b) < 0:
             raise IngestionError(f"row {i}: negative count")
-        season = _season_of(rec.iso_week, boundary_month, boundary_day)
+        season = seasons.get(rec.iso_week)
+        if season is None:
+            season = seasons[rec.iso_week] = _season_of(rec.iso_week, boundary_month, boundary_day)
         key = (rec.unit_id, season)
         entry = sums.setdefault(key, [0, 0, 0, rec.itz])
         entry[0] += rec.count_h1

@@ -756,8 +756,19 @@ def fit_mle(spec: CopulaSpec, data, min_fit_n: int = _DEFAULT_MIN_FIT_N) -> FitR
             f"need at least {min_fit_n} pairs to fit, got {uv.shape[0]}"
         )
     _check_interior(uv[:, 0], uv[:, 1])
-    uv = uv[np.lexsort((uv[:, 1], uv[:, 0]))]
+    theta_hat, loglik, converged = _mle_search(spec, uv)
+    return FitResult(
+        theta_hat=theta_hat,
+        tau_hat=theta_to_tau(spec, theta_hat),
+        loglik=loglik,
+        n_obs=uv.shape[0],
+        converged=converged,
+    )
 
+
+def _mle_search(spec: CopulaSpec, uv: np.ndarray) -> tuple[float, float, bool]:
+    """fit_mle's search on checked rows: (theta_hat, loglik, converged), no tau."""
+    uv = uv[np.lexsort((uv[:, 1], uv[:, 0]))]
     nll, to_theta = _nll_factory(spec, uv)
     lo, hi = _search_bounds(spec)
 
@@ -765,14 +776,7 @@ def fit_mle(spec: CopulaSpec, data, min_fit_n: int = _DEFAULT_MIN_FIT_N) -> FitR
     loglik = -float(fun)
     if not math.isfinite(loglik):
         raise FitError(f"{spec.family.value}: log-likelihood not finite at optimum")
-    theta_hat = float(to_theta(x))
-    return FitResult(
-        theta_hat=theta_hat,
-        tau_hat=theta_to_tau(spec, theta_hat),
-        loglik=loglik,
-        n_obs=uv.shape[0],
-        converged=success,
-    )
+    return float(to_theta(x)), loglik, success
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)

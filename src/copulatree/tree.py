@@ -15,8 +15,10 @@ values (optionally capped to an evenly spaced subset for large nodes).
 Categorical features are ordered by the per-level fitted parameter and
 only the contiguous cuts of that ordering are tested; levels too sparse
 to fit are first merged into the level with the closest response-rank
-mean.  Ties are broken by (feature index, threshold / shortest left set),
-so the search result does not depend on row or evaluation order.
+mean; within one maximal tree each level group is searched once
+(``_Build``).  Ties are broken by (feature index, threshold / shortest
+left set), so the search result does not depend on row or evaluation
+order.
 
 The search is exact without refitting every cut.  A screen bounds each
 cut's gain from above first:
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -57,10 +60,13 @@ from scipy.sparse import csr_array
 from .copulas import (
     CopulaSpec,
     FitResult,
+    _check_interior,
+    _mle_search,
     curvature_caps,
     fit_mle,
     log_density_and_score,
     screen_grid,
+    theta_to_tau,
 )
 from .copulas import log_density as _log_density
 from .data import CATEGORICAL, NUMERIC, Column, Dataset, PseudoObservations, average_ranks
@@ -141,7 +147,17 @@ class SplitRule:
         """Mask of the ``values`` (of this rule's feature) routed left."""
         if self.is_numeric:
             return values <= self.threshold
-        return np.isin(values, list(self.left_levels))
+        lut = self._left_lookup
+        return lut[np.clip(values, -1, len(lut) - 1)]
+
+    @cached_property
+    def _left_lookup(self) -> np.ndarray:
+        """Level code -> goes left, for codes 0 .. max(left_levels) + 1.  The
+        last entry is False, and every code outside the table is clipped onto
+        it or, below zero, onto index -1, the same entry."""
+        lut = np.zeros(max(self.left_levels, default=-1) + 2, dtype=bool)
+        lut[list(self.left_levels)] = True
+        return lut
 
 
 @dataclass(frozen=True)
@@ -282,13 +298,20 @@ def order_modalities(
     feature: int,
     rows=None,
     min_fit_n: int = 10,
+    *,
+    _searches: dict | None = None,
 ) -> list[tuple[int, ...]]:
     """Order the observed levels of a categorical feature by fitted theta.
 
     Levels with fewer than ``min_fit_n`` rows are merged into the level
     group with the closest within-node response-rank mean before fitting.
     Returns level-code groups sorted ascending by the group theta_hat
-    (ties by the lowest level code in the group).
+    (ties by the lowest level code in the group).  Only theta is used, so
+    a group gets fit_mle's search without its tau.
+
+    ``_searches`` is internal: ``find_optimal_split`` passes its memo of
+    searches keyed by their ascending global rows (``_Build``); a group
+    found there is not searched again.
     """
     col = data.covariates[feature]
     if col.kind != CATEGORICAL:
@@ -321,12 +344,18 @@ def order_modalities(
         groups = [g for k, g in enumerate(groups) if k not in (i, j)] + [merged]
         groups.sort(key=lambda g: g[0])
 
+    if len(groups) > 1 or counts[0] >= min_fit_n:  # some group is fitted
+        _check_interior(uv[:, 0], uv[:, 1])
+    searches = {} if _searches is None else _searches
     fitted = []
     for g, mask, cnt in zip(groups, masks, counts):
-        if cnt >= min_fit_n:
-            theta = fit_mle(spec, uv[mask], min_fit_n=min_fit_n).theta_hat
-        else:  # single under-sized group left: order degenerates
+        if cnt < min_fit_n:  # single under-sized group left: order degenerates
             theta = 0.0
+        else:
+            key = idx[mask].tobytes()
+            if key not in searches:
+                searches[key] = _mle_search(spec, uv[mask])
+            theta = searches[key][0]
         fitted.append((theta, g[0], tuple(g)))
     fitted.sort(key=lambda t: (t[0], t[1]))
     return [g for _, _, g in fitted]
@@ -624,6 +653,23 @@ class _Screen:
         ], axis=1)
 
 
+@dataclass(frozen=True)
+class _Build:
+    """What the split searches of one maximal tree share, for that build only.
+
+    ``table`` is the row table of all rows (``_row_table``).  ``searches``
+    maps a level group's rows, the build's global row indices in ascending
+    order as bytes, to its fit_mle search (theta_hat, loglik, converged);
+    ``order_modalities`` fills it, and a refit cut side that is one such
+    group reads it.  Node rows are ascending at every node (the root is a
+    range, children are masks of it), so equal row sets give equal keys.
+    A ``find_optimal_split`` call on its own makes one for its node.
+    """
+
+    table: np.ndarray
+    searches: dict[bytes, tuple[float, float, bool]] = field(default_factory=dict)
+
+
 def _rule(features, k: int) -> SplitRule:
     """Rule of cut ``k`` in (feature, position) order."""
     for fc in features:
@@ -641,7 +687,7 @@ def find_optimal_split(
     rows=None,
     parent_fit: FitResult | None = None,
     *,
-    _table: np.ndarray | None = None,
+    _build: _Build | None = None,
 ) -> _Candidate | None:
     """Best admissible split of a node, or None when nothing improves.
 
@@ -654,30 +700,36 @@ def find_optimal_split(
     bound is refit first; its exact gain lets ``_Screen.refine`` tighten
     the bounds of the cuts that might beat it.
 
-    ``_table`` is internal: ``build_maximal_tree`` passes the row table of
-    all of ``pseudo``'s rows.  Without it the node's rows get their own.
+    ``_build`` is internal: ``build_maximal_tree`` passes the row table of
+    all of ``pseudo``'s rows and its memo of level-group searches.  Without
+    it the node's rows get their own table and memo.
     """
     idx = np.arange(data.n) if rows is None else np.asarray(rows)
     if len(idx) < 2 * stopping.min_leaf:
         return None
     if parent_fit is None:
         parent_fit = node_fit(spec, pseudo, idx, stopping.min_fit_n)
-    if _table is None:
-        table, at = _row_table(spec, pseudo.values[idx]), np.arange(len(idx))
+    if _build is None:
+        _build, at = _Build(_row_table(spec, pseudo.values[idx])), np.arange(len(idx))
     else:
-        table, at = _table, idx
+        at = idx
+    searches = _build.searches
     features = _node_cuts(
         data, idx, stopping.min_leaf, stopping.max_candidates,
-        lambda j: order_modalities(spec, pseudo, data, j, idx, stopping.min_fit_n),
+        lambda j: order_modalities(spec, pseudo, data, j, idx, stopping.min_fit_n, _searches=searches),
     )
 
     def fit(rows):
-        return fit_mle(spec, pseudo.values[rows], min_fit_n=stopping.min_fit_n)
+        found = searches.get(rows.tobytes())
+        if found is None:
+            return fit_mle(spec, pseudo.values[rows], min_fit_n=stopping.min_fit_n)
+        theta_hat, loglik, converged = found  # a level group's search: add its tau
+        return FitResult(theta_hat, theta_to_tau(spec, theta_hat), loglik, len(rows), converged)
 
     def gain_of(lf, rf):
         return lf.loglik + rf.loglik - parent_fit.loglik
 
-    screen = _Screen(spec, table, at, pseudo.values[idx], features, parent_fit.loglik)
+    screen = _Screen(spec, _build.table, at, pseudo.values[idx], features, parent_fit.loglik)
     bound = screen.bounds()
     fitted = {}
     if len(bound) and bound.max() > stopping.min_gain:
@@ -789,14 +841,15 @@ def build_maximal_tree(
     """Grow the maximal copula tree by the log-likelihood criterion.
 
     The rows' screen entries are computed once (``_row_table``), and every
-    node's split search reads its rows from that table.
+    node's split search reads its rows from that table.  Each level group
+    is searched at most once per tree (``_Build``).
     """
     if pseudo.values.shape[0] != data.n:
         raise SchemaError("pseudo-observations and dataset are not row aligned")
-    table = _row_table(spec, pseudo.values)
+    build = _Build(_row_table(spec, pseudo.values))
     root = grow(
         lambda idx: node_fit(spec, pseudo, idx, stopping.min_fit_n),
-        lambda idx, fit: find_optimal_split(spec, pseudo, data, stopping, idx, fit, _table=table),
+        lambda idx, fit: find_optimal_split(spec, pseudo, data, stopping, idx, fit, _build=build),
         np.arange(data.n),
         stopping.max_leaves,
     )

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from copulatree import copulas as cp
+from copulatree import margins as mg
 from copulatree import tree as tr
+from copulatree.compositional import aggregate_counts, ilr_forward
 from copulatree.data import Dataset, PseudoObservations, categorical_column, numeric_column
 from copulatree.errors import ConfigError, InsufficientDataError
+from copulatree.fludata import make_flu_fixture
 from copulatree.serialize import tree_from_doc, tree_to_doc
 
 CLAYTON = cp.spec_for("clayton")
@@ -378,6 +381,16 @@ class TestBuildAndPredict:
         _, _, leaf_unseen = tree.predict_row([-1])  # unseen level code
         assert leaf_unseen == tree.root.right.id
 
+    @given(
+        left=st.frozensets(st.integers(0, 12), max_size=8),
+        codes=st.lists(st.integers(-3, 20), max_size=40),
+    )
+    def test_level_lookup_routes_like_isin(self, left, codes):
+        # negative codes and codes above every left level go right
+        rule = tr.SplitRule(0, left_levels=left)
+        values = np.array(codes + [-1, max(left, default=0) + 1], dtype=np.int64)
+        assert np.array_equal(rule.goes_left(values), np.isin(values, list(left)))
+
     def test_tree_loglik_consistency(self):
         pseudo, data = step_node(700, 456, with_x2_cut=False)
         tree = tr.build_maximal_tree(CLAYTON, pseudo, data, tr.StoppingConfig(min_leaf=50, max_candidates=16))
@@ -633,3 +646,100 @@ class TestMaximalTreeSearch:
             assert cand.rule.feature == 0
         assert peaks[4000] <= 2.2 * peaks[2000]
         assert peaks[4000] < 24 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the per-tree memo of level-group searches
+
+
+def flu_node(seed):
+    """Pseudo-observations and covariates as the flu subcommand builds them from the fixture."""
+    unit_years = aggregate_counts(make_flu_fixture(seed), min_total=50)
+    y = np.array([[pt.y1, pt.y2] for pt in (ilr_forward(uy.composition) for uy in unit_years)])
+    data = Dataset(y, (
+        categorical_column("season", [uy.season for uy in unit_years]),
+        categorical_column("itz", [uy.itz for uy in unit_years]),
+    ))
+    pseudo, _ = mg.pseudo_margin_tree(data, mg.MarginTreeConfig(seed=seed))
+    return pseudo, data
+
+
+def sparse_levels_node(family, n, seed, n_features):
+    """Rows whose dependence steps with the level of the first categorical
+    covariate, whose levels are skewed so that some fall below min_fit_n."""
+    spec = cp.spec_for(family)
+    rng = np.random.default_rng(seed)
+    covs, level_tau = [], None
+    for j in range(n_features):
+        k = int(rng.integers(3, 9))
+        p = rng.random(k) ** 3 + 1e-3
+        codes = rng.choice(k, n, p=p / p.sum())
+        covs.append(categorical_column(f"g{j}", [f"l{c}" for c in codes]))
+        level_tau = rng.uniform(0.05, 0.8, k)[codes] if level_tau is None else level_tau
+    theta = cp.tau_to_theta(spec, level_tau)
+    u = np.clip(rng.random(n), 1e-9, 1 - 1e-9)
+    v = np.clip(cp.conditional_quantile(spec, theta, u, rng.random(n)), 1e-12, 1 - 1e-12)
+    return spec, PseudoObservations(np.column_stack([u, v]), "t"), Dataset(np.zeros((n, 2)), tuple(covs))
+
+
+sparse_cases = st.fixed_dictionaries(
+    {
+        "family": st.sampled_from(FAMILIES),
+        "n": st.integers(60, 240),
+        "seed": st.integers(0, 2**31),
+        "n_features": st.integers(1, 2),
+        "min_leaf": st.integers(10, 30),
+    }
+)
+
+
+class TestLevelSearchMemo:
+    def test_no_build_searches_a_row_set_twice(self, monkeypatch):
+        # fit_mle's and order_modalities' searches both go through the core;
+        # a row set is its rows' values in canonical order
+        searched = []
+
+        def recording(search):
+            def core(spec, uv):
+                searched.append(uv[np.lexsort((uv[:, 1], uv[:, 0]))].tobytes())
+                return search(spec, uv)
+            return core
+
+        monkeypatch.setattr(cp, "_mle_search", recording(cp._mle_search))
+        monkeypatch.setattr(tr, "_mle_search", recording(tr._mle_search))
+        pseudo, data = flu_node(1000)
+        rng = np.random.default_rng(0)
+        total = 0
+        for rows in [np.arange(data.n)] + [np.sort(rng.permutation(data.n)[: data.n * 2 // 3]) for _ in range(3)]:
+            searched.clear()
+            tr.build_maximal_tree(cp.spec_for("frank"), PseudoObservations(pseudo.values[rows], "t"), data.subset(rows))
+            assert len(searched) == len(set(searched))
+            total += len(searched)
+        assert total > 0
+
+    @given(case=sparse_cases)
+    @settings(max_examples=40, deadline=None)
+    def test_tree_equals_growth_without_memo(self, case):
+        spec, pseudo, data = sparse_levels_node(case["family"], case["n"], case["seed"], case["n_features"])
+        stopping = tr.StoppingConfig(min_leaf=case["min_leaf"], max_leaves=64)
+        tree = tr.build_maximal_tree(spec, pseudo, data, stopping)
+        plain = tr.grow(
+            lambda idx: tr.node_fit(spec, pseudo, idx, stopping.min_fit_n),
+            lambda idx, fit: tr.find_optimal_split(spec, pseudo, data, stopping, idx, fit),
+            np.arange(data.n),
+            stopping.max_leaves,
+        )
+        got, want = list(tr.walk(tree.root)), list(tr.walk(plain))
+        assert [(n.id, n.rule, n.fit) for n in got] == [(n.id, n.rule, n.fit) for n in want]
+
+    @given(case=sparse_cases)
+    @settings(max_examples=40, deadline=None)
+    def test_order_modalities_same_groups_with_memo(self, case):
+        spec, pseudo, data = sparse_levels_node(case["family"], case["n"], case["seed"], case["n_features"])
+        rows = np.sort(np.random.default_rng(case["seed"]).permutation(data.n)[: data.n * 3 // 4])
+        memo = {}
+        for j in range(len(data.covariates)):
+            for idx in (None, rows):
+                plain = tr.order_modalities(spec, pseudo, data, j, idx)
+                assert tr.order_modalities(spec, pseudo, data, j, idx, _searches=memo) == plain
+                assert tr.order_modalities(spec, pseudo, data, j, idx, _searches=memo) == plain  # read back
