@@ -29,9 +29,9 @@ from enum import Enum
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.special import bernoulli, spence
 
 from .errors import BoundaryError, DomainError, FitError, InsufficientDataError
+from .special import BERNOULLI_EVEN, spence
 
 __all__ = [
     "Family",
@@ -350,7 +350,7 @@ def cdf(spec: CopulaSpec, theta, u, v):
 
 _DEBYE_SWITCH = 2.0
 _DEBYE_SERIES = np.array(
-    [b / ((k + 1) * math.factorial(k)) for k, b in zip(range(2, 37, 2), bernoulli(36)[2::2])]
+    [b / ((k + 1) * math.factorial(k)) for k, b in zip(range(2, 37, 2), BERNOULLI_EVEN)]
 )
 _DEBYE_SLOPE = _DEBYE_SERIES * np.arange(1, 36, 2)  # (2k - 1) c_k
 
@@ -572,14 +572,23 @@ def _nll_factory(spec: CopulaSpec, uv: np.ndarray):
 
         return nll, lambda tau: 1.0 / (1.0 - tau)
 
-    suv = float(np.sum(u + v))
+    # _frank_log_d's two forms with their exponentials in one numpy call:
+    # -theta * w stacks -theta u, -theta v and -theta (u + v).
+    n = len(u)
+    w = np.stack([u, v, u + v])
+    suv = float(np.sum(w[2]))
 
     def nll(theta):
         if abs(theta) < 9e-7:  # independence band: product copula
             return 0.0
         em = -math.expm1(-theta)
-        log_d = _frank_log_d(theta, u, v, em, math.exp(-theta))[0]
-        ll = len(u) * math.log(theta * em) - theta * suv - 2.0 * float(np.sum(log_d))
+        if abs(theta) < 1.0:
+            mu, mv = np.expm1(-theta * w[:2])
+            d = em - mu * mv
+        else:
+            eu, ev, euv = np.exp(-theta * w)
+            d = eu + ev - euv - math.exp(-theta)
+        ll = n * math.log(theta * em) - theta * suv - 2.0 * float(np.add.reduce(np.log(np.abs(d))))
         return -ll
 
     return nll, lambda theta: theta

@@ -14,10 +14,10 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-from scipy.special import ndtri
 
 from .compositional import IlrPoint, WeeklyRecord, ilr_inverse
 from .copulas import conditional_quantile, spec_for, tau_to_theta
+from .special import ndtri
 
 __all__ = ["make_flu_fixture", "write_flu_fixture_csv"]
 

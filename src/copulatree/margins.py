@@ -21,11 +21,11 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .data import CATEGORICAL, NUMERIC, Dataset, PseudoObservations, average_ranks
 from .errors import ConfigError, RegressionError
 from .pruning import choose_k, weakest_link_path
+from .special import ndtr
 from .tree import ColumnSchema, TreeNode, grow, route, schema_of, sse_fit, sse_split, walk
 
 __all__ = [

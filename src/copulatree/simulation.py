@@ -23,7 +23,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import copulas as cop
 from .copulas import CopulaSpec, Family, fit_mle, spec_for
@@ -31,6 +30,7 @@ from .data import Dataset, PseudoObservations, numeric_column
 from .errors import ScenarioError
 from .margins import pseudo_kernel, pseudo_parametric_normal
 from .pruning import fit_pruned_tree
+from .special import ndtri
 from .tree import StoppingConfig
 
 logger = logging.getLogger(__name__)

@@ -65,6 +65,23 @@ def test_cli_import_leaves_out_scipy_optimize_and_stats():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_out_scipy_special():
+    """scipy.special costs most of what is left of the CLI's start-up; the
+    program's special functions live in copulatree.special, so scipy.sparse
+    is the only scipy subpackage it loads."""
+    src = os.path.dirname(os.path.dirname(copulatree.__file__))
+    code = (
+        "import sys, copulatree.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.special'))); "
+        "print(sorted(m for m, mod in sys.modules.items() if m.count('.') == 1 "
+        "and m.startswith('scipy.') and not m.startswith('scipy._') and hasattr(mod, '__path__')))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "['scipy.sparse']"]
+
+
 class TestFit:
     def test_artifacts_and_roundtrip(self, fit_csv, tmp_path):
         out = tmp_path / "fit"

@@ -407,6 +407,39 @@ class TestBoundedSearch:
         assert fit.theta_hat == to_theta(float(res.x)) and fit.loglik == -float(res.fun)
 
 
+def frank_nll_reference(uv, theta):
+    """Frank's fit objective through _frank_log_d, one exponential call per term."""
+    if abs(theta) < 9e-7:
+        return 0.0
+    u, v = uv[:, 0], uv[:, 1]
+    em = -math.expm1(-theta)
+    log_d = cp._frank_log_d(theta, u, v, em, math.exp(-theta))[0]
+    return -(len(u) * math.log(theta * em) - theta * float(np.sum(u + v))
+             - 2.0 * float(np.sum(log_d)))
+
+
+class TestFrankObjective:
+    """_nll_factory's fused Frank objective against the _frank_log_d formula."""
+
+    # both sides of |theta| = 1, the independence band (|theta| < 9e-7) and its edge
+    THETAS = (0.0, 5e-7, -5e-7, 9e-7, -9e-7, 1e-3, -0.3, 0.5, 0.9999999, 1.0, -1.0,
+              1.0000001, 3.0, -7.5, 38.0, 50.0, -50.0)
+
+    @given(
+        theta_true=st.floats(-30.0, 30.0),
+        n=st.integers(10, 700),
+        power=st.sampled_from([1, 3]),
+        thetas=st.lists(st.floats(-50.0, 50.0), max_size=6),
+    )
+    @settings(max_examples=40)
+    def test_equals_log_d_formula_bit_for_bit(self, theta_true, n, power, thetas):
+        uv = cp.sample(FRANK, theta_true, n, seed=n) ** power
+        uv = uv[np.lexsort((uv[:, 1], uv[:, 0]))]
+        nll, _ = cp._nll_factory(FRANK, uv)
+        for theta in self.THETAS + tuple(thetas):
+            assert _bits(nll(theta)) == _bits(frank_nll_reference(uv, theta)), theta
+
+
 class TestScreenDensity:
     """The split screen evaluates log_density's own row terms on its grid."""
 
