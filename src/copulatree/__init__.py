@@ -20,7 +20,6 @@ from .copulas import (
 )
 from .data import Column, Dataset, PseudoObservations, categorical_column, numeric_column
 from .margins import (
-    MarginTree,
     MarginTreeConfig,
     pseudo_discrete,
     pseudo_empirical,
@@ -36,7 +35,6 @@ from .tree import (
     TreeNode,
     build_maximal_tree,
     find_optimal_split,
-    node_fit,
     order_modalities,
     tree_loglik,
 )
@@ -47,11 +45,11 @@ __all__ = [
     "CopulaSpec", "Family", "FitResult", "cdf", "fit_mle", "log_density",
     "sample", "spec_for", "tau_to_theta", "theta_to_tau",
     "Column", "Dataset", "PseudoObservations", "categorical_column", "numeric_column",
-    "MarginTree", "MarginTreeConfig", "pseudo_discrete", "pseudo_empirical",
+    "MarginTreeConfig", "pseudo_discrete", "pseudo_empirical",
     "pseudo_kernel", "pseudo_margin_tree", "pseudo_parametric_normal",
     "CvReport", "PrunePath", "cross_validate", "fit_pruned_tree", "prune_path",
     "select_penalized",
     "CopulaTree", "SplitRule", "StoppingConfig", "TreeNode", "build_maximal_tree",
-    "find_optimal_split", "node_fit", "order_modalities", "tree_loglik",
+    "find_optimal_split", "order_modalities", "tree_loglik",
     "__version__",
 ]

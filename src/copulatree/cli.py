@@ -197,7 +197,7 @@ def _make_pseudo(args, data: Dataset):
         return pseudo_parametric_normal(data, design)
     if method == "margin-tree":
         config = MarginTreeConfig(min_leaf=args.margin_min_leaf, seed=args.seed)
-        return pseudo_margin_tree(data, config)[0]
+        return pseudo_margin_tree(data, config)
     if method == "discrete":
         return pseudo_discrete(data)
     raise ConfigError(f"unknown pseudo method {method!r}")
@@ -301,9 +301,7 @@ def cmd_flu(args) -> int:
         covs.append(categorical_column("itz", [uy.itz or "?" for uy in unit_years]))
     data = Dataset(y, tuple(covs))
 
-    pseudo, _ = pseudo_margin_tree(
-        data, MarginTreeConfig(min_leaf=args.margin_min_leaf, seed=args.seed)
-    )
+    pseudo = pseudo_margin_tree(data, MarginTreeConfig(min_leaf=args.margin_min_leaf, seed=args.seed))
     spec = spec_for(args.family)
     stopping = _stopping_from_args(args)
     maximal, path, report, subtree = fit_pruned_tree(

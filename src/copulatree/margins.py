@@ -1,6 +1,6 @@
 """Pseudo-observation estimators: the once-and-for-all margin step.
 
-Four ways to turn responses into estimated probability-integral
+Five ways to turn responses into estimated probability-integral
 transforms, all clamped strictly inside (0, 1):
 
 * ``pseudo_empirical``    -- global average ranks / (n + 1)
@@ -26,7 +26,7 @@ from .data import CATEGORICAL, NUMERIC, Dataset, PseudoObservations, average_ran
 from .errors import ConfigError, RegressionError
 from .pruning import choose_k, weakest_link_path
 from .special import ndtr
-from .tree import ColumnSchema, TreeNode, grow, route, schema_of, sse_fit, sse_split, walk
+from .tree import TreeNode, grow, route, sse_fit, sse_split, walk
 
 __all__ = [
     "pseudo_empirical",
@@ -34,7 +34,6 @@ __all__ = [
     "pseudo_parametric_normal",
     "pseudo_discrete",
     "pseudo_margin_tree",
-    "MarginTree",
     "MarginTreeConfig",
 ]
 
@@ -53,20 +52,20 @@ def pseudo_empirical(data: Dataset) -> PseudoObservations:
     return PseudoObservations(vals, "empirical")
 
 
-def pseudo_kernel(data: Dataset, h: float, clamp_eps: float | None = None) -> PseudoObservations:
+def pseudo_kernel(data: Dataset, h: float) -> PseudoObservations:
     """Kernel-weighted conditional ECDF with a product Gaussian kernel.
 
     The self term is included, so the weight denominator is never zero;
-    the result is clamped to [clamp_eps, 1 - clamp_eps] (default 1/(2n)).
+    the result is clamped to [1/(2n), 1 - 1/(2n)].
     Rows are weighted in blocks of _KERNEL_BLOCK_ROWS, so memory grows
     linearly in n; every row's arithmetic is that of the whole n x n matrix.
     """
-    if h <= 0:
+    if not h > 0:
         raise ConfigError(f"bandwidth must be > 0, got {h}")
     if any(c.kind != NUMERIC for c in data.covariates):
         raise ConfigError("pseudo_kernel requires all covariates to be numeric")
     n = data.n
-    eps = 1.0 / (2.0 * n) if clamp_eps is None else float(clamp_eps)
+    eps = 1.0 / (2.0 * n)
     x = np.column_stack([c.values for c in data.covariates]) if data.covariates else np.zeros((n, 1))
     out = np.empty_like(data.responses)
     for i0 in range(0, n, _KERNEL_BLOCK_ROWS):
@@ -108,29 +107,16 @@ def pseudo_parametric_normal(data: Dataset, design=None) -> PseudoObservations:
     return PseudoObservations(np.clip(ndtr(resid), eps, 1.0 - eps), "parametric_normal")
 
 
-def pseudo_discrete(data: Dataset, grouping: dict | None = None) -> PseudoObservations:
+def pseudo_discrete(data: Dataset) -> PseudoObservations:
     """Within-class average ranks for purely categorical covariates.
 
-    Classes are groups of covariate-level combinations; ``grouping`` maps
-    each observed combination (a tuple of level codes, or a bare code for
-    a single covariate) to a class label.  Default: one class per
-    observed combination.  Combinations missing from the map are a
-    configuration error.
+    A class is one observed combination of covariate levels.
     """
     if not data.covariates or any(c.kind != CATEGORICAL for c in data.covariates):
         raise ConfigError("pseudo_discrete requires categorical covariates only")
-    combos = list(zip(*[c.values.tolist() for c in data.covariates]))
-    if grouping is None:
-        labels = combos
-    else:
-        labels = []
-        for combo in combos:
-            key = combo if len(combo) > 1 else combo[0]
-            if key not in grouping:
-                raise ConfigError(f"grouping does not cover observed combination {key!r}")
-            labels.append(grouping[key])
+    combos = zip(*[c.values.tolist() for c in data.covariates])
     class_index: dict = {}
-    labels = np.array([class_index.setdefault(l, len(class_index)) for l in labels])
+    labels = np.array([class_index.setdefault(c, len(class_index)) for c in combos])
     out = np.empty_like(data.responses)
     for lab in np.unique(labels):
         mask = labels == lab
@@ -152,28 +138,9 @@ class MarginTreeConfig:
     min_leaf: int = 20
     seed: int = 0
 
-
-@dataclass
-class MarginTree:
-    """Pruned least-squares tree for one response column.
-
-    Leaves hold the sorted training responses so the conditional CDF can
-    be evaluated as a within-leaf ECDF (rank over count + 1).
-    """
-
-    root: TreeNode
-    schema: tuple[ColumnSchema, ...]
-    leaf_values: dict[int, np.ndarray]
-    n_leaves: int
-
-    def leaf_of_row(self, data: Dataset, row: int) -> int:
-        return int(route(self.root, [c.values[[row]] for c in data.covariates], 1)[0])
-
-    def cdf(self, t: float, data: Dataset, row: int) -> float:
-        leaf = self.leaf_of_row(data, row)
-        vals = self.leaf_values[leaf]
-        r = float(np.searchsorted(vals, t, side="right"))
-        return min(max(r / (len(vals) + 1.0), 1.0 / (len(vals) + 1.0)), len(vals) / (len(vals) + 1.0))
+    def __post_init__(self):
+        if self.min_leaf < 1:
+            raise ConfigError("margin min_leaf must be >= 1")
 
 
 def _grow_sse(y, data, rows, min_leaf) -> TreeNode:
@@ -204,9 +171,14 @@ def _cv_leaf_count(y, data, min_leaf, seed) -> int:
     return choose_k(scores, "OneSE")[-1]
 
 
-def pseudo_margin_tree(
-    data: Dataset, config: MarginTreeConfig = MarginTreeConfig()
-) -> tuple[PseudoObservations, tuple[MarginTree, ...]]:
+def _pruned_margin_tree(y, data, min_leaf, seed) -> TreeNode:
+    """Root of the least-squares tree of ``y``, pruned to the CV leaf count."""
+    path = weakest_link_path(_grow_sse(y, data, np.arange(data.n), min_leaf))
+    k_star = _cv_leaf_count(y, data, min_leaf, seed) if len(path) > 1 else 1
+    return next(root for root, k, _ in path if k <= k_star)
+
+
+def pseudo_margin_tree(data: Dataset, config: MarginTreeConfig = MarginTreeConfig()) -> PseudoObservations:
     """Margin-tree pseudo-observations: within-leaf average ranks.
 
     One least-squares tree per response column, grown and pruned by the
@@ -217,23 +189,16 @@ def pseudo_margin_tree(
     """
     if data.n < 2 * config.min_leaf:
         warnings.warn("too few rows for margin trees; falling back to empirical ranks")
-        emp = pseudo_empirical(data)
-        return replace(emp, method="margin_tree", notes=("fallback_empirical",)), ()
+        return replace(pseudo_empirical(data), method="margin_tree", notes=("fallback_empirical",))
 
     out = np.empty_like(data.responses)
-    trees = []
     columns = [c.values for c in data.covariates]
     for j in range(data.k):
         y = data.responses[:, j]
-        path = weakest_link_path(_grow_sse(y, data, np.arange(data.n), config.min_leaf))
-        k_star = _cv_leaf_count(y, data, config.min_leaf, config.seed + j) if len(path) > 1 else 1
-        root, k, _ = next(entry for entry in path if entry[1] <= k_star)
-        tree = MarginTree(root, schema_of(data), {}, k)
+        root = _pruned_margin_tree(y, data, config.min_leaf, config.seed + j)
         leaf_ids = route(root, columns, data.n)
         for leaf in np.unique(leaf_ids):
             mask = leaf_ids == leaf
             block = y[mask]
             out[mask, j] = average_ranks(block) / (block.size + 1)
-            tree.leaf_values[int(leaf)] = np.sort(block)
-        trees.append(tree)
-    return PseudoObservations(out, "margin_tree"), tuple(trees)
+    return PseudoObservations(out, "margin_tree")

@@ -244,6 +244,8 @@ def cross_validate(
     """
     if folds < 2:
         raise ConfigError("folds must be >= 2")
+    if repeats < 1:
+        raise ConfigError("repeats must be >= 1")
     if rule not in ("MaxMean", "OneSE"):
         raise ConfigError(f"unknown CV rule {rule!r}")
     n = data.n

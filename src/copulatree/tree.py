@@ -50,8 +50,7 @@ with the rows.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -69,7 +68,7 @@ from .copulas import (
     theta_to_tau,
 )
 from .copulas import log_density as _log_density
-from .data import CATEGORICAL, NUMERIC, Column, Dataset, PseudoObservations, average_ranks
+from .data import CATEGORICAL, NUMERIC, Dataset, PseudoObservations, average_ranks
 from .errors import ConfigError, SchemaError
 
 __all__ = [
@@ -78,12 +77,10 @@ __all__ = [
     "CopulaTree",
     "StoppingConfig",
     "ColumnSchema",
-    "node_fit",
     "order_modalities",
     "find_optimal_split",
     "build_maximal_tree",
     "tree_loglik",
-    "calibrate_min_gain",
 ]
 
 
@@ -118,7 +115,7 @@ class StoppingConfig:
     def __post_init__(self):
         if self.min_leaf < self.min_fit_n:
             raise ConfigError("min_leaf must be >= min_fit_n")
-        if self.min_gain < 0 and not math.isinf(self.min_gain):
+        if not self.min_gain >= 0:
             raise ConfigError("min_gain must be >= 0")
         if self.max_leaves < 1:
             raise ConfigError("max_leaves must be >= 1")
@@ -212,22 +209,6 @@ class CopulaTree:
     def n_leaves(self) -> int:
         return len(self.leaves())
 
-    def predict_row(self, x) -> tuple[float, float, int]:
-        """(theta, tau, leaf id) for a single covariate vector.
-
-        ``x`` holds one entry per schema column: a float for numeric
-        columns, an integer level code for categorical ones (use -1 for
-        levels absent from the level table).
-        """
-        if len(x) != len(self.schema):
-            raise SchemaError(f"expected {len(self.schema)} covariates, got {len(x)}")
-        columns = [
-            np.array([float(v) if sch.kind == NUMERIC else int(v)]) for v, sch in zip(x, self.schema)
-        ]
-        leaf_id = route(self.root, columns, 1)[0]
-        node = next(n for n in self.leaves() if n.id == leaf_id)
-        return node.fit.theta_hat, node.fit.tau_hat, node.id
-
     def assign(self, data: Dataset) -> np.ndarray:
         """Vectorised leaf-id assignment for every row of ``data``."""
         _check_schema(self, data)
@@ -283,12 +264,6 @@ def _check_schema(tree: CopulaTree, data: Dataset) -> None:
 
 # ---------------------------------------------------------------------------
 # node-level operations
-
-
-def node_fit(spec: CopulaSpec, pseudo: PseudoObservations, rows=None, min_fit_n: int = 10) -> FitResult:
-    """MLE fit of the rows at a node (delegates to copulas.fit_mle)."""
-    uv = pseudo.values if rows is None else pseudo.values[rows]
-    return fit_mle(spec, uv, min_fit_n=min_fit_n)
 
 
 def order_modalities(
@@ -708,7 +683,7 @@ def find_optimal_split(
     if len(idx) < 2 * stopping.min_leaf:
         return None
     if parent_fit is None:
-        parent_fit = node_fit(spec, pseudo, idx, stopping.min_fit_n)
+        parent_fit = fit_mle(spec, pseudo.values[idx], min_fit_n=stopping.min_fit_n)
     if _build is None:
         _build, at = _Build(_row_table(spec, pseudo.values[idx])), np.arange(len(idx))
     else:
@@ -808,7 +783,7 @@ def grow(fit, split, rows: np.ndarray, max_leaves: int) -> TreeNode:
     """Grow a maximal tree on ``rows`` breadth first from a FIFO work list.
 
     The node criterion is ``fit(rows)``, a node's fit, and ``split(rows,
-    node_fit)``, its best admissible split (a ``_Candidate``) or None.
+    fit)``, its best admissible split (a ``_Candidate``) or None.
     Nodes are numbered in the order they are created.
     """
     root = TreeNode(0, fit(rows))
@@ -848,7 +823,7 @@ def build_maximal_tree(
         raise SchemaError("pseudo-observations and dataset are not row aligned")
     build = _Build(_row_table(spec, pseudo.values))
     root = grow(
-        lambda idx: node_fit(spec, pseudo, idx, stopping.min_fit_n),
+        lambda idx: fit_mle(spec, pseudo.values[idx], min_fit_n=stopping.min_fit_n),
         lambda idx, fit: find_optimal_split(spec, pseudo, data, stopping, idx, fit, _build=build),
         np.arange(data.n),
         stopping.max_leaves,
@@ -867,30 +842,3 @@ def tree_loglik(tree: CopulaTree, pseudo: PseudoObservations, data: Dataset) -> 
         uv = pseudo.values[mask]
         total += float(np.sum(_log_density(tree.spec, leaf.fit.theta_hat, uv[:, 0], uv[:, 1])))
     return total
-
-
-def calibrate_min_gain(
-    spec: CopulaSpec,
-    pseudo: PseudoObservations,
-    data: Dataset,
-    stopping: StoppingConfig,
-    n_permutations: int = 40,
-    alpha: float = 0.05,
-    seed=0,
-) -> float:
-    """Permutation-null calibration of min_gain.
-
-    Permuting the pseudo-observation rows against the covariates destroys
-    any covariate effect; the (1 - alpha) quantile of the best root gain
-    over those permutations is a noise floor for accepting splits.
-    """
-    rng = np.random.default_rng(seed)
-    null_stopping = replace(stopping, min_gain=-math.inf)
-    gains = []
-    for _ in range(n_permutations):
-        perm = rng.permutation(data.n)
-        shuffled = PseudoObservations(pseudo.values[perm], pseudo.method)
-        cand = find_optimal_split(spec, shuffled, data, null_stopping)
-        gains.append(0.0 if cand is None else max(cand.gain, 0.0))
-    # conservative empirical quantile: next order statistic up, never interpolated
-    return float(np.quantile(np.asarray(gains), 1.0 - alpha, method="higher"))

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line surface (in-process)."""
 
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -17,6 +19,39 @@ from copulatree.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCHEMA, build_parser, main
 from copulatree.fludata import write_flu_fixture_csv
 from copulatree.margins import MarginTreeConfig
 from copulatree.tree import StoppingConfig
+
+
+# (config key, value, error message) of malformed values that fit and
+# simulate both read; fit alone has --margin-min-leaf
+BAD_VALUES = [
+    ("max_candidates", "-1", "max_candidates must be >= 1 or unset"),
+    ("max_candidates", "0", "max_candidates must be >= 1 or unset"),
+    ("min_gain", "nan", "min_gain must be >= 0"),
+    ("min_gain", "-inf", "min_gain must be >= 0"),
+    ("repeats", "0", "repeats must be >= 1"),
+    ("repeats", "-1", "repeats must be >= 1"),
+    ("bandwidth", "nan", "bandwidth must be > 0, got nan"),
+]
+FIT_BAD_VALUES = BAD_VALUES + [
+    ("margin_min_leaf", "0", "margin min_leaf must be >= 1"),
+    ("margin_min_leaf", "-5", "margin min_leaf must be >= 1"),
+]
+# the fit --pseudo method that reads a key; fit reads every other key whatever the method
+PSEUDO_READING = {"bandwidth": "kernel", "margin_min_leaf": "margin-tree"}
+
+
+def bad_value_ids(cases):
+    """Test ids: the bare value for max_candidates, key=value for the others."""
+    return [value if key == "max_candidates" else f"{key}={value}" for key, value, _ in cases]
+
+
+def with_bad_value(argv, tmp_path, key, value, via_config):
+    """``argv`` setting ``key`` to ``value`` by flag or through a --config file."""
+    if via_config:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key} = {value}\n")
+        return argv + ["--config", str(cfg)]
+    return argv + [f"--{key.replace('_', '-')}={value}"]
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +115,19 @@ def test_cli_import_leaves_out_scipy_special():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.split("\n")[:2] == ["[]", "['scipy.sparse']"]
+
+
+# every module of the package but __main__, which runs the CLI when imported
+PACKAGE_MODULES = ["copulatree"] + [
+    f"copulatree.{m.name}" for m in pkgutil.iter_modules(copulatree.__path__) if m.name != "__main__"
+]
+
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES)
+def test_every_exported_name_resolves(module):
+    """No ``__all__`` names something its module no longer defines."""
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 class TestFit:
@@ -150,19 +198,15 @@ class TestFit:
         assert err == [f"error: schema: {long}: line 7: long row"]
         assert not (tmp_path / "fit").exists()
 
-    @pytest.mark.parametrize("value", ["-1", "0"])
+    @pytest.mark.parametrize("key, value, message", FIT_BAD_VALUES, ids=bad_value_ids(FIT_BAD_VALUES))
     @pytest.mark.parametrize("via_config", [False, True])
-    def test_max_candidates_below_one_is_config_error(self, fit_csv, tmp_path, capsys, value, via_config):
-        argv = ["fit", "--input", str(fit_csv), "--out", str(tmp_path / "o"), "--family", "clayton", "--seed", "1"]
-        if via_config:
-            cfg = tmp_path / "cfg.txt"
-            cfg.write_text(f"max_candidates = {value}\n")
-            argv += ["--config", str(cfg)]
-        else:
-            argv += ["--max-candidates", value]
-        assert main(argv) == EXIT_CONFIG
+    def test_max_candidates_below_one_is_config_error(self, fit_csv, tmp_path, capsys, key, value, message, via_config):
+        """Each malformed value, max_candidates below one among them, is one config-error line."""
+        argv = ["fit", "--input", str(fit_csv), "--out", str(tmp_path / "o"), "--family", "clayton", "--seed", "1",
+                "--pseudo", PSEUDO_READING.get(key, "empirical")]
+        assert main(with_bad_value(argv, tmp_path, key, value, via_config)) == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: config: max_candidates must be >= 1 or unset"]
+        assert err == [f"error: config: {message}"]
 
     def test_missing_column_schema_exit(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -225,20 +269,15 @@ class TestFit:
 
 
 class TestSimulateConfig:
-    @pytest.mark.parametrize("value", ["-1", "0"])
+    @pytest.mark.parametrize("key, value, message", BAD_VALUES, ids=bad_value_ids(BAD_VALUES))
     @pytest.mark.parametrize("via_config", [False, True])
-    def test_max_candidates_below_one_is_config_error(self, tmp_path, capsys, value, via_config):
+    def test_max_candidates_below_one_is_config_error(self, tmp_path, capsys, key, value, message, via_config):
+        """Each malformed value, max_candidates below one among them, is one config-error line."""
         argv = ["simulate", "--families", "clayton", "--surfaces", "step", "--reps", "1", "--n", "200",
                 "--seed", "1", "--out", str(tmp_path / "sim")]
-        if via_config:
-            cfg = tmp_path / "cfg.txt"
-            cfg.write_text(f"max_candidates = {value}\n")
-            argv += ["--config", str(cfg)]
-        else:
-            argv += ["--max-candidates", value]
-        assert main(argv) == EXIT_CONFIG
+        assert main(with_bad_value(argv, tmp_path, key, value, via_config)) == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: config: max_candidates must be >= 1 or unset"]
+        assert err == [f"error: config: {message}"]
 
 
 class TestParser:

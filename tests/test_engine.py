@@ -197,5 +197,3 @@ class TestRouter:
         back = tree_from_doc(tree_to_doc(tree))
         for a, b in zip(tree.predict(data), back.predict(data)):
             assert np.array_equal(a, b)
-        row = [c.values[0] for c in data.covariates]
-        assert tree.predict_row(row) == back.predict_row(row)

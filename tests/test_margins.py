@@ -11,6 +11,7 @@ from scipy import stats
 
 from copulatree import margins as mg
 from copulatree import simulation as sim
+from copulatree import tree as tr
 from copulatree.compositional import aggregate_counts, ilr_forward
 from copulatree.data import Dataset, average_ranks, categorical_column, numeric_column
 from copulatree.errors import ConfigError, RegressionError
@@ -22,6 +23,12 @@ def make_dataset(y, covs=()):
     if y.ndim == 1:
         y = np.column_stack([y, y])
     return Dataset(y, tuple(covs))
+
+
+def margin_tree_leaves(d, config):
+    """Leaf count of each response column's pruned margin tree."""
+    roots = [mg._pruned_margin_tree(d.responses[:, j], d, config.min_leaf, config.seed + j) for j in range(d.k)]
+    return [sum(nd.is_leaf for nd in tr.walk(root)) for root in roots]
 
 
 class TestEmpirical:
@@ -82,8 +89,8 @@ class TestAverageRanks:
 
         def estimates():
             config = mg.MarginTreeConfig(min_leaf=20, seed=0)
-            pseudo, trees = mg.pseudo_margin_tree(numeric, config)
-            assert n < 40 or trees[0].n_leaves > 1
+            pseudo = mg.pseudo_margin_tree(numeric, config)
+            assert n < 40 or margin_tree_leaves(numeric, config)[0] > 1
             return mg.pseudo_empirical(numeric), mg.pseudo_discrete(discrete), pseudo
 
         ours = estimates()
@@ -107,12 +114,7 @@ class TestKernel:
     def test_single_row(self):
         d = make_dataset([1.0], [numeric_column("x", [0.3])])
         p = mg.pseudo_kernel(d, h=0.4)
-        assert np.allclose(p.values, 0.5)  # clamp_eps defaults to 1/(2n) = 0.5
-
-    def test_single_row_custom_clamp(self):
-        d = make_dataset([1.0], [numeric_column("x", [0.3])])
-        p = mg.pseudo_kernel(d, h=0.4, clamp_eps=0.01)
-        assert np.allclose(p.values, 0.99)  # weighted ECDF is 1 at its own point
+        assert np.allclose(p.values, 0.5)  # clamped to [1/(2n), 1 - 1/(2n)] = {0.5}
 
     def test_scenario_uniformity(self):
         ds = sim.generate(sim.ScenarioSpec("clayton", "step", n=1000, seed=42))
@@ -226,11 +228,6 @@ class TestDiscrete:
         p = mg.pseudo_discrete(d)
         assert stats.kstest(p.values[:, 0], "uniform").pvalue > 0.01
 
-    def test_uncovered_level(self):
-        d = make_dataset([1.0, 2.0], [categorical_column("g", ["a", "b"])])
-        with pytest.raises(ConfigError):
-            mg.pseudo_discrete(d, grouping={0: "x"})  # level code 1 uncovered
-
     def test_numeric_covariate_rejected(self):
         d = make_dataset([1.0, 2.0], [numeric_column("x", [0.1, 0.2])])
         with pytest.raises(ConfigError):
@@ -244,8 +241,9 @@ class TestMarginTree:
             np.column_stack([rng.normal(size=200), rng.normal(size=200)]),
             [numeric_column("x", rng.random(200))],
         )
-        p, trees = mg.pseudo_margin_tree(d, mg.MarginTreeConfig(min_leaf=20, seed=0))
-        assert all(t.n_leaves == 1 for t in trees)
+        config = mg.MarginTreeConfig(min_leaf=20, seed=0)
+        p = mg.pseudo_margin_tree(d, config)
+        assert margin_tree_leaves(d, config) == [1, 1]
         assert np.allclose(p.values, mg.pseudo_empirical(d).values)
 
     def test_categorical_signal_recovered(self):
@@ -254,29 +252,18 @@ class TestMarginTree:
         lab = rng.integers(0, 2, n)
         y = np.column_stack([10.0 * lab + rng.normal(size=n), rng.normal(size=n)])
         d = Dataset(y, (categorical_column("g", ["ab"[i] for i in lab]),))
-        p, trees = mg.pseudo_margin_tree(d, mg.MarginTreeConfig(min_leaf=20, seed=1))
-        assert trees[0].n_leaves == 2
+        config = mg.MarginTreeConfig(min_leaf=20, seed=1)
+        p = mg.pseudo_margin_tree(d, config)
+        assert margin_tree_leaves(d, config)[0] == 2
         for g in (0, 1):
             assert stats.kstest(p.values[lab == g, 0], "uniform").pvalue > 0.01
 
     def test_fallback_flag_when_too_small(self):
         d = make_dataset([1.0, 2.0, 3.0], [numeric_column("x", [0.1, 0.2, 0.3])])
         with pytest.warns(UserWarning):
-            p, trees = mg.pseudo_margin_tree(d, mg.MarginTreeConfig(min_leaf=20))
+            p = mg.pseudo_margin_tree(d, mg.MarginTreeConfig(min_leaf=20))
         assert "fallback_empirical" in p.notes
-        assert trees == ()
         assert np.allclose(p.values, mg.pseudo_empirical(d).values)
-
-    def test_leaf_ecdf_evaluation(self):
-        rng = np.random.default_rng(8)
-        d = make_dataset(
-            np.column_stack([rng.normal(size=100), rng.normal(size=100)]),
-            [numeric_column("x", rng.random(100))],
-        )
-        _, trees = mg.pseudo_margin_tree(d, mg.MarginTreeConfig(min_leaf=20, seed=2))
-        t = trees[0]
-        assert 0.0 < t.cdf(0.0, d, 0) < 1.0
-        assert t.cdf(-np.inf, d, 0) == pytest.approx(1 / (len(t.leaf_values[t.leaf_of_row(d, 0)]) + 1))
 
 
 class TestSharedInvariants:
@@ -295,7 +282,7 @@ class TestSharedInvariants:
         elif method == "normal":
             p = mg.pseudo_parametric_normal(d)
         else:
-            p, _ = mg.pseudo_margin_tree(d, mg.MarginTreeConfig(min_leaf=20, seed=3))
+            p = mg.pseudo_margin_tree(d, mg.MarginTreeConfig(min_leaf=20, seed=3))
         assert np.all(p.values > 0.0) and np.all(p.values < 1.0)
 
     def test_determinism(self):
@@ -306,8 +293,8 @@ class TestSharedInvariants:
             np.column_stack([lab + rng.normal(size=n), rng.normal(size=n)]),
             (categorical_column("g", [str(i) for i in lab]), numeric_column("x", rng.random(n))),
         )
-        a, _ = mg.pseudo_margin_tree(d, mg.MarginTreeConfig(min_leaf=20, seed=4))
-        b, _ = mg.pseudo_margin_tree(d, mg.MarginTreeConfig(min_leaf=20, seed=4))
+        a = mg.pseudo_margin_tree(d, mg.MarginTreeConfig(min_leaf=20, seed=4))
+        b = mg.pseudo_margin_tree(d, mg.MarginTreeConfig(min_leaf=20, seed=4))
         assert np.array_equal(a.values, b.values)
 
 
@@ -357,6 +344,7 @@ class TestMarginTreeDigests:
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_digest(self, name):
         make, seed, min_leaves, digest = self.PINNED[name]
-        p, trees = mg.pseudo_margin_tree(make(), mg.MarginTreeConfig(min_leaf=20, seed=seed))
-        assert max(t.n_leaves for t in trees) >= min_leaves
+        d, config = make(), mg.MarginTreeConfig(min_leaf=20, seed=seed)
+        p = mg.pseudo_margin_tree(d, config)
+        assert max(margin_tree_leaves(d, config)) >= min_leaves
         assert hashlib.sha256(p.values.tobytes()).hexdigest() == digest

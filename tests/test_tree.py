@@ -41,20 +41,13 @@ def step_node(n, seed, with_x2_cut=True):
 
 
 class TestNodeFit:
-    def test_delegates_to_fit_mle(self):
-        uv = copula_rows(0.5, 300, 0)
-        pseudo = PseudoObservations(uv, "t")
-        assert tr.node_fit(CLAYTON, pseudo) == cp.fit_mle(CLAYTON, uv)
-
     def test_independence_rows(self):
         rng = np.random.default_rng(1)
-        pseudo = PseudoObservations(rng.random((500, 2)) * 0.998 + 0.001, "t")
-        assert abs(tr.node_fit(CLAYTON, pseudo).tau_hat) < 0.1
+        assert abs(cp.fit_mle(CLAYTON, rng.random((500, 2)) * 0.998 + 0.001).tau_hat) < 0.1
 
     def test_too_few_rows(self):
-        pseudo = PseudoObservations(copula_rows(0.5, 5, 2), "t")
         with pytest.raises(InsufficientDataError):
-            tr.node_fit(CLAYTON, pseudo)
+            cp.fit_mle(CLAYTON, copula_rows(0.5, 5, 2))
 
 
 class TestOrderModalities:
@@ -145,25 +138,6 @@ class TestFindOptimalSplit:
             ):
                 hits += 1
         assert hits >= 40  # >= 80% of 50 seeds
-
-    def test_permutation_null_calibration_suppresses_splits(self):
-        stopping = tr.StoppingConfig(min_leaf=50, max_candidates=8)
-        no_split = 0
-        for seed in range(50):
-            uv = copula_rows(0.4, 400, 2000 + seed)
-            rng = np.random.default_rng(seed)
-            data = Dataset(
-                np.zeros((400, 2)),
-                (numeric_column("x1", rng.random(400)), numeric_column("x2", rng.random(400))),
-            )
-            pseudo = PseudoObservations(uv, "t")
-            null_gain = tr.calibrate_min_gain(
-                CLAYTON, pseudo, data, stopping, n_permutations=40, alpha=0.05, seed=seed
-            )
-            calibrated = tr.StoppingConfig(min_leaf=50, min_gain=null_gain, max_candidates=8)
-            if tr.find_optimal_split(CLAYTON, pseudo, data, calibrated) is None:
-                no_split += 1
-        assert no_split >= 45  # >= 90% of 50 seeds
 
     def test_min_leaf_boundary_single_candidate(self):
         n, min_leaf = 60, 30
@@ -308,9 +282,9 @@ class TestBuildAndPredict:
             CLAYTON, PseudoObservations(uv, "t"), data, tr.StoppingConfig(min_leaf=100)
         )
         assert tree.n_leaves == 1
-        theta, tau, leaf = tree.predict_row([0.5, 0.0][:1])
-        assert theta == tree.root.fit.theta_hat
-        assert leaf == tree.root.id
+        theta, _, leaf = tree.predict(data)
+        assert np.all(theta == tree.root.fit.theta_hat)
+        assert np.all(leaf == tree.root.id)
 
     def test_boundary_goes_left(self):
         pseudo, data = step_node(400, 111, with_x2_cut=False)
@@ -320,7 +294,7 @@ class TestBuildAndPredict:
         rule = tree.root.rule
         row = np.zeros(2)
         row[rule.feature] = rule.threshold
-        _, _, leaf_id = tree.predict_row(row)
+        leaf_id = tr.route(tree.root, [np.array([v]) for v in row], 1)[0]
         left_ids = {n.id for n in tr.CopulaTree(tree.spec, tree.root.left, tree.schema).nodes()}
         assert leaf_id in left_ids
 
@@ -378,7 +352,7 @@ class TestBuildAndPredict:
             CLAYTON, PseudoObservations(uv, "t"), data, tr.StoppingConfig(min_leaf=50)
         )
         assert tree.n_leaves == 2
-        _, _, leaf_unseen = tree.predict_row([-1])  # unseen level code
+        leaf_unseen = tr.route(tree.root, [np.array([-1])], 1)[0]  # unseen level code
         assert leaf_unseen == tree.root.right.id
 
     @given(
@@ -636,7 +610,7 @@ class TestMaximalTreeSearch:
             x = rng.random((n, 2))
             pseudo = PseudoObservations(copula_rows(np.where(x[:, 0] < 0.4, 0.3, 0.6), n, 4), "t")
             data = Dataset(np.zeros((n, 2)), (numeric_column("x1", x[:, 0]), numeric_column("x2", x[:, 1])))
-            parent = tr.node_fit(CLAYTON, pseudo)
+            parent = cp.fit_mle(CLAYTON, pseudo.values)
             tracemalloc.start()
             try:
                 cand = tr.find_optimal_split(CLAYTON, pseudo, data, tr.StoppingConfig(min_leaf=50), parent_fit=parent)
@@ -660,7 +634,7 @@ def flu_node(seed):
         categorical_column("season", [uy.season for uy in unit_years]),
         categorical_column("itz", [uy.itz for uy in unit_years]),
     ))
-    pseudo, _ = mg.pseudo_margin_tree(data, mg.MarginTreeConfig(seed=seed))
+    pseudo = mg.pseudo_margin_tree(data, mg.MarginTreeConfig(seed=seed))
     return pseudo, data
 
 
@@ -724,7 +698,7 @@ class TestLevelSearchMemo:
         stopping = tr.StoppingConfig(min_leaf=case["min_leaf"], max_leaves=64)
         tree = tr.build_maximal_tree(spec, pseudo, data, stopping)
         plain = tr.grow(
-            lambda idx: tr.node_fit(spec, pseudo, idx, stopping.min_fit_n),
+            lambda idx: cp.fit_mle(spec, pseudo.values[idx], min_fit_n=stopping.min_fit_n),
             lambda idx, fit: tr.find_optimal_split(spec, pseudo, data, stopping, idx, fit),
             np.arange(data.n),
             stopping.max_leaves,
