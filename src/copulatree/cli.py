@@ -42,7 +42,7 @@ from .margins import (
     pseudo_margin_tree,
     pseudo_parametric_normal,
 )
-from .pruning import fit_pruned_tree
+from .pruning import check_cv_options, fit_pruned_tree
 from .serialize import (
     read_tree_json,
     write_cv_report_json,
@@ -169,6 +169,8 @@ def _require(args, *names) -> None:
 
 
 def _stopping_from_args(args) -> StoppingConfig:
+    """The growth limits; raises ConfigError on a bad one or a bad CV option."""
+    check_cv_options(args.folds, args.repeats, args.rule)
     return StoppingConfig(
         min_leaf=args.min_leaf,
         min_gain=args.min_gain,
@@ -205,10 +207,10 @@ def _make_pseudo(args, data: Dataset):
 
 def cmd_fit(args) -> int:
     _require(args, "input", "out", "family", "seed")
+    stopping = _stopping_from_args(args)
     data = read_fit_csv(args.input)
     spec = spec_for(args.family)
     pseudo = _make_pseudo(args, data)
-    stopping = _stopping_from_args(args)
     maximal, path, report, subtree = fit_pruned_tree(
         spec, pseudo, data,
         stopping=stopping,
@@ -288,6 +290,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_flu(args) -> int:
     _require(args, "input", "out", "seed")
+    stopping = _stopping_from_args(args)
+    spec = spec_for(args.family)
     records = read_weekly_csv(args.input)
     unit_years = aggregate_counts(records, min_total=args.min_cases)
     if not unit_years:
@@ -302,8 +306,6 @@ def cmd_flu(args) -> int:
     data = Dataset(y, tuple(covs))
 
     pseudo = pseudo_margin_tree(data, MarginTreeConfig(min_leaf=args.margin_min_leaf, seed=args.seed))
-    spec = spec_for(args.family)
-    stopping = _stopping_from_args(args)
     maximal, path, report, subtree = fit_pruned_tree(
         spec, pseudo, data,
         stopping=stopping, folds=args.folds, repeats=args.repeats,

@@ -31,7 +31,6 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .errors import BoundaryError, DomainError, FitError, InsufficientDataError
-from .special import BERNOULLI_EVEN, spence
 
 __all__ = [
     "Family",
@@ -47,6 +46,7 @@ __all__ = [
     "conditional_quantile",
     "debye1",
     "INDEP_TAU_EPS",
+    "MIN_FIT_N",
 ]
 
 # Below this |tau| every family is evaluated as the product copula.
@@ -57,7 +57,7 @@ INDEP_TAU_EPS = 1e-7
 _FRANK_THETA_MAX = 50.0
 
 _TAU_SEARCH_MARGIN = 1e-4
-_DEFAULT_MIN_FIT_N = 10
+MIN_FIT_N = 10  # fit_mle needs at least this many rows
 
 
 class Family(str, Enum):
@@ -340,19 +340,38 @@ def cdf(spec: CopulaSpec, theta, u, v):
 # ---------------------------------------------------------------------------
 # Kendall tau bridge
 #
-# x D1(x) = pi^2/6 + x log(1 - e^-x) - Li2(e^-x), Li2(e^-x) = spence(1 - e^-x).
-# Near 0, pi^2/6 - Li2 cancels and Frank's 4/theta magnifies what is left,
+# x D1(x) = int_0^x t / (e^t - 1) dt, and t / (e^t - 1) = sum_k t e^-kt, so
+# x D1(x) = pi^2/6 - sum_k e^-kx (x/k + 1/k^2).  For x >= _DEBYE_SWITCH the
+# terms past the 18th add less than 1e-17; the 18 are summed smallest first.
+# Near 0, pi^2/6 - the sum cancels and Frank's 4/theta magnifies what is left,
 # so below _DEBYE_SWITCH the series D1(x) = 1 - x/4 + sum_k c_k x^2k, with
 # c_k = B_2k / ((2k + 1) (2k)!), takes over (its 18th term is below 1e-19),
 # and Frank's tau = 1 - 4 (1 - D1) / theta = 4 sum_k c_k theta^(2k-1) is
 # summed directly.  Above it dtau/dtheta = 4 (1 - 2 D1) / theta^2 +
 # 4 / (theta (e^theta - 1)).
 
+
+def _debye_series(terms: int) -> np.ndarray:
+    """c_1..c_terms, each rounded once from its exact rational value.
+
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) with the tangent numbers T_k,
+    integers built by Brent and Harvey's recurrence (2011), so c_k is a
+    ratio of integers, which Python divides with correct rounding.
+    """
+    t = [0] + [math.factorial(k) for k in range(terms)]  # T_k starts at (k - 1)!
+    for k in range(2, terms + 1):
+        for j in range(k, terms + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return np.array([
+        (-1) ** (k - 1) * 2 * k * t[k] / (4**k * (4**k - 1) * math.factorial(2 * k + 1))
+        for k in range(1, terms + 1)
+    ])
+
+
 _DEBYE_SWITCH = 2.0
-_DEBYE_SERIES = np.array(
-    [b / ((k + 1) * math.factorial(k)) for k, b in zip(range(2, 37, 2), BERNOULLI_EVEN)]
-)
+_DEBYE_SERIES = _debye_series(18)
 _DEBYE_SLOPE = _DEBYE_SERIES * np.arange(1, 36, 2)  # (2k - 1) c_k
+_DEBYE_TAIL_K = np.arange(18.0, 0.0, -1.0)  # the tail's k, smallest term first
 
 _NEWTON_RTOL = 1e-14  # Frank's tau -> theta stops at steps below this share of theta
 _NEWTON_MAX_STEPS = 64
@@ -371,8 +390,9 @@ def debye1(x):
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        z = -np.expm1(-a)  # 1 - e^-a
-        closed = (math.pi**2 / 6.0 + a * np.log(z) - spence(z)) / a
+        ka = a[..., None] * _DEBYE_TAIL_K
+        tail = np.cumsum(np.exp(-ka) * (ka + 1.0) / _DEBYE_TAIL_K**2, axis=-1)[..., -1]
+        closed = (math.pi**2 / 6.0 - tail) / a
         series = 1.0 - a / 4.0 + a * a * polyval(a * a, _DEBYE_SERIES)
     d1 = np.where(a < _DEBYE_SWITCH, series, closed)
     return _scalar_or_array(d1 - np.minimum(x, 0.0) / 2.0)
@@ -749,7 +769,7 @@ def log_density_and_score(spec: CopulaSpec, theta: np.ndarray, u: np.ndarray, v:
     return _logpdf(spec, theta, u[:, None], v[:, None], score=True)
 
 
-def fit_mle(spec: CopulaSpec, data, min_fit_n: int = _DEFAULT_MIN_FIT_N) -> FitResult:
+def fit_mle(spec: CopulaSpec, data) -> FitResult:
     """Maximum-likelihood fit of theta on pairs in the open unit square.
 
     Clayton and Gumbel are optimised on the (bounded) tau scale; Frank
@@ -760,9 +780,9 @@ def fit_mle(spec: CopulaSpec, data, min_fit_n: int = _DEFAULT_MIN_FIT_N) -> FitR
     uv = np.asarray(data, dtype=float)
     if uv.ndim != 2 or uv.shape[1] != 2:
         raise DomainError(f"expected an (n, 2) array, got shape {uv.shape}")
-    if uv.shape[0] < min_fit_n:
+    if uv.shape[0] < MIN_FIT_N:
         raise InsufficientDataError(
-            f"need at least {min_fit_n} pairs to fit, got {uv.shape[0]}"
+            f"need at least {MIN_FIT_N} pairs to fit, got {uv.shape[0]}"
         )
     _check_interior(uv[:, 0], uv[:, 1])
     theta_hat, loglik, converged = _mle_search(spec, uv)

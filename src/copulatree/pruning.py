@@ -44,6 +44,7 @@ __all__ = [
     "CvReport",
     "prune_path",
     "select_penalized",
+    "check_cv_options",
     "cross_validate",
     "fit_pruned_tree",
     "lambda_intervals",
@@ -223,6 +224,16 @@ class CvReport:
     notes: tuple[str, ...] = field(default=())
 
 
+def check_cv_options(folds: int, repeats: int, rule: str) -> None:
+    """Raise ConfigError unless folds >= 2, repeats >= 1 and rule is MaxMean or OneSE."""
+    if folds < 2:
+        raise ConfigError("folds must be >= 2")
+    if repeats < 1:
+        raise ConfigError("repeats must be >= 1")
+    if rule not in ("MaxMean", "OneSE"):
+        raise ConfigError(f"unknown CV rule {rule!r}")
+
+
 def cross_validate(
     spec: CopulaSpec,
     pseudo: PseudoObservations,
@@ -242,12 +253,7 @@ def cross_validate(
     smaller entry.  ``rule`` is MaxMean or OneSE; the chosen K is snapped
     to the full-data path (built here unless supplied).
     """
-    if folds < 2:
-        raise ConfigError("folds must be >= 2")
-    if repeats < 1:
-        raise ConfigError("repeats must be >= 1")
-    if rule not in ("MaxMean", "OneSE"):
-        raise ConfigError(f"unknown CV rule {rule!r}")
+    check_cv_options(folds, repeats, rule)
     n = data.n
     if n < folds * 2 * stopping.min_leaf:
         raise InsufficientDataError(
@@ -307,6 +313,7 @@ def fit_pruned_tree(
     rule: str = "OneSE",
 ) -> tuple[CopulaTree, PrunePath, CvReport, CopulaTree]:
     """Maximal tree, its prune path, the CV report and the selected subtree."""
+    check_cv_options(folds, repeats, rule)
     maximal = build_maximal_tree(spec, pseudo, data, stopping)
     path = prune_path(maximal)
     report = cross_validate(

@@ -29,7 +29,7 @@ from .copulas import CopulaSpec, Family, fit_mle, spec_for
 from .data import Dataset, PseudoObservations, numeric_column
 from .errors import ScenarioError
 from .margins import pseudo_kernel, pseudo_parametric_normal
-from .pruning import fit_pruned_tree
+from .pruning import check_cv_options, fit_pruned_tree
 from .special import ndtri
 from .tree import StoppingConfig
 
@@ -79,6 +79,9 @@ class PipelineConfig:
     cv_repeats: int = 5
     cv_rule: str = "MaxMean"
     kernel_h: float | None = None  # None: family default
+
+    def __post_init__(self):
+        check_cv_options(self.cv_folds, self.cv_repeats, self.cv_rule)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 """The special functions the package needs, as scipy.special computes them.
 
-``spence``, ``ndtr`` and ``ndtri`` port the cephes routines that
-``scipy.special`` runs (scipy 1.17): the same coefficient tables, Horner
-evaluation (cephes ``polevl``/``p1evl``) and branch points, so they return
-scipy's bits.  Arithmetic and ``sqrt`` are vectorised with numpy, because
-IEEE rounds them correctly.  ``log`` and ``exp`` are not correctly rounded,
-and numpy's SIMD versions differ from the C library's in the last bit on
-some arguments, so they go through ``math.log``/``math.exp`` (the C
-library's) element by element, on the elements of the branch that needs
-them.  Like the ufuncs, the functions signal a bad argument by their
-result (NaN or an infinity), never by a numpy warning.
+``ndtr`` and ``ndtri`` port the cephes routines that ``scipy.special``
+runs (scipy 1.17): the same coefficient tables, Horner evaluation (cephes
+``polevl``/``p1evl``) and branch points, so they return scipy's bits.
+Arithmetic and ``sqrt`` are vectorised with numpy, because IEEE rounds
+them correctly.  ``log`` and ``exp`` are not correctly rounded, and numpy's
+SIMD versions differ from the C library's in the last bit on some
+arguments, so they go through ``math.log``/``math.exp`` (the C library's)
+element by element, on the elements of the branch that needs them.  Like
+the ufuncs, the functions signal a bad argument by their result (NaN or an
+infinity), never by a numpy warning.
 
 Importing ``scipy.special`` costs most of the CLI's start-up, and the
 package needs nothing else from it; the tests compare these ports with it.
@@ -21,31 +21,7 @@ import math
 
 import numpy as np
 
-__all__ = ["BERNOULLI_EVEN", "spence", "ndtr", "ndtri"]
-
-# B_2, B_4, ..., B_36 exactly as scipy.special.bernoulli(36) returns them.
-# Its B_4 is -1/30 with a 1.7e-12 relative error; Frank's tau series is
-# built on these values, so they keep scipy's bits.
-BERNOULLI_EVEN = (
-    0.16666666666666666,
-    -0.033333333333275914,
-    0.02380952380952236,
-    -0.03333333333333301,
-    0.07575757575757562,
-    -0.253113553113553,
-    1.1666666666666672,
-    -7.092156862745103,
-    54.97117794486221,
-    -529.124242424243,
-    6192.123188405805,
-    -86580.25311355322,
-    1425517.1666666688,
-    -27298231.067816135,
-    601580873.9006432,
-    -15116315767.092178,
-    429614643061.1673,
-    -13711655205088.354,
-)
+__all__ = ["ndtr", "ndtri"]
 
 
 def _polevl(x, coef):
@@ -72,60 +48,6 @@ def _libm(func, x: np.ndarray) -> np.ndarray:
 def _finish(flat: np.ndarray, shape: tuple):
     """The result in the argument's shape; a 0-d argument gives a numpy scalar, like a ufunc."""
     return flat.reshape(shape)[()]
-
-
-# ---------------------------------------------------------------------------
-# spence: the dilogarithm, int_1^x log(t) / (1 - t) dt (cephes spence.c)
-
-_SPENCE_A = (
-    4.65128586073990045278e-5,
-    7.31589045238094711071e-3,
-    1.33847639578309018650e-1,
-    8.79691311754530315341e-1,
-    2.71149851196553469920e0,
-    4.25697156008121755724e0,
-    3.29771340985225106936e0,
-    1.00000000000000000126e0,
-)
-_SPENCE_B = (
-    6.90990488912553276999e-4,
-    2.54043763932544379113e-2,
-    2.82974860602568089943e-1,
-    1.41172597751831069346e0,
-    3.63800533345137075418e0,
-    5.03278880143316990390e0,
-    3.54771340985225096217e0,
-    9.99999999999999998740e-1,
-)
-_PI2_6 = math.pi * math.pi / 6.0
-
-
-@np.errstate(all="ignore")
-def spence(x):
-    """Spence's function as ``scipy.special.spence``: NaN below 0 and at +inf."""
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    t = flat.copy()
-    inv = t > 2.0  # cephes flag 2: x -> 1/x
-    t[inv] = 1.0 / t[inv]
-    hi = t > 1.5  # flag 2
-    lo = t < 0.5  # flag 1
-    w = t - 1.0
-    w[hi] = 1.0 / t[hi] - 1.0
-    w[lo] = -t[lo]
-    y = -w * _polevl(w, _SPENCE_A) / _polevl(w, _SPENCE_B)
-
-    lo &= t > 0.0  # log needs t > 0; x = 0, x < 0 and x = +inf are set below
-    tl = t[lo]
-    y[lo] = _PI2_6 - _libm(math.log, tl) * _libm(math.log, 1.0 - tl) - y[lo]
-    flip = (inv | hi) & (t > 0.0)
-    z = _libm(math.log, t[flip])
-    y[flip] = -0.5 * z * z - y[flip]
-
-    y[flat == 0.0] = _PI2_6
-    y[flat == 1.0] = 0.0
-    y[(flat < 0.0) | (flat == math.inf)] = math.nan
-    return _finish(y, x.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .copulas import (
+    MIN_FIT_N,
     CopulaSpec,
     FitResult,
     _check_interior,
@@ -109,12 +110,11 @@ class StoppingConfig:
     min_leaf: int = 50
     min_gain: float = 0.0
     max_leaves: int = 32
-    min_fit_n: int = 10
     max_candidates: int | None = None
 
     def __post_init__(self):
-        if self.min_leaf < self.min_fit_n:
-            raise ConfigError("min_leaf must be >= min_fit_n")
+        if self.min_leaf < MIN_FIT_N:
+            raise ConfigError(f"min_leaf must be >= {MIN_FIT_N}")
         if not self.min_gain >= 0:
             raise ConfigError("min_gain must be >= 0")
         if self.max_leaves < 1:
@@ -272,13 +272,12 @@ def order_modalities(
     data: Dataset,
     feature: int,
     rows=None,
-    min_fit_n: int = 10,
     *,
     _searches: dict | None = None,
 ) -> list[tuple[int, ...]]:
     """Order the observed levels of a categorical feature by fitted theta.
 
-    Levels with fewer than ``min_fit_n`` rows are merged into the level
+    Levels with fewer than ``MIN_FIT_N`` rows are merged into the level
     group with the closest within-node response-rank mean before fitting.
     Returns level-code groups sorted ascending by the group theta_hat
     (ties by the lowest level code in the group).  Only theta is used, so
@@ -305,7 +304,7 @@ def order_modalities(
         member = group_of[codes]
         masks = [member == k for k in range(len(groups))]
         counts = [int(m.sum()) for m in masks]
-        sparse = [i for i, cnt in enumerate(counts) if cnt < min_fit_n]
+        sparse = [i for i, cnt in enumerate(counts) if cnt < MIN_FIT_N]
         if len(groups) == 1 or not sparse:
             break
         if rank_mean is None:
@@ -319,12 +318,12 @@ def order_modalities(
         groups = [g for k, g in enumerate(groups) if k not in (i, j)] + [merged]
         groups.sort(key=lambda g: g[0])
 
-    if len(groups) > 1 or counts[0] >= min_fit_n:  # some group is fitted
+    if len(groups) > 1 or counts[0] >= MIN_FIT_N:  # some group is fitted
         _check_interior(uv[:, 0], uv[:, 1])
     searches = {} if _searches is None else _searches
     fitted = []
     for g, mask, cnt in zip(groups, masks, counts):
-        if cnt < min_fit_n:  # single under-sized group left: order degenerates
+        if cnt < MIN_FIT_N:  # single under-sized group left: order degenerates
             theta = 0.0
         else:
             key = idx[mask].tobytes()
@@ -683,7 +682,7 @@ def find_optimal_split(
     if len(idx) < 2 * stopping.min_leaf:
         return None
     if parent_fit is None:
-        parent_fit = fit_mle(spec, pseudo.values[idx], min_fit_n=stopping.min_fit_n)
+        parent_fit = fit_mle(spec, pseudo.values[idx])
     if _build is None:
         _build, at = _Build(_row_table(spec, pseudo.values[idx])), np.arange(len(idx))
     else:
@@ -691,13 +690,13 @@ def find_optimal_split(
     searches = _build.searches
     features = _node_cuts(
         data, idx, stopping.min_leaf, stopping.max_candidates,
-        lambda j: order_modalities(spec, pseudo, data, j, idx, stopping.min_fit_n, _searches=searches),
+        lambda j: order_modalities(spec, pseudo, data, j, idx, _searches=searches),
     )
 
     def fit(rows):
         found = searches.get(rows.tobytes())
         if found is None:
-            return fit_mle(spec, pseudo.values[rows], min_fit_n=stopping.min_fit_n)
+            return fit_mle(spec, pseudo.values[rows])
         theta_hat, loglik, converged = found  # a level group's search: add its tau
         return FitResult(theta_hat, theta_to_tau(spec, theta_hat), loglik, len(rows), converged)
 
@@ -823,7 +822,7 @@ def build_maximal_tree(
         raise SchemaError("pseudo-observations and dataset are not row aligned")
     build = _Build(_row_table(spec, pseudo.values))
     root = grow(
-        lambda idx: fit_mle(spec, pseudo.values[idx], min_fit_n=stopping.min_fit_n),
+        lambda idx: fit_mle(spec, pseudo.values[idx]),
         lambda idx, fit: find_optimal_split(spec, pseudo, data, stopping, idx, fit, _build=build),
         np.arange(data.n),
         stopping.max_leaves,

@@ -189,7 +189,7 @@ def test_acceptance_04_split_search_oracle():
         uv = np.column_stack([u, v])
         pseudo = PseudoObservations(uv, "t")
         data = Dataset(np.zeros((n, 2)), (numeric_column("x", x),))
-        stopping = tr.StoppingConfig(min_leaf=min_leaf, min_fit_n=10)
+        stopping = tr.StoppingConfig(min_leaf=min_leaf)
         cand = tr.find_optimal_split(CLAYTON, pseudo, data, stopping)
 
         parent = cp.fit_mle(CLAYTON, uv)

@@ -14,7 +14,9 @@ from scipy.special import ndtri
 
 import copulatree
 from copulatree import copulas as cp
+from copulatree import margins as mg
 from copulatree import simulation as sim
+from copulatree import tree as tr
 from copulatree.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCHEMA, build_parser, main
 from copulatree.fludata import write_flu_fixture_csv
 from copulatree.margins import MarginTreeConfig
@@ -117,10 +119,15 @@ def test_cli_import_leaves_out_scipy_special():
     assert out.stdout.split("\n")[:2] == ["[]", "['scipy.sparse']"]
 
 
-# every module of the package but __main__, which runs the CLI when imported
-PACKAGE_MODULES = ["copulatree"] + [
-    f"copulatree.{m.name}" for m in pkgutil.iter_modules(copulatree.__path__) if m.name != "__main__"
-]
+PACKAGE_MODULES = ["copulatree"] + [f"copulatree.{m.name}" for m in pkgutil.iter_modules(copulatree.__path__)]
+
+
+def test_python_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(copulatree.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "copulatree", "fit"], env=env, capture_output=True, text=True)
+    assert out.returncode == EXIT_CONFIG
+    assert out.stderr.splitlines() == ["error: config: --input is required (flag or config file)"]
 
 
 @pytest.mark.parametrize("module", PACKAGE_MODULES)
@@ -278,6 +285,33 @@ class TestSimulateConfig:
         assert main(with_bad_value(argv, tmp_path, key, value, via_config)) == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: config: {message}"]
+
+
+# (flags, error message) of CV and growth options every command checks before it works
+EARLY_BAD = [
+    (["--repeats", "0"], "repeats must be >= 1"),
+    (["--folds", "1"], "folds must be >= 2"),
+    (["--max-candidates", "0"], "max_candidates must be >= 1 or unset"),
+]
+
+
+@pytest.mark.parametrize("flags, message", EARLY_BAD, ids=[f[0][2:] for f, _ in EARLY_BAD])
+@pytest.mark.parametrize("command", ["fit", "flu", "simulate"])
+def test_bad_options_fail_before_any_work(command, flags, message, fit_csv, fixture_csv, tmp_path, capsys,
+                                          monkeypatch):
+    """A bad option exits 4 before any data is generated or any tree is grown."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the options were checked")
+
+    for module, name in ((tr, "grow"), (mg, "grow"), (sim, "generate")):
+        monkeypatch.setattr(module, name, refuse)
+    argv = {
+        "fit": ["fit", "--input", str(fit_csv), "--family", "clayton", "--pseudo", "margin-tree"],
+        "flu": ["flu", "--input", str(fixture_csv)],
+        "simulate": ["simulate", "--families", "clayton", "--surfaces", "step", "--reps", "1", "--n", "200"],
+    }[command]
+    assert main(argv + ["--seed", "1", "--out", str(tmp_path / "o")] + flags) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: config: {message}"]
 
 
 class TestParser:

@@ -7,8 +7,11 @@ Frank tau bridge, plus quad of the Genest-MacKay generator formula, which
 does not pass through the Debye function, for Frank's tau.
 """
 
+import decimal
 import functools
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,6 +56,41 @@ def frank_tau_oracle(theta):
         return log_r * np.expm1(theta * t) / theta
 
     return 1.0 + 4.0 * integrate.quad(ratio, 0.0, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+
+def bernoulli(n):
+    """B_0..B_n exactly, by the recurrence sum_{j <= m} C(m + 1, j) B_j = 0."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+# c_k = B_2k / ((2k + 1) (2k)!), k = 1..30: D1(x) = 1 - x/4 + sum_k c_k x^2k
+DEBYE_C = [bk / math.factorial(2 * k + 1) for k, bk in enumerate(bernoulli(60)[2::2], 1)]
+
+
+def frank_decimal(x):
+    """D1(x) and Frank's tau at theta = x > 0 as 40-digit Decimals.
+
+    Below 1, the series with exact c_k (30 terms, the last below 1e-50);
+    from 1 on, pi^2/6 - sum_k e^-kx (x/k + 1/k^2), summed to below 1e-48.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(x)
+        if x < 1:
+            odd = sum(Decimal(c.numerator) / Decimal(c.denominator) * x ** (2 * k - 1)
+                      for k, c in enumerate(DEBYE_C, 1))  # sum_k c_k x^(2k-1)
+            return 1 - x / 4 + x * odd, 4 * odd
+        pi = Decimal("3.14159265358979323846264338327950288419716939937510")
+        e, ek, k, tail = (-x).exp(), Decimal(1), 0, Decimal(0)
+        while k < 5 or ek > Decimal("1e-50"):
+            k += 1
+            ek *= e
+            tail += ek * (x / k + Decimal(1) / (k * k))
+        d1 = (pi * pi / 6 - tail) / x
+        return d1, 1 - 4 / x * (1 - d1)
 
 
 def fd_density(spec, theta, u, v, h=1e-4):
@@ -193,6 +231,24 @@ class TestTauBridge:
         for x in (-30.0, -2.0, -0.5, 1e-3, 0.5, np.nextafter(cp._DEBYE_SWITCH, 0.0), 2.0, 7.0, 50.0):
             d1 = integrate.quad(lambda t: t / np.expm1(t), 0.0, x, epsabs=1e-15, epsrel=1e-13)[0] / x
             assert cp.debye1(x) == pytest.approx(d1, rel=1e-12, abs=0.0), x
+
+    def test_debye1_and_frank_tau_match_40_digit_sums(self):
+        # against 40-digit Decimal sums: both signs of theta, both sides of
+        # the switch from the series to the sum of e^-kx terms
+        s = cp._DEBYE_SWITCH
+        xs = np.concatenate([np.linspace(s, 50.0, 97), np.geomspace(s, 50.0, 41)[1:], [np.nextafter(s, 3.0)]])
+        for x in xs:
+            d1 = frank_decimal(x)[0]
+            assert abs((Decimal(cp.debye1(x)) - d1) / d1) <= Decimal("5e-16"), x
+        grid = np.concatenate([np.geomspace(1e-3, 50.0, 121), np.linspace(0.5 * s, 2.0 * s, 41),
+                               [np.nextafter(s, 0.0), np.nextafter(s, 3.0)]])
+        for theta in grid:
+            tau = frank_decimal(theta)[1]
+            assert abs(Decimal(cp.theta_to_tau(FRANK, theta)) - tau) <= Decimal("3e-16"), theta
+            assert abs(Decimal(cp.theta_to_tau(FRANK, -theta)) + tau) <= Decimal("3e-16"), -theta
+
+    def test_debye_series_is_exact_bernoulli_rounded(self):
+        assert cp._DEBYE_SERIES.tolist() == [float(c) for c in DEBYE_C[:18]]
 
     @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.family.value)
     def test_array_calls_equal_scalar_calls(self, spec):

@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sc
 
-from copulatree import copulas as cp
 from copulatree import special as sp
 
-FUNCS = ("spence", "ndtr", "ndtri")
+FUNCS = ("ndtr", "ndtri")
 
 _EXPM2 = 0.13533528323661269189
 EDGES = np.array([
@@ -82,10 +81,3 @@ def test_ndtr_property(xs):
 @settings(max_examples=300)
 def test_ndtri_property(ys):
     assert same_bits(sp.ndtri(ys), sc.ndtri(ys))
-
-
-def test_debye_series_equals_scipy_bernoulli():
-    b = sc.bernoulli(36)[2::2]
-    series = np.array([bk / ((k + 1) * math.factorial(k)) for k, bk in zip(range(2, 37, 2), b)])
-    assert sp.BERNOULLI_EVEN == tuple(b.tolist())
-    assert cp._DEBYE_SERIES.tobytes() == series.tobytes()

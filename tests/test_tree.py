@@ -92,7 +92,7 @@ class TestOrderModalities:
         monkeypatch.setattr(tr, "average_ranks", lambda x: calls.append(len(x)) or stats.rankdata(x))
         pseudo, data = self._dataset([0.3, 0.7], 60, 400)
         tr.order_modalities(CLAYTON, pseudo, data, 0)
-        assert calls == []  # no level group below min_fit_n
+        assert calls == []  # no level group below MIN_FIT_N
         uv = np.vstack([pseudo.values, copula_rows(0.5, 3, 5), copula_rows(0.5, 2, 6)])
         labs = ["l0"] * 60 + ["l1"] * 60 + ["tiny"] * 3 + ["wee"] * 2
         data = Dataset(np.zeros((125, 2)), (categorical_column("g", labs),))
@@ -157,7 +157,7 @@ class TestFindOptimalSplit:
     def test_oracle_equivalence_few_distinct(self):
         # <= 12 distinct values on the single numeric feature: the search
         # must equal brute force over every admissible threshold.
-        stopping = tr.StoppingConfig(min_leaf=20, min_fit_n=10)
+        stopping = tr.StoppingConfig(min_leaf=20)
         for case in range(10):
             rng = np.random.default_rng(9000 + case)
             n = 240
@@ -427,7 +427,7 @@ def random_node(family, n, seed, kinds, taus):
 def brute_force_split(spec, pseudo, data, stopping):
     """Refit every admissible cut in (feature, position) order; keep the first best."""
     idx = np.arange(data.n)
-    parent = cp.fit_mle(spec, pseudo.values, min_fit_n=stopping.min_fit_n)
+    parent = cp.fit_mle(spec, pseudo.values)
     best = None
     for j, col in enumerate(data.covariates):
         if col.kind == "num":
@@ -439,7 +439,7 @@ def brute_force_split(spec, pseudo, data, stopping):
                 for s in thresholds
             ]
         else:
-            groups = tr.order_modalities(spec, pseudo, data, j, idx, stopping.min_fit_n)
+            groups = tr.order_modalities(spec, pseudo, data, j, idx)
             cuts = []
             for cut in range(1, len(groups)):
                 left = frozenset(c for g in groups[:cut] for c in g)
@@ -447,8 +447,8 @@ def brute_force_split(spec, pseudo, data, stopping):
                 if min(mask.sum(), (~mask).sum()) >= stopping.min_leaf:
                     cuts.append((tr.SplitRule(j, left_levels=left), idx[mask], idx[~mask]))
         for rule, left_rows, right_rows in cuts:
-            lf = cp.fit_mle(spec, pseudo.values[left_rows], min_fit_n=stopping.min_fit_n)
-            rf = cp.fit_mle(spec, pseudo.values[right_rows], min_fit_n=stopping.min_fit_n)
+            lf = cp.fit_mle(spec, pseudo.values[left_rows])
+            rf = cp.fit_mle(spec, pseudo.values[right_rows])
             gain = lf.loglik + rf.loglik - parent.loglik
             if best is None or gain > best[1]:
                 best = (rule, gain, lf, rf, left_rows, right_rows)
@@ -498,7 +498,7 @@ class TestScreenedSplitSearch:
         parent = cp.fit_mle(spec, uv)
         features = tr._node_cuts(
             data, idx, stopping.min_leaf, stopping.max_candidates,
-            lambda j: tr.order_modalities(spec, pseudo, data, j, idx, stopping.min_fit_n),
+            lambda j: tr.order_modalities(spec, pseudo, data, j, idx),
         )
         gains = []
         for fc in features:
@@ -640,7 +640,7 @@ def flu_node(seed):
 
 def sparse_levels_node(family, n, seed, n_features):
     """Rows whose dependence steps with the level of the first categorical
-    covariate, whose levels are skewed so that some fall below min_fit_n."""
+    covariate, whose levels are skewed so that some fall below MIN_FIT_N."""
     spec = cp.spec_for(family)
     rng = np.random.default_rng(seed)
     covs, level_tau = [], None
@@ -698,7 +698,7 @@ class TestLevelSearchMemo:
         stopping = tr.StoppingConfig(min_leaf=case["min_leaf"], max_leaves=64)
         tree = tr.build_maximal_tree(spec, pseudo, data, stopping)
         plain = tr.grow(
-            lambda idx: cp.fit_mle(spec, pseudo.values[idx], min_fit_n=stopping.min_fit_n),
+            lambda idx: cp.fit_mle(spec, pseudo.values[idx]),
             lambda idx, fit: tr.find_optimal_split(spec, pseudo, data, stopping, idx, fit),
             np.arange(data.n),
             stopping.max_leaves,
