@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import locale  # noqa: F401  argparse's gettext imports it for the first parser; do it at start-up
 import sys
 from pathlib import Path
 
@@ -42,7 +43,7 @@ from .margins import (
     pseudo_margin_tree,
     pseudo_parametric_normal,
 )
-from .pruning import check_cv_options, fit_pruned_tree
+from .pruning import check_cv_options, check_cv_rows, fit_pruned_tree
 from .serialize import (
     read_tree_json,
     write_cv_report_json,
@@ -209,6 +210,7 @@ def cmd_fit(args) -> int:
     _require(args, "input", "out", "family", "seed")
     stopping = _stopping_from_args(args)
     data = read_fit_csv(args.input)
+    check_cv_rows(data.n, args.folds, stopping.min_leaf)
     spec = spec_for(args.family)
     pseudo = _make_pseudo(args, data)
     maximal, path, report, subtree = fit_pruned_tree(
@@ -304,6 +306,7 @@ def cmd_flu(args) -> int:
     if any(uy.itz for uy in unit_years):
         covs.append(categorical_column("itz", [uy.itz or "?" for uy in unit_years]))
     data = Dataset(y, tuple(covs))
+    check_cv_rows(data.n, args.folds, stopping.min_leaf)
 
     pseudo = pseudo_margin_tree(data, MarginTreeConfig(min_leaf=args.margin_min_leaf, seed=args.seed))
     maximal, path, report, subtree = fit_pruned_tree(

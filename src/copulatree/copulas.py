@@ -29,6 +29,7 @@ from enum import Enum
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
+from numpy.random import default_rng
 
 from .errors import BoundaryError, DomainError, FitError, InsufficientDataError
 
@@ -545,7 +546,7 @@ def sample(spec: CopulaSpec, theta, n: int, seed) -> np.ndarray:
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     _check_theta(spec, theta)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     u = rng.random(n)
     w = rng.random(n)
     v = conditional_quantile(spec, theta, u, w)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique imports it on its first call; do it at start-up
 
 from .errors import SchemaError
 

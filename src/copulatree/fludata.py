@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 
 import numpy as np
+from numpy.random import default_rng
 
 from .compositional import IlrPoint, WeeklyRecord, ilr_inverse
 from .copulas import conditional_quantile, spec_for, tau_to_theta
@@ -37,7 +38,7 @@ def make_flu_fixture(
 ) -> list[WeeklyRecord]:
     """Weekly records with a season-shifted dependence structure."""
     frank = spec_for("frank")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     theta_low = tau_to_theta(frank, tau_low)
     theta_high = tau_to_theta(frank, tau_high)
 

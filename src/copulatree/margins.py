@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random import default_rng
 
 from .data import CATEGORICAL, NUMERIC, Dataset, PseudoObservations, average_ranks
 from .errors import ConfigError, RegressionError
@@ -29,6 +30,7 @@ from .special import ndtr
 from .tree import TreeNode, grow, route, sse_fit, sse_split, walk
 
 __all__ = [
+    "check_bandwidth",
     "pseudo_empirical",
     "pseudo_kernel",
     "pseudo_parametric_normal",
@@ -52,6 +54,12 @@ def pseudo_empirical(data: Dataset) -> PseudoObservations:
     return PseudoObservations(vals, "empirical")
 
 
+def check_bandwidth(h: float) -> None:
+    """Raise ConfigError unless the kernel bandwidth ``h`` is > 0 (NaN is not)."""
+    if not h > 0:
+        raise ConfigError(f"bandwidth must be > 0, got {h}")
+
+
 def pseudo_kernel(data: Dataset, h: float) -> PseudoObservations:
     """Kernel-weighted conditional ECDF with a product Gaussian kernel.
 
@@ -60,8 +68,7 @@ def pseudo_kernel(data: Dataset, h: float) -> PseudoObservations:
     Rows are weighted in blocks of _KERNEL_BLOCK_ROWS, so memory grows
     linearly in n; every row's arithmetic is that of the whole n x n matrix.
     """
-    if not h > 0:
-        raise ConfigError(f"bandwidth must be > 0, got {h}")
+    check_bandwidth(h)
     if any(c.kind != NUMERIC for c in data.covariates):
         raise ConfigError("pseudo_kernel requires all covariates to be numeric")
     n = data.n
@@ -162,7 +169,7 @@ def _holdout_score(root, y, data, rows) -> float:
 
 def _cv_leaf_count(y, data, min_leaf, seed) -> int:
     """OneSE leaf count over one seeded split of the rows into _CV_FOLDS folds."""
-    folds = np.array_split(np.random.default_rng(seed).permutation(data.n), _CV_FOLDS)
+    folds = np.array_split(default_rng(seed).permutation(data.n), _CV_FOLDS)
     scores = []
     for f, val_idx in enumerate(folds):
         train_idx = np.concatenate([g for i, g in enumerate(folds) if i != f])

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .copulas import CopulaSpec
 from .data import Dataset, PseudoObservations
@@ -45,6 +46,7 @@ __all__ = [
     "prune_path",
     "select_penalized",
     "check_cv_options",
+    "check_cv_rows",
     "cross_validate",
     "fit_pruned_tree",
     "lambda_intervals",
@@ -234,6 +236,13 @@ def check_cv_options(folds: int, repeats: int, rule: str) -> None:
         raise ConfigError(f"unknown CV rule {rule!r}")
 
 
+def check_cv_rows(n: int, folds: int, min_leaf: int) -> None:
+    """Raise InsufficientDataError unless n >= folds * 2 * min_leaf, so that a
+    fold's training rows can hold a split; callers check it before any work."""
+    if n < folds * 2 * min_leaf:
+        raise InsufficientDataError(f"need at least folds * 2 * min_leaf = {folds * 2 * min_leaf} rows, got {n}")
+
+
 def cross_validate(
     spec: CopulaSpec,
     pseudo: PseudoObservations,
@@ -255,17 +264,14 @@ def cross_validate(
     """
     check_cv_options(folds, repeats, rule)
     n = data.n
-    if n < folds * 2 * stopping.min_leaf:
-        raise InsufficientDataError(
-            f"need at least folds * 2 * min_leaf = {folds * 2 * stopping.min_leaf} rows, got {n}"
-        )
+    check_cv_rows(n, folds, stopping.min_leaf)
     if path is None:
         full_tree = build_maximal_tree(spec, pseudo, data, stopping)
         path = prune_path(full_tree)
 
     scores: list[dict[int, float]] = []
     for rep in range(repeats):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
+        rng = default_rng(SeedSequence(seed, spawn_key=(rep,)))
         perm = rng.permutation(n)
         chunks = np.array_split(perm, folds)
         for f in range(folds):
@@ -314,6 +320,7 @@ def fit_pruned_tree(
 ) -> tuple[CopulaTree, PrunePath, CvReport, CopulaTree]:
     """Maximal tree, its prune path, the CV report and the selected subtree."""
     check_cv_options(folds, repeats, rule)
+    check_cv_rows(data.n, folds, stopping.min_leaf)
     maximal = build_maximal_tree(spec, pseudo, data, stopping)
     path = prune_path(maximal)
     report = cross_validate(

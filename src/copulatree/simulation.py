@@ -19,17 +19,17 @@ from __future__ import annotations
 
 import csv
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from . import copulas as cop
 from .copulas import CopulaSpec, Family, fit_mle, spec_for
 from .data import Dataset, PseudoObservations, numeric_column
 from .errors import ScenarioError
-from .margins import pseudo_kernel, pseudo_parametric_normal
-from .pruning import check_cv_options, fit_pruned_tree
+from .margins import check_bandwidth, pseudo_kernel, pseudo_parametric_normal
+from .pruning import check_cv_options, check_cv_rows, fit_pruned_tree
 from .special import ndtri
 from .tree import StoppingConfig
 
@@ -82,6 +82,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_cv_options(self.cv_folds, self.cv_repeats, self.cv_rule)
+        if self.kernel_h is not None:
+            check_bandwidth(self.kernel_h)
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ def tau_surface(kind: str, x1, x2):
 def generate(spec: ScenarioSpec) -> SimulatedDataset:
     """Synthesise one scenario dataset; deterministic given the seed."""
     family = spec_for(spec.family)
-    rng = np.random.default_rng(spec.seed)
+    rng = default_rng(spec.seed)
     x = rng.random((spec.n, 2))
     tau = np.asarray(tau_surface(spec.surface, x[:, 0], x[:, 1]), dtype=float)
 
@@ -257,15 +259,18 @@ def run_study(
     (base_seed, cell index, replication index), so results do not depend
     on scheduling or on n_jobs.
     """
+    check_cv_rows(n, config.cv_folds, config.stopping.min_leaf)
     tasks = []
     for ci, (fam, surf) in enumerate(cells):
         for rep in range(n_reps):
             seed = int(
-                np.random.SeedSequence(base_seed, spawn_key=(ci, rep)).generate_state(1)[0]
+                SeedSequence(base_seed, spawn_key=(ci, rep)).generate_state(1)[0]
             )
             tasks.append((ScenarioSpec(fam, surf, n, seed), config, rep))
 
     if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             chunks = list(pool.map(_run_one, tasks, chunksize=1))
     else:

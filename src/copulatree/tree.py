@@ -26,8 +26,10 @@ cut's gain from above first:
 * every row's log-density and its derivative in theta are evaluated on a
   fixed per-family grid spanning fit_mle's search interval
   (``copulas.screen_grid``), once per maximal tree (``_row_table``);
-* prefix sums over a node's rows in cut order (sorted x, or the level
-  groups of ``order_modalities``) give both sides' sums at every grid node;
+* the node's rows are gathered in cut order (sorted x, or the level
+  groups of ``order_modalities``), summed between consecutive cuts with
+  ``np.add.reduceat``, and prefix sums of those segments give both sides'
+  sums at every grid node (``_side_sums``);
 * on each grid cell a side's log-likelihood lies below the two tangent
   parabolas at the cell's ends whose curvature is a proven cap on the
   side's summed second derivative (``copulas.curvature_caps``, derived
@@ -43,9 +45,10 @@ below the best exact gain (a bound equal to it is still refit, for the
 tie rule).  The winner, its fits and its gain come from the same fit_mle
 calls an exhaustive search makes, so trees are bit-identical to
 refitting every cut; a non-finite bound only means that cut is refit.
-Apart from the row table, every array of the screen is built in blocks
-of at most about _SCREEN_BUDGET values, so memory grows only linearly
-with the rows.
+Apart from the row table, and the node's rows of it gathered in cut
+order when the whole grid fits one block, every array of the screen is
+built in blocks of at most about _SCREEN_BUDGET values per feature, so
+memory grows only linearly with the rows.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .copulas import (
     MIN_FIT_N,
@@ -416,26 +418,26 @@ def _cut_rows(data, idx, rule: SplitRule):
     return idx[left], idx[~left]
 
 
-def _side_sums(splits, n_rows):
-    """A function that sums the rows of an (``n_rows``, ...) array over every
+def _side_sums(splits):
+    """A function that sums the rows of an (rows, ...) array over every
     cut's left side, then every right side.
 
     ``splits`` holds, per feature, the rows in cut order (as row numbers of
-    that array) and the left-side sizes of its cuts, ascending.  One sparse
-    product sums each feature's rows between consecutive cuts, and prefix
-    sums of those segments give the sides, so no row of the array is copied.
+    that array) and the left-side sizes of its cuts, ascending.  The rows
+    of every feature are gathered in cut order at once, ``np.add.reduceat``
+    sums each run between consecutive cuts, and prefix sums of those
+    segments give the sides.
     """
     if not splits:
         return lambda values: np.empty((0,) + values.shape[1:])
-    ends = [np.append(n_left, len(rows)) for rows, n_left in splits]
-    starts = np.cumsum([0] + [len(rows) for rows, _ in splits])
-    indptr = np.concatenate([[0]] + [s + e for s, e in zip(starts, ends)])
     indices = np.concatenate([rows for rows, _ in splits])
-    segments = csr_array((np.ones(len(indices)), indices, indptr), shape=(len(indptr) - 1, n_rows))
-    features = np.cumsum([len(e) for e in ends])[:-1]
+    firsts = np.cumsum([0] + [len(rows) for rows, _ in splits[:-1]])
+    seg_starts = np.concatenate([np.append(0, n_left) + f for (_, n_left), f in zip(splits, firsts)])
+    features = np.cumsum([len(n_left) + 1 for _, n_left in splits])[:-1]
 
     def sums(values):
-        prefix = [np.cumsum(p, axis=0) for p in np.split(segments @ values.reshape(n_rows, -1), features)]
+        segments = np.add.reduceat(values[indices].reshape(len(indices), -1), seg_starts, axis=0)
+        prefix = [np.cumsum(p, axis=0) for p in np.split(segments, features)]
         sides = np.concatenate([p[:-1] for p in prefix] + [p[-1] - p[:-1] for p in prefix])
         return sides.reshape((len(sides),) + values.shape[1:])
 
@@ -498,9 +500,10 @@ class _Screen:
     from the row table (``table[at[i]]`` holds node row i), and the
     per-cell curvature caps of ``copulas.curvature_caps``.  A non-finite
     value anywhere in a cut's computation makes its bound +inf, which only
-    means "refit it".  Every temporary array holds about _SCREEN_BUDGET
-    values at most (column blocks), so memory grows linearly with the
-    node and the number of cuts.
+    means "refit it".  Apart from the node's rows of the table gathered
+    for a grid that fits one block, every temporary array holds about
+    _SCREEN_BUDGET values per feature at most (column blocks), so memory
+    grows linearly with the node and the number of cuts.
     """
 
     def __init__(self, spec, table, at, uv, features, parent_loglik):
@@ -514,7 +517,7 @@ class _Screen:
         n = len(uv)
         self.caps, row_caps, self.offset = curvature_caps(spec, self.theta, uv)
         self.sizes = np.concatenate([self.n_left, n - self.n_left]).astype(float)
-        self.weights = _side_sums(self._splits(np.arange(len(self.n_left)), self.orders), n)(row_caps)
+        self.weights = _side_sums(self._splits(np.arange(len(self.n_left)), self.orders))(row_caps)
         self.base = parent_loglik - _SCREEN_SLACK * n  # bound = left + right - base
 
     def _splits(self, ks, orders):
@@ -528,11 +531,11 @@ class _Screen:
         """
         sides = np.concatenate([ks, len(self.n_left) + ks])
         size, weight = self.sizes[sides, None], self.weights[sides, None]
-        side_sums = _side_sums(self._splits(ks, self.table_orders), len(self.table))
+        side_sums = _side_sums(self._splits(ks, self.table_orders))
         last = len(self.theta) - 1
         if 2 * len(sides) * len(self.theta) <= _SCREEN_BUDGET:
-            width = last  # one block, summed straight from the table
-        else:  # each block copies its columns of the table
+            width = last  # one block: bounds keeps it for refine
+        else:  # each block gathers the node's rows of its columns only
             width = _block_width(max(len(self.table), len(sides)))
         for k0 in range(0, last, width):
             k1 = min(k0 + width, last)
@@ -549,9 +552,10 @@ class _Screen:
         best = np.full(2 * n_cuts, -np.inf)
         if not n_cuts:
             return best
-        for *_, cell in self._grid_cells(np.arange(n_cuts)):
-            np.maximum(best, cell.max(axis=1), out=best)
+        for n_blocks, block in enumerate(self._grid_cells(np.arange(n_cuts)), 1):
+            np.maximum(best, block[-1].max(axis=1), out=best)
         self.best = best
+        self.block = block if n_blocks == 1 else None  # the whole grid; refine reads its cuts' rows
         return best[:n_cuts] + best[n_cuts:] - self.base
 
     def refine(self, bound, top, target, min_gain) -> np.ndarray:
@@ -574,9 +578,14 @@ class _Screen:
         other = np.concatenate([np.arange(m, 2 * m), np.arange(m)])  # the other side of each side
         best = self.best[np.concatenate([ks, len(self.n_left) + ks])]
         rest = np.full(2 * m, -np.inf)  # each side's largest bound over its dead cells
+        if self.block is None:
+            blocks = self._grid_cells(ks)
+        else:
+            sides = np.concatenate([ks, len(self.n_left) + ks])
+            blocks = [(0,) + tuple(a[sides] for a in self.block[1:])]
         # a live cell is a column (side, a, b, f(a), f(b), g(a), g(b), curvature, bound)
         live = []
-        for k0, f, g, curvature, cell in self._grid_cells(ks):
+        for k0, f, g, curvature, cell in blocks:
             alive = self._reaches(cell + best[other, None], target, min_gain)
             np.maximum(rest, np.where(alive, -np.inf, cell).max(axis=1), out=rest)
             r, c = np.nonzero(alive)
@@ -611,7 +620,7 @@ class _Screen:
         mid = 0.5 * (a + b)
         grid, col = np.unique(mid, return_inverse=True)
         fm, gm = np.empty(len(mid)), np.empty(len(mid))
-        side_sums = _side_sums(self._splits(ks, self.orders), len(self.uv))
+        side_sums = _side_sums(self._splits(ks, self.orders))
         width = _block_width(max(len(self.uv), 2 * len(ks)))
         for c0 in range(0, len(grid), width):
             ll, score = log_density_and_score(self.spec, grid[c0 : c0 + width], self.uv[:, 0], self.uv[:, 1])
@@ -764,7 +773,7 @@ def sse_split(y: np.ndarray, data: Dataset, idx, parent: SseFit, min_leaf: int) 
         data, idx, min_leaf, None, lambda j: _levels_by_mean(yv, data.covariates[j].values[idx])
     )
     centred = yv - parent.mean
-    side_sums = _side_sums([(fc.order, fc.n_left) for fc in features], len(idx))
+    side_sums = _side_sums([(fc.order, fc.n_left) for fc in features])
     s1, s2 = side_sums(np.column_stack([centred, centred**2])).T
     n_left = np.concatenate([fc.n_left for fc in features])
     side_sse = s2 - s1**2 / np.concatenate([n_left, len(idx) - n_left])

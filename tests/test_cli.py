@@ -14,10 +14,12 @@ from scipy.special import ndtri
 
 import copulatree
 from copulatree import copulas as cp
+from copulatree import cli
 from copulatree import margins as mg
+from copulatree import pruning as pr
 from copulatree import simulation as sim
 from copulatree import tree as tr
-from copulatree.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCHEMA, build_parser, main
+from copulatree.cli import EXIT_CONFIG, EXIT_FIT, EXIT_OK, EXIT_SCHEMA, build_parser, main
 from copulatree.fludata import write_flu_fixture_csv
 from copulatree.margins import MarginTreeConfig
 from copulatree.tree import StoppingConfig
@@ -88,35 +90,29 @@ def run_fit(fit_csv, out, extra=()):
     )
 
 
-def test_cli_import_leaves_out_scipy_optimize_and_stats():
-    """The CLI's import graph: scipy's optimizer and stats packages cost
-    about 0.6 s at every start and the program uses neither."""
+def after_cli_import(expr: str) -> str:
+    """What ``expr`` (it may read ``sys``) prints in a fresh interpreter after ``import copulatree.cli``."""
     src = os.path.dirname(os.path.dirname(copulatree.__file__))
-    code = (
-        "import sys, copulatree.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
-    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", f"import sys, copulatree.cli; print({expr})"], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
 
 
 def test_cli_import_leaves_out_scipy_special():
-    """scipy.special costs most of what is left of the CLI's start-up; the
-    program's special functions live in copulatree.special, so scipy.sparse
-    is the only scipy subpackage it loads."""
-    src = os.path.dirname(os.path.dirname(copulatree.__file__))
-    code = (
-        "import sys, copulatree.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.special'))); "
-        "print(sorted(m for m, mod in sys.modules.items() if m.count('.') == 1 "
-        "and m.startswith('scipy.') and not m.startswith('scipy._') and hasattr(mod, '__path__')))"
-    )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.split("\n")[:2] == ["[]", "['scipy.sparse']"]
+    """The program runs on numpy alone: its optimizer, ranks and special
+    functions live in the package and its segment sums are numpy's, so the
+    CLI loads no scipy module at all.  Importing scipy.optimize and
+    scipy.stats cost about 0.6 s of start-up, scipy.sparse about 0.2 s."""
+    assert after_cli_import("sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')") == "[]"
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    """Only a study run with --jobs > 1 needs a process pool; its import
+    pulls in multiprocessing, which costs every other CLI call start-up time."""
+    assert after_cli_import(
+        "sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.'))"
+    ) == "[]"
 
 
 PACKAGE_MODULES = ["copulatree"] + [f"copulatree.{m.name}" for m in pkgutil.iter_modules(copulatree.__path__)]
@@ -314,6 +310,31 @@ def test_bad_options_fail_before_any_work(command, flags, message, fit_csv, fixt
     assert capsys.readouterr().err.strip().splitlines() == [f"error: config: {message}"]
 
 
+@pytest.mark.parametrize("command", ["fit", "flu", "simulate"])
+def test_too_few_rows_for_cv_fail_before_any_work(command, fit_csv, tmp_path, capsys, monkeypatch):
+    """Fewer rows than folds * 2 * min_leaf exit 3 before any pseudo-observations
+    are built, any data is generated or any tree is grown."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the row count was checked")
+
+    for module, name in ((tr, "build_maximal_tree"), (pr, "build_maximal_tree"), (mg, "pseudo_margin_tree"),
+                         (cli, "pseudo_margin_tree"), (sim, "generate")):
+        monkeypatch.setattr(module, name, refuse)
+    flu_csv = tmp_path / "flu.csv"
+    write_flu_fixture_csv(flu_csv, seed=1000)  # 720 unit-seasons
+    argv, need, got = {
+        "fit": (["fit", "--input", str(fit_csv), "--family", "clayton", "--pseudo", "margin-tree",
+                 "--min-leaf", "70"], 420, 400),
+        "flu": (["flu", "--input", str(flu_csv), "--min-leaf", "130"], 780, 720),
+        "simulate": (["simulate", "--families", "clayton", "--surfaces", "step", "--reps", "1", "--n", "200",
+                      "--min-leaf", "50"], 300, 200),
+    }[command]
+    assert main(argv + ["--seed", "1", "--out", str(tmp_path / "o")]) == EXIT_FIT
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: fit: need at least folds * 2 * min_leaf = {need} rows, got {got}"
+    ]
+
+
 class TestParser:
     def test_defaults_are_the_config_defaults(self):
         parser = build_parser()
@@ -427,6 +448,14 @@ class TestSimulate:
         assert {"mse_tau", "mse_copula", "loglik", "n_splits"} <= set(cell)
         rows = list(csv.reader(open(out / "records.tsv"), delimiter="\t"))
         assert rows[0] == ["format_version", "1"]
+
+    def test_two_jobs_write_the_same_bytes(self, tmp_path):
+        argv = ["simulate", "--families", "clayton", "--surfaces", "step", "--sources", "U",
+                "--reps", "2", "--n", "400", "--seed", "9", "--repeats", "1"]
+        for jobs in ("1", "2"):
+            assert main(argv + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == EXIT_OK
+        for name in ("records.tsv", "summary.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_paper_preset_config_echo(self, tmp_path):
         out = tmp_path / "paper"

@@ -567,6 +567,74 @@ class TestScreenedSplitSearch:
         assert cp.fit_mle(spec, uv[rng.permutation(n)]) == cp.fit_mle(spec, uv)
 
 
+def side_sums_oracle(splits, values):
+    """Every cut's left-side sum, then every right side, one row at a time."""
+    left = [values[rows[:k]].sum(axis=0) for rows, n_left in splits for k in n_left]
+    right = [values[rows[k:]].sum(axis=0) for rows, n_left in splits for k in n_left]
+    return np.array(left + right).reshape((-1,) + values.shape[1:])
+
+
+class TestSideSums:
+    @given(seed=st.integers(0, 2**31), shape=st.sampled_from([(), (2,), (2, 3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_row_by_row_sums(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        values = rng.normal(size=(n,) + shape) * 10.0 ** rng.integers(-3, 4, size=(n,) + shape)
+        splits = []
+        for kind in ("every", "one", "none", "some"):
+            m = int(rng.integers(2, n + 1))
+            rows = rng.choice(n, m, replace=False)  # a node's rows of the array, in cut order
+            n_left = {
+                "every": np.arange(1, m),  # 1-row segments
+                "one": rng.integers(1, m, 1),
+                "none": np.empty(0, dtype=np.int64),  # sse_split passes features without cuts
+                "some": np.flatnonzero(rng.random(m - 1) < 0.5) + 1,
+            }[kind]
+            splits.append((rows, n_left))
+        for order in (splits, splits[::-1]):
+            got = tr._side_sums(order)(values)
+            want = side_sums_oracle(order, values)
+            # a right side is a feature's total minus its left side
+            total = [np.abs(values[rows]).sum(axis=0) for rows, n_left in order for _ in n_left]
+            scale = np.array(total + total).reshape(want.shape)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_no_splits(self):
+        values = np.ones((5, 2, 3))
+        assert tr._side_sums([])(values).shape == (0, 2, 3)
+
+    def test_one_block_node_sums_the_row_table_once(self, monkeypatch):
+        # with the whole grid in one block, refine reads its cuts' sides from the
+        # block bounds built rather than summing the table again
+        pseudo, data = step_node(200, 0)
+        stopping = tr.StoppingConfig(min_leaf=30, max_candidates=16)
+        build = tr._Build(tr._row_table(CLAYTON, pseudo.values))
+        reads, refines, real = [], [], tr._side_sums
+
+        def counting(*args):
+            sums = real(*args)
+
+            def count(values):
+                reads.append(np.shares_memory(values, build.table))
+                return sums(values)
+
+            return count
+
+        def refine(self, bound, top, target, min_gain):
+            refines.append(np.count_nonzero((bound >= target) & (bound > min_gain)) > 1)
+            return real_refine(self, bound, top, target, min_gain)
+
+        real_refine = tr._Screen.refine
+        monkeypatch.setattr(tr, "_side_sums", counting)
+        monkeypatch.setattr(tr._Screen, "refine", refine)
+        cand = tr.find_optimal_split(CLAYTON, pseudo, data, stopping, _build=build)
+        assert cand.rule.feature == 0
+        assert refines == [True]  # refine had cuts besides the top one to tighten
+        assert sum(reads) == 1
+
+
 def node_rows(tree, data):
     """(node, its training rows) for every node of ``tree``."""
     out, stack = [], [(tree.root, np.arange(data.n))]
