@@ -209,9 +209,9 @@ def _make_pseudo(args, data: Dataset):
 def cmd_fit(args) -> int:
     _require(args, "input", "out", "family", "seed")
     stopping = _stopping_from_args(args)
+    spec = spec_for(args.family)
     data = read_fit_csv(args.input)
     check_cv_rows(data.n, args.folds, stopping.min_leaf)
-    spec = spec_for(args.family)
     pseudo = _make_pseudo(args, data)
     maximal, path, report, subtree = fit_pruned_tree(
         spec, pseudo, data,
