@@ -156,26 +156,35 @@ def aggregate_counts(
 
 
 def read_weekly_csv(path) -> list[WeeklyRecord]:
+    """Weekly records of a CSV with columns unit_id, iso_week, count_h1,
+    count_h3, count_b and optionally itz (a blank itz reads as None).
+
+    Columns are found by header name (the last of equal names); blank lines
+    are skipped and row N counts the other lines after the header from 0.
+    A row shorter than the header is an IngestionError; fields past the
+    header's are ignored.
+    """
     required = ["unit_id", "iso_week", "count_h1", "count_h3", "count_b"]
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in required if c not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        col = {name: j for j, name in enumerate(header)}
+        missing = [c for c in required if c not in col]
         if missing:
             raise IngestionError(f"{path}: missing columns {missing}")
-        for i, row in enumerate(reader):
+        unit, week, h1, h3, b = (col[c] for c in required)
+        itz = col.get("itz")
+        width = len(header)
+        for i, row in enumerate(r for r in reader if r):
+            if len(row) < width:
+                raise IngestionError(f"{path} row {i}: short row")
             try:
-                records.append(
-                    WeeklyRecord(
-                        row["unit_id"],
-                        row["iso_week"],
-                        int(row["count_h1"]),
-                        int(row["count_h3"]),
-                        int(row["count_b"]),
-                        row.get("itz") or None,
-                    )
-                )
-            except (ValueError, KeyError) as exc:
+                records.append(WeeklyRecord(
+                    row[unit], row[week], int(row[h1]), int(row[h3]), int(row[b]),
+                    (row[itz] or None) if itz is not None else None,
+                ))
+            except ValueError as exc:
                 raise IngestionError(f"{path} row {i}: {exc}") from None
     return records
 

@@ -382,6 +382,27 @@ def _scalar_or_array(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
 
+def _by_regime(a: np.ndarray, series, closed) -> np.ndarray:
+    """``series(a)`` where a < _DEBYE_SWITCH and ``closed(a)`` elsewhere (NaN
+    included), each evaluated on its own elements only."""
+    small = a < _DEBYE_SWITCH
+    out = np.empty(a.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if a.ndim == 0:  # a scalar, as fit_mle's tau: no masks
+            out[()] = series(a) if small else closed(a)
+            return out
+        out[small] = series(a[small])
+        out[~small] = closed(a[~small])
+    return out
+
+
+def _debye_closed_d1(a):
+    """D1 at a >= _DEBYE_SWITCH from the sum of 18 exponential terms."""
+    ka = a[..., None] * _DEBYE_TAIL_K
+    tail = np.cumsum(np.exp(-ka) * (ka + 1.0) / _DEBYE_TAIL_K**2, axis=-1)[..., -1]
+    return (math.pi**2 / 6.0 - tail) / a
+
+
 def debye1(x):
     """First Debye function D1(x) = (1/x) * int_0^x t / (e^t - 1) dt.
 
@@ -389,30 +410,26 @@ def debye1(x):
     use the identity D1(-x) = D1(x) + x/2.
     """
     x = np.asarray(x, dtype=float)
-    a = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ka = a[..., None] * _DEBYE_TAIL_K
-        tail = np.cumsum(np.exp(-ka) * (ka + 1.0) / _DEBYE_TAIL_K**2, axis=-1)[..., -1]
-        closed = (math.pi**2 / 6.0 - tail) / a
-        series = 1.0 - a / 4.0 + a * a * polyval(a * a, _DEBYE_SERIES)
-    d1 = np.where(a < _DEBYE_SWITCH, series, closed)
+    d1 = _by_regime(np.abs(x), lambda a: 1.0 - a / 4.0 + a * a * polyval(a * a, _DEBYE_SERIES), _debye_closed_d1)
     return _scalar_or_array(d1 - np.minimum(x, 0.0) / 2.0)
 
 
 def _frank_tau(a: np.ndarray) -> np.ndarray:
     """Frank's tau at theta = a >= 0 (tau is odd in theta)."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        closed = 1.0 - 4.0 / a * (1.0 - debye1(a))
-        series = 4.0 * a * polyval(a * a, _DEBYE_SERIES)
-    return np.where(a < _DEBYE_SWITCH, series, closed)
+    return _by_regime(
+        a,
+        lambda a: 4.0 * a * polyval(a * a, _DEBYE_SERIES),
+        lambda a: 1.0 - 4.0 / a * (1.0 - _debye_closed_d1(a)),
+    )
 
 
 def _frank_slope(a: np.ndarray) -> np.ndarray:
     """dtau/dtheta of Frank's tau at theta = a >= 0 (even in theta)."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        closed = 4.0 * (1.0 - 2.0 * debye1(a)) / a**2 + 4.0 / (a * np.expm1(a))
-        series = 4.0 * polyval(a * a, _DEBYE_SLOPE)
-    return np.where(a < _DEBYE_SWITCH, series, closed)
+    return _by_regime(
+        a,
+        lambda a: 4.0 * polyval(a * a, _DEBYE_SLOPE),
+        lambda a: 4.0 * (1.0 - 2.0 * _debye_closed_d1(a)) / a**2 + 4.0 / (a * np.expm1(a)),
+    )
 
 
 def theta_to_tau(spec: CopulaSpec, theta):

@@ -25,7 +25,7 @@ from numpy.random import default_rng
 
 from .data import CATEGORICAL, NUMERIC, Dataset, PseudoObservations, average_ranks
 from .errors import ConfigError, RegressionError
-from .pruning import choose_k, weakest_link_path
+from .pruning import choose_k, leaves_below, weakest_link_path
 from .special import ndtr
 from .tree import TreeNode, grow, route, sse_fit, sse_split, walk
 
@@ -159,22 +159,34 @@ def _grow_sse(y, data, rows, min_leaf) -> TreeNode:
     )
 
 
-def _holdout_score(root, y, data, rows) -> float:
-    """Minus the squared error of ``rows`` about their leaf means, summed in row order."""
-    means = {nd.id: nd.fit.mean for nd in walk(root) if nd.is_leaf}
-    leaf = route(root, [c.values[rows] for c in data.covariates], len(rows))
-    resid = y[rows] - np.array([means[i] for i in leaf])
+def _holdout_score(root, below, leaf_of_row, y) -> float:
+    """Minus the squared error of held-out responses ``y`` about their leaf
+    means under the pruned tree ``root``, summed in row order.
+
+    ``leaf_of_row`` holds each row's leaf in the maximal tree that ``root``
+    was pruned from, and ``below`` that tree's ``leaves_below``.
+    """
+    mean = np.empty(len(below))  # by maximal node id
+    for nd in walk(root):
+        if nd.is_leaf:
+            mean[below[nd.id]] = nd.fit.mean
+    resid = y - mean[leaf_of_row]
     return -sum((resid**2).tolist())
 
 
 def _cv_leaf_count(y, data, min_leaf, seed) -> int:
-    """OneSE leaf count over one seeded split of the rows into _CV_FOLDS folds."""
+    """OneSE leaf count over one seeded split of the rows into _CV_FOLDS folds.
+
+    Each fold's validation rows are routed once, through its maximal tree.
+    """
     folds = np.array_split(default_rng(seed).permutation(data.n), _CV_FOLDS)
     scores = []
     for f, val_idx in enumerate(folds):
         train_idx = np.concatenate([g for i, g in enumerate(folds) if i != f])
-        path = weakest_link_path(_grow_sse(y, data, train_idx, min_leaf))
-        scores.append({k: _holdout_score(root, y, data, val_idx) for root, k, _ in path})
+        maximal = _grow_sse(y, data, train_idx, min_leaf)
+        leaf_of_row = route(maximal, [c.values[val_idx] for c in data.covariates], len(val_idx))
+        below, y_val = leaves_below(maximal), y[val_idx]
+        scores.append({k: _holdout_score(root, below, leaf_of_row, y_val) for root, k, _ in weakest_link_path(maximal)})
     return choose_k(scores, "OneSE")[-1]
 
 

@@ -27,15 +27,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .copulas import CopulaSpec
+from .copulas import CopulaSpec, log_density
 from .data import Dataset, PseudoObservations
 from .errors import ConfigError, InsufficientDataError
 from .tree import (
     CopulaTree,
     StoppingConfig,
     TreeNode,
+    _row_table,
     build_maximal_tree,
-    tree_loglik,
+    route,
     walk,
 )
 
@@ -137,6 +138,16 @@ def prune_path(tree: CopulaTree) -> PrunePath:
         for root, k, loglik in weakest_link_path(tree.root)
     )
     return PrunePath(entries, tree.root.fit.n_obs)
+
+
+def leaves_below(root: TreeNode) -> dict[int, list[int]]:
+    """Node id -> ids of the leaves of the subtree at that node, for every
+    node under ``root``.  A pruned copy keeps its nodes' ids, so this maps
+    each leaf of any subtree on the prune path to the maximal leaves under it."""
+    below: dict[int, list[int]] = {}
+    for nd in reversed(list(walk(root))):  # children before their parents
+        below[nd.id] = [nd.id] if nd.is_leaf else below[nd.left.id] + below[nd.right.id]
+    return below
 
 
 def choose_k(scores: list[dict[int, float]], rule: str, path_ks=()) -> tuple[list[int], dict, dict, int]:
@@ -243,6 +254,39 @@ def check_cv_rows(n: int, folds: int, min_leaf: int) -> None:
         raise InsufficientDataError(f"need at least folds * 2 * min_leaf = {folds * 2 * min_leaf} rows, got {n}")
 
 
+def _path_scores(maximal: CopulaTree, uv: np.ndarray, columns) -> dict[int, float]:
+    """Held-out log-likelihood of every subtree on the prune path of ``maximal``.
+
+    The held-out rows (pseudo-observations ``uv``, covariate ``columns``)
+    are routed once through the maximal tree; the rows reaching a path
+    leaf are those of the maximal leaves under it, in row order.  Each
+    node's summed log-density is computed once, and an entry's score adds
+    its leaves' sums in id order, skipping leaves no row reaches, so it
+    equals ``tree_loglik`` of that subtree bit for bit.
+    """
+    leaf_of_row = route(maximal.root, columns, len(uv))
+    below = leaves_below(maximal.root)
+
+    def node_sum(node) -> float | None:
+        """Summed log-density of the rows reaching ``node``; None when none does."""
+        reaches = np.zeros(len(below), dtype=bool)  # by maximal node id
+        reaches[below[node.id]] = True
+        at = uv[reaches[leaf_of_row]]
+        return float(np.sum(log_density(maximal.spec, node.fit.theta_hat, at[:, 0], at[:, 1]))) if len(at) else None
+
+    sums: dict[int, float | None] = {}
+    scores = {}
+    for entry in prune_path(maximal).entries:
+        total = 0.0
+        for leaf in entry.tree.leaves():
+            if leaf.id not in sums:
+                sums[leaf.id] = node_sum(leaf)
+            if sums[leaf.id] is not None:
+                total += sums[leaf.id]
+        scores[entry.k] = total
+    return scores
+
+
 def cross_validate(
     spec: CopulaSpec,
     pseudo: PseudoObservations,
@@ -253,21 +297,28 @@ def cross_validate(
     rule: str = "OneSE",
     stopping: StoppingConfig = StoppingConfig(),
     path: PrunePath | None = None,
+    *,
+    _table: np.ndarray | None = None,
 ) -> CvReport:
     """Repeated k-fold choice of the pruned size; deterministic given seed.
 
-    Every fold grows its own maximal tree and prune path on the training
-    portion and scores each path subtree by held-out log-likelihood.
-    Leaf counts absent from a fold's path contribute that path's nearest
-    smaller entry.  ``rule`` is MaxMean or OneSE; the chosen K is snapped
-    to the full-data path (built here unless supplied).
+    Every fold grows its own maximal tree and prune path on its training
+    rows of ``data`` and ``pseudo``, and scores each path subtree by
+    held-out log-likelihood from one routing of its validation rows
+    (``_path_scores``).  Leaf counts absent from a fold's path contribute
+    that path's nearest smaller entry.  ``rule`` is MaxMean or OneSE; the
+    chosen K is snapped to the full-data path (built here unless supplied).
+
+    The row table of all rows is built once and read by every fold tree
+    and the full-data tree.  ``_table`` is internal: ``fit_pruned_tree``
+    passes the table its full-data tree read.
     """
     check_cv_options(folds, repeats, rule)
     n = data.n
     check_cv_rows(n, folds, stopping.min_leaf)
+    table = _row_table(spec, pseudo.values) if _table is None else _table
     if path is None:
-        full_tree = build_maximal_tree(spec, pseudo, data, stopping)
-        path = prune_path(full_tree)
+        path = prune_path(build_maximal_tree(spec, pseudo, data, stopping, _table=table))
 
     scores: list[dict[int, float]] = []
     for rep in range(repeats):
@@ -277,14 +328,9 @@ def cross_validate(
         for f in range(folds):
             val_idx = np.sort(chunks[f])
             train_idx = np.sort(np.concatenate([chunks[g] for g in range(folds) if g != f]))
-            train_pseudo = PseudoObservations(pseudo.values[train_idx], pseudo.method)
-            train_data = data.subset(train_idx)
-            fold_tree = build_maximal_tree(spec, train_pseudo, train_data, stopping)
-            fold_path = prune_path(fold_tree)
-            val_pseudo = PseudoObservations(pseudo.values[val_idx], pseudo.method)
-            val_data = data.subset(val_idx)
+            fold_tree = build_maximal_tree(spec, pseudo, data, stopping, train_idx, _table=table)
             scores.append(
-                {e.k: tree_loglik(e.tree, val_pseudo, val_data) for e in fold_path.entries}
+                _path_scores(fold_tree, pseudo.values[val_idx], [c.values[val_idx] for c in data.covariates])
             )
 
     ks, mean, se, chosen = choose_k(scores, rule, path.k_values)
@@ -318,12 +364,16 @@ def fit_pruned_tree(
     seed: int = 0,
     rule: str = "OneSE",
 ) -> tuple[CopulaTree, PrunePath, CvReport, CopulaTree]:
-    """Maximal tree, its prune path, the CV report and the selected subtree."""
+    """Maximal tree, its prune path, the CV report and the selected subtree.
+
+    One row table of all rows serves the maximal tree and every CV fold tree.
+    """
     check_cv_options(folds, repeats, rule)
     check_cv_rows(data.n, folds, stopping.min_leaf)
-    maximal = build_maximal_tree(spec, pseudo, data, stopping)
+    table = _row_table(spec, pseudo.values)
+    maximal = build_maximal_tree(spec, pseudo, data, stopping, _table=table)
     path = prune_path(maximal)
     report = cross_validate(
-        spec, pseudo, data, folds, repeats, seed, rule, stopping, path=path
+        spec, pseudo, data, folds, repeats, seed, rule, stopping, path=path, _table=table
     )
     return maximal, path, report, path.entry_for_k(report.chosen_k).tree

@@ -25,7 +25,8 @@ cut's gain from above first:
 
 * every row's log-density and its derivative in theta are evaluated on a
   fixed per-family grid spanning fit_mle's search interval
-  (``copulas.screen_grid``), once per maximal tree (``_row_table``);
+  (``copulas.screen_grid``), once per pruned fit, whose CV fold trees
+  grow on row indices into the same table (``_row_table``);
 * prefix sums over a node's rows in cut order (sorted x, or the level
   groups of ``order_modalities``) give both sides' sums at every grid node
   (``_side_sums``, numpy only);
@@ -640,13 +641,15 @@ class _Screen:
 class _Build:
     """What the split searches of one maximal tree share, for that build only.
 
-    ``table`` is the row table of all rows (``_row_table``).  ``searches``
-    maps a level group's rows, the build's global row indices in ascending
-    order as bytes, to its fit_mle search (theta_hat, loglik, converged);
-    ``order_modalities`` fills it, and a refit cut side that is one such
-    group reads it.  Node rows are ascending at every node (the root is a
-    range, children are masks of it), so equal row sets give equal keys.
-    A ``find_optimal_split`` call on its own makes one for its node.
+    ``table`` is the row table of all of the pseudo-observations' rows
+    (``_row_table``), which a pruned fit shares between its full-data tree
+    and every CV fold tree.  ``searches`` maps a level group's rows, the
+    build's global row indices in ascending order as bytes, to its fit_mle
+    search (theta_hat, loglik, converged); ``order_modalities`` fills it,
+    and a refit cut side that is one such group reads it.  Node rows are
+    ascending at every node (the root's rows are, children are masks of
+    them), so equal row sets give equal keys.  A ``find_optimal_split``
+    call on its own makes one for its node.
     """
 
     table: np.ndarray
@@ -820,20 +823,29 @@ def build_maximal_tree(
     pseudo: PseudoObservations,
     data: Dataset,
     stopping: StoppingConfig = StoppingConfig(),
+    rows=None,
+    *,
+    _table: np.ndarray | None = None,
 ) -> CopulaTree:
     """Grow the maximal copula tree by the log-likelihood criterion.
 
-    The rows' screen entries are computed once (``_row_table``), and every
-    node's split search reads its rows from that table.  Each level group
-    is searched at most once per tree (``_Build``).
+    The tree is grown on ``rows`` (ascending; all rows by default) and
+    equals the tree grown on ``data.subset(rows)``.  Every row's screen
+    entries are computed once (``_row_table``), and every node's split
+    search reads its rows from that table.  Each level group is searched
+    at most once per tree (``_Build``).
+
+    ``_table`` is internal: ``pruning`` passes the row table of all rows,
+    built once per fit and read by the full-data tree and every CV fold
+    tree.
     """
     if pseudo.values.shape[0] != data.n:
         raise SchemaError("pseudo-observations and dataset are not row aligned")
-    build = _Build(_row_table(spec, pseudo.values))
+    build = _Build(_row_table(spec, pseudo.values) if _table is None else _table)
     root = grow(
         lambda idx: fit_mle(spec, pseudo.values[idx]),
         lambda idx, fit: find_optimal_split(spec, pseudo, data, stopping, idx, fit, _build=build),
-        np.arange(data.n),
+        np.arange(data.n) if rows is None else np.asarray(rows),
         stopping.max_leaves,
     )
     return CopulaTree(spec, root, schema_of(data))

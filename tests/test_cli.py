@@ -313,12 +313,13 @@ def test_bad_options_fail_before_any_work(command, flags, message, fit_csv, fixt
 @pytest.mark.parametrize("command", ["fit", "flu", "simulate"])
 def test_too_few_rows_for_cv_fail_before_any_work(command, fit_csv, tmp_path, capsys, monkeypatch):
     """Fewer rows than folds * 2 * min_leaf exit 3 before any pseudo-observations
-    are built, any data is generated or any tree is grown."""
+    are built, any data is generated, any row table is built or any tree is grown."""
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the row count was checked")
 
-    for module, name in ((tr, "build_maximal_tree"), (pr, "build_maximal_tree"), (mg, "pseudo_margin_tree"),
-                         (cli, "pseudo_margin_tree"), (sim, "generate")):
+    for module, name in ((tr, "build_maximal_tree"), (pr, "build_maximal_tree"), (tr, "_row_table"),
+                         (pr, "_row_table"), (mg, "pseudo_margin_tree"), (cli, "pseudo_margin_tree"),
+                         (sim, "generate")):
         monkeypatch.setattr(module, name, refuse)
     flu_csv = tmp_path / "flu.csv"
     write_flu_fixture_csv(flu_csv, seed=1000)  # 720 unit-seasons
@@ -518,6 +519,16 @@ class TestFlu:
         )
         rc = main(["flu", "--input", str(path), "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == EXIT_SCHEMA
+
+    def test_short_row_is_schema_error(self, fixture_csv, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        lines = fixture_csv.read_text().splitlines()
+        short.write_text("\n".join(lines + ["u1,2010-W40,3"]) + "\n")
+        rc = main(["flu", "--input", str(short), "--seed", "1", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_SCHEMA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: schema: {short} row {len(lines) - 1}: short row"]
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_week_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -247,6 +247,50 @@ class TestTauBridge:
             assert abs(Decimal(cp.theta_to_tau(FRANK, theta)) - tau) <= Decimal("3e-16"), theta
             assert abs(Decimal(cp.theta_to_tau(FRANK, -theta)) + tau) <= Decimal("3e-16"), -theta
 
+    def test_each_regime_on_its_own_elements_equals_both_everywhere(self):
+        # the two-regime formulas evaluated on every element and then picked
+        # by np.where, as a reference: computing each regime only where it is
+        # used must give the same bits, for scalars, arrays and negative theta
+        s, c, k = cp._DEBYE_SWITCH, cp._DEBYE_SERIES, cp._DEBYE_TAIL_K
+        poly = np.polynomial.polynomial.polyval
+
+        def d1_both(x):
+            x = np.asarray(x, dtype=float)
+            a = np.abs(x)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                ka = a[..., None] * k
+                closed = (math.pi**2 / 6.0 - np.cumsum(np.exp(-ka) * (ka + 1.0) / k**2, axis=-1)[..., -1]) / a
+                series = 1.0 - a / 4.0 + a * a * poly(a * a, c)
+            return np.where(a < s, series, closed) - np.minimum(x, 0.0) / 2.0
+
+        def tau_both(a):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                closed = 1.0 - 4.0 / a * (1.0 - d1_both(a))
+                return np.where(a < s, 4.0 * a * poly(a * a, c), closed)
+
+        def slope_both(a):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                closed = 4.0 * (1.0 - 2.0 * d1_both(a)) / a**2 + 4.0 / (a * np.expm1(a))
+                return np.where(a < s, 4.0 * poly(a * a, cp._DEBYE_SLOPE), closed)
+
+        def same(got, want):  # equal bits, where a NaN's sign bit may differ
+            got, want = np.asarray(got), np.asarray(want)
+            nan = np.isnan(want)
+            return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+        grid = np.concatenate([np.geomspace(1e-6, 50.0, 301), np.linspace(0.5 * s, 2.0 * s, 101),
+                               [0.0, np.nextafter(s, 0.0), s, np.nextafter(s, 3.0), np.inf, np.nan]])
+        theta = np.concatenate([-grid, grid])
+        for got, want, x in ((cp.debye1, d1_both, theta), (cp._frank_tau, tau_both, grid),
+                             (cp._frank_slope, slope_both, grid)):
+            assert same(got(x), want(x))
+            assert same(got(x.reshape(2, -1)), want(x).reshape(2, -1))
+            for v in x:
+                assert same(got(np.asarray(v)), want(v)), v
+        assert [cp.debye1(float(v)) for v in theta[:50]] == d1_both(theta[:50]).tolist()
+        assert np.array_equal(cp.theta_to_tau(FRANK, theta[np.isfinite(theta)]),
+                              np.sign(theta[np.isfinite(theta)]) * tau_both(np.abs(theta[np.isfinite(theta)])))
+
     def test_debye_series_is_exact_bernoulli_rounded(self):
         assert cp._DEBYE_SERIES.tolist() == [float(c) for c in DEBYE_C[:18]]
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from copulatree import margins as mg
+from copulatree import pruning as pr
 from copulatree import simulation as sim
 from copulatree import tree as tr
 from copulatree.compositional import aggregate_counts, ilr_forward
@@ -264,6 +265,39 @@ class TestMarginTree:
             p = mg.pseudo_margin_tree(d, mg.MarginTreeConfig(min_leaf=20))
         assert "fallback_empirical" in p.notes
         assert np.allclose(p.values, mg.pseudo_empirical(d).values)
+
+
+def holdout_score_per_entry(root, y, data, rows):
+    """A pruned tree's held-out score with the rows routed through that tree itself."""
+    means = {nd.id: nd.fit.mean for nd in tr.walk(root) if nd.is_leaf}
+    leaf = tr.route(root, [c.values[rows] for c in data.covariates], len(rows))
+    resid = y[rows] - np.array([means[i] for i in leaf])
+    return -sum((resid**2).tolist())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cv_leaf_count_equals_routing_every_entry(seed, monkeypatch):
+    """One routing per fold through the maximal tree gives every entry's
+    score and the leaf count bit for bit as routing each entry on its own."""
+    rng = np.random.default_rng(40 + seed)
+    n = 400
+    lab, x = rng.integers(0, 4, n), rng.random(n)
+    y = np.column_stack([lab + 2.0 * (x > 0.5) + rng.normal(size=n), np.sin(6.0 * x) + rng.normal(size=n)])
+    d = Dataset(y, (categorical_column("g", [str(i) for i in lab]), numeric_column("x", x)))
+    seen = []
+    choose_k = mg.choose_k
+    monkeypatch.setattr(mg, "choose_k", lambda scores, rule: seen.append(scores) or choose_k(scores, rule))
+    for j in range(2):
+        got = mg._cv_leaf_count(y[:, j], d, 10, seed)
+        folds = np.array_split(np.random.default_rng(seed).permutation(n), mg._CV_FOLDS)
+        want = []
+        for f, val_idx in enumerate(folds):
+            train_idx = np.concatenate([g for i, g in enumerate(folds) if i != f])
+            path = pr.weakest_link_path(mg._grow_sse(y[:, j], d, train_idx, 10))
+            want.append({k: holdout_score_per_entry(root, y[:, j], d, val_idx) for root, k, _ in path})
+        assert seen.pop() == want
+        assert max(len(sc) for sc in want) > 2
+        assert got == pr.choose_k(want, "OneSE")[-1]
 
 
 class TestSharedInvariants:

@@ -1,13 +1,17 @@
 """Tests for weakest-link pruning and cross-validated selection."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from copulatree import copulas as cp
 from copulatree import pruning as pr
 from copulatree import tree as tr
-from copulatree.data import Dataset, PseudoObservations, numeric_column
+from copulatree.data import Dataset, PseudoObservations, categorical_column, numeric_column
 from copulatree.errors import ConfigError, InsufficientDataError
+from copulatree.serialize import tree_to_doc
 
 CLAYTON = cp.spec_for("clayton")
 STOP16 = tr.StoppingConfig(min_leaf=50, max_candidates=16)
@@ -211,3 +215,95 @@ class TestFitPrunedTree:
         assert subtree.n_leaves == report.chosen_k
         assert subtree.n_leaves <= maximal.n_leaves
         assert tr.tree_loglik(subtree, pseudo, data) >= path.entries[-1].train_loglik - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# CV reuses the full data: fold trees grow on row indices and read one row
+# table, and every pruned subtree is scored from one routing
+
+
+def clayton_step_case(stopping):
+    _, pseudo, data = step_tree(n=600, seed=71, stopping=stopping)
+    return CLAYTON, pseudo, data, stopping
+
+
+def frank_categorical_case():
+    """Frank dependence stepping with the level of the first of two
+    categorical covariates, some levels below MIN_FIT_N rows."""
+    spec, n = cp.spec_for("frank"), 600
+    rng = np.random.default_rng(72)
+    g1 = rng.choice(6, n, p=[0.3, 0.3, 0.2, 0.1, 0.08, 0.02])
+    g2 = rng.integers(0, 4, n)
+    theta = cp.tau_to_theta(spec, np.array([0.1, 0.6, 0.3, 0.7, 0.2, 0.5])[g1])
+    u = np.clip(rng.random(n), 1e-9, 1 - 1e-9)
+    v = np.clip(cp.conditional_quantile(spec, theta, u, rng.random(n)), 1e-12, 1 - 1e-12)
+    data = Dataset(np.zeros((n, 2)), (
+        categorical_column("g1", [f"l{c}" for c in g1]),
+        categorical_column("g2", [f"m{c}" for c in g2]),
+    ))
+    return spec, PseudoObservations(np.column_stack([u, v]), "t"), data, tr.StoppingConfig(min_leaf=20)
+
+
+CV_CASES = {
+    "clayton_capped": lambda: clayton_step_case(tr.StoppingConfig(min_leaf=30, max_candidates=16)),
+    "clayton_uncapped": lambda: clayton_step_case(tr.StoppingConfig(min_leaf=30)),
+    "frank_categorical": frank_categorical_case,
+}
+
+
+@pytest.mark.parametrize("case", list(CV_CASES))
+def test_fold_tree_on_rows_equals_tree_on_subset(case):
+    spec, pseudo, data, stopping = CV_CASES[case]()
+    table = tr._row_table(spec, pseudo.values)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        rows = np.sort(rng.permutation(data.n)[: data.n * 2 // 3])
+        on_rows = tr.build_maximal_tree(spec, pseudo, data, stopping, rows, _table=table)
+        on_subset = tr.build_maximal_tree(spec, PseudoObservations(pseudo.values[rows], "t"), data.subset(rows), stopping)
+        assert on_rows.n_leaves > 2
+        assert json.dumps(tree_to_doc(on_rows)) == json.dumps(tree_to_doc(on_subset))
+
+
+@pytest.mark.parametrize("case", list(CV_CASES))
+def test_fold_scores_equal_tree_loglik_of_each_subtree(case, monkeypatch):
+    spec, pseudo, data, stopping = CV_CASES[case]()
+    folds = []
+
+    def recording(maximal, uv, columns):
+        scores = path_scores(maximal, uv, columns)
+        folds.append((maximal, uv, columns, scores))
+        return scores
+
+    path_scores = pr._path_scores
+    monkeypatch.setattr(pr, "_path_scores", recording)
+    pr.cross_validate(spec, pseudo, data, folds=3, repeats=2, seed=4, stopping=stopping)
+    assert len(folds) == 6
+    maximal, uv, columns, _ = folds[0]
+    # held-out rows that leave one leaf empty: it is skipped, as tree_loglik skips it
+    keep = tr.route(maximal.root, columns, len(uv)) != maximal.leaves()[0].id
+    folds.append((maximal, uv[keep], [v[keep] for v in columns], path_scores(maximal, uv[keep], [v[keep] for v in columns])))
+    for maximal, uv, columns, scores in folds:
+        val_pseudo = PseudoObservations(uv, "t")
+        val_data = Dataset(np.zeros((len(uv), 2)), tuple(replace(c, values=v) for c, v in zip(data.covariates, columns)))
+        path = pr.prune_path(maximal)
+        assert list(scores) == path.k_values
+        for entry in path.entries:
+            assert scores[entry.k] == tr.tree_loglik(entry.tree, val_pseudo, val_data), entry.k
+
+
+def test_fit_pruned_tree_builds_one_row_table(monkeypatch):
+    calls = []
+
+    def counting(spec, uv):
+        calls.append(len(uv))
+        return row_table(spec, uv)
+
+    row_table = tr._row_table
+    monkeypatch.setattr(pr, "_row_table", counting)
+    monkeypatch.setattr(tr, "_row_table", counting)
+    spec, pseudo, data, stopping = CV_CASES["frank_categorical"]()
+    pr.fit_pruned_tree(spec, pseudo, data, stopping, folds=3, repeats=2, seed=1)
+    assert calls == [data.n]
+    calls.clear()
+    pr.cross_validate(spec, pseudo, data, folds=3, repeats=1, seed=1, stopping=stopping)
+    assert calls == [data.n]
