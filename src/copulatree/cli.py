@@ -16,12 +16,11 @@ import csv
 import json
 import locale  # noqa: F401  argparse's gettext imports it for the first parser; do it at start-up
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import simulation as sim
-from .compositional import aggregate_counts, ilr_forward, read_weekly_csv, write_ilr_csv
 from .copulas import spec_for
 from .data import CATEGORICAL, NUMERIC, Column, Dataset, categorical_column, numeric_column
 from .errors import (
@@ -61,6 +60,18 @@ EXIT_CONFIG = 4
 
 
 class _Parser(argparse.ArgumentParser):
+    """``late_defaults``, if given, returns flag defaults that are read only
+    when this parser parses (a subcommand's parser parses only when chosen)."""
+
+    def __init__(self, *args, late_defaults=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.late_defaults = late_defaults
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.late_defaults is not None:
+            self.set_defaults(**self.late_defaults())
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):  # argparse defaults to exit code 2
         raise ConfigError(message)
 
@@ -247,6 +258,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulation as sim
+
     _require(args, "out", "seed")
     families = args.families.split(",") if args.families != "all" else [f.value for f in sim.Family]
     surfaces = args.surfaces.split(",") if args.surfaces != "all" else list(sim.SURFACES)
@@ -257,6 +270,9 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"unknown surface {s!r}")
     reps = args.reps if args.reps is not None else (500 if args.scale == "paper" else 50)
     n = args.n if args.n is not None else 1000
+    for name, value in (("reps", reps), ("n", n), ("jobs", args.jobs)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     config = sim.PipelineConfig(
         sources=tuple(args.sources.split(",")),
         stopping=_stopping_from_args(args),
@@ -291,15 +307,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_flu(args) -> int:
+    from . import compositional
+
     _require(args, "input", "out", "seed")
     stopping = _stopping_from_args(args)
     spec = spec_for(args.family)
-    records = read_weekly_csv(args.input)
-    unit_years = aggregate_counts(records, min_total=args.min_cases)
+    records = compositional.read_weekly_csv(args.input)
+    unit_years = compositional.aggregate_counts(records, min_total=args.min_cases)
     if not unit_years:
         raise SchemaError("no data: every unit-year fell below the minimum case count")
 
-    points = [ilr_forward(uy.composition) for uy in unit_years]
+    points = [compositional.ilr_forward(uy.composition) for uy in unit_years]
     y = np.array([[p.y1, p.y2] for p in points])
     seasons = [uy.season for uy in unit_years]
     covs = [categorical_column("season", seasons)]
@@ -317,7 +335,7 @@ def cmd_flu(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_ilr_csv(unit_years, out / "ilr.csv")
+    compositional.write_ilr_csv(unit_years, out / "ilr.csv")
     write_tree_json(subtree, out / "tree.json")
     write_prune_path_tsv(path, out / "prune_path.tsv")
     write_cv_report_tsv(report, out / "cv_report.tsv")
@@ -384,6 +402,23 @@ def _add_cv_flags(p, repeats, folds=3, rule="OneSE"):
     p.add_argument("--rule", choices=["MaxMean", "OneSE"], default=rule)
 
 
+def _study_defaults() -> dict:
+    """simulate's flag defaults: the study preset, ``simulation.PipelineConfig()``.
+    They are read when simulate parses, so the other commands never import
+    ``simulation``."""
+    from . import simulation
+
+    study = simulation.PipelineConfig()
+    return {
+        "sources": ",".join(study.sources),
+        "bandwidth": study.kernel_h,
+        "folds": study.cv_folds,
+        "repeats": study.cv_repeats,
+        "rule": study.cv_rule,
+        **asdict(study.stopping),  # its fields are the stopping flags' dests
+    }
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="copulatree", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
@@ -411,21 +446,20 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_predict)
 
-    study = sim.PipelineConfig()
-    p = sub.add_parser("simulate", parents=[common], help="run the scenario study")
+    p = sub.add_parser("simulate", parents=[common], help="run the scenario study", late_defaults=_study_defaults)
     p.add_argument("--families", default="all")
     p.add_argument("--surfaces", default="all")
-    p.add_argument("--sources", default=",".join(study.sources))
+    p.add_argument("--sources")
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--scale", choices=["desk", "paper"], default="desk")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
-    p.add_argument("--bandwidth", type=float, default=study.kernel_h)
+    p.add_argument("--bandwidth", type=float)
     p.add_argument("--dry-run", action="store_true", help="echo the resolved config without running")
-    _add_stopping_flags(p, study.stopping)
-    _add_cv_flags(p, repeats=study.cv_repeats, folds=study.cv_folds, rule=study.cv_rule)
+    _add_stopping_flags(p)
+    _add_cv_flags(p, repeats=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("flu", parents=[common], help="end-to-end compositional pipeline")

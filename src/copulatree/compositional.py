@@ -19,6 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date
+from typing import NamedTuple
 
 from .errors import DomainError, IngestionError
 
@@ -77,8 +78,7 @@ def ilr_inverse(p: IlrPoint) -> Composition3:
     return Composition3(e1 / total, e2 / total, e3 / total)
 
 
-@dataclass(frozen=True)
-class WeeklyRecord:
+class WeeklyRecord(NamedTuple):
     unit_id: str
     iso_week: str  # "YYYY-Www"
     count_h1: int
@@ -124,23 +124,26 @@ def aggregate_counts(
     Seasons run boundary-to-boundary (default April 1): a week belongs to
     the season whose start its Monday falls on or after.  Unit-seasons
     with fewer than ``min_total`` raw cases are dropped; zero cells then
-    take the pseudo-count before normalisation.
+    take the pseudo-count before normalisation.  ``records`` are
+    ``WeeklyRecord``s or tuples in its field order, as ``read_weekly_csv``
+    returns them.
     """
     sums: dict[tuple[str, str], list] = {}
     seasons: dict[str, str] = {}  # iso_week -> season, each week worked out once
-    for i, rec in enumerate(records):
-        if min(rec.count_h1, rec.count_h3, rec.count_b) < 0:
+    for i, (unit, week, h1, h3, b, itz) in enumerate(records):
+        if h1 < 0 or h3 < 0 or b < 0:
             raise IngestionError(f"row {i}: negative count")
-        season = seasons.get(rec.iso_week)
+        season = seasons.get(week)
         if season is None:
-            season = seasons[rec.iso_week] = _season_of(rec.iso_week, boundary_month, boundary_day)
-        key = (rec.unit_id, season)
-        entry = sums.setdefault(key, [0, 0, 0, rec.itz])
-        entry[0] += rec.count_h1
-        entry[1] += rec.count_h3
-        entry[2] += rec.count_b
-        if rec.itz is not None:
-            entry[3] = rec.itz
+            season = seasons[week] = _season_of(week, boundary_month, boundary_day)
+        entry = sums.get((unit, season))
+        if entry is None:
+            entry = sums[(unit, season)] = [0, 0, 0, itz]
+        entry[0] += h1
+        entry[1] += h3
+        entry[2] += b
+        if itz is not None:
+            entry[3] = itz
 
     out = []
     for (unit, season) in sorted(sums):
@@ -155,9 +158,10 @@ def aggregate_counts(
     return out
 
 
-def read_weekly_csv(path) -> list[WeeklyRecord]:
-    """Weekly records of a CSV with columns unit_id, iso_week, count_h1,
-    count_h3, count_b and optionally itz (a blank itz reads as None).
+def read_weekly_csv(path) -> list[tuple]:
+    """Weekly rows of a CSV with columns unit_id, iso_week, count_h1,
+    count_h3, count_b and optionally itz (a blank itz reads as None), as
+    plain tuples in ``WeeklyRecord``'s field order for ``aggregate_counts``.
 
     Columns are found by header name (the last of equal names); blank lines
     are skipped and row N counts the other lines after the header from 0.
@@ -180,7 +184,7 @@ def read_weekly_csv(path) -> list[WeeklyRecord]:
             if len(row) < width:
                 raise IngestionError(f"{path} row {i}: short row")
             try:
-                records.append(WeeklyRecord(
+                records.append((
                     row[unit], row[week], int(row[h1]), int(row[h3]), int(row[b]),
                     (row[itz] or None) if itz is not None else None,
                 ))

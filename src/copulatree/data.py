@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.unique imports it on its first call; do it at start-up
 
 from .errors import SchemaError
 
@@ -47,13 +46,44 @@ def categorical_column(name: str, labels) -> Column:
     return Column(name, CATEGORICAL, codes, levels)
 
 
+def unique(x, return_inverse: bool = False, return_counts: bool = False):
+    """Sorted distinct values of a finite 1-d array, as ``np.unique`` returns them.
+
+    With ``return_inverse`` also each element's index into the values, with
+    ``return_counts`` each value's count.  The values sort as ``np.unique``
+    sorts them, so they equal its values (0.0 and -0.0 may swap) and the
+    inverse and counts are its own.  ``np.unique`` reads ``np.ma`` on every
+    values-only call, which imports numpy.ma; this does not.
+    """
+    x = np.asarray(x).ravel()
+    if return_inverse:
+        perm = x.argsort()
+        xs = x[perm]
+    else:
+        xs = np.sort(x)
+    first = np.empty(len(xs), dtype=bool)  # first element of its run of equal values
+    first[:1] = True
+    np.not_equal(xs[1:], xs[:-1], out=first[1:])
+    values = xs[first]
+    if not (return_inverse or return_counts):
+        return values
+    out = [values]
+    if return_inverse:
+        inverse = np.empty(len(xs), dtype=np.intp)
+        inverse[perm] = np.cumsum(first) - 1
+        out.append(inverse)
+    if return_counts:
+        out.append(np.diff(np.append(np.flatnonzero(first), len(xs))))
+    return tuple(out)
+
+
 def average_ranks(x) -> np.ndarray:
     """1-based ranks of a finite 1-d array; tied values share their mean rank.
 
     The ranks are exact half-integers, so they equal
     ``scipy.stats.rankdata(x, method="average")`` bit for bit.
     """
-    _, inv, cnt = np.unique(np.asarray(x), return_inverse=True, return_counts=True)
+    _, inv, cnt = unique(x, return_inverse=True, return_counts=True)
     return (np.cumsum(cnt) - (cnt - 1) / 2.0)[inv]
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random import default_rng
 
-from .data import CATEGORICAL, NUMERIC, Dataset, PseudoObservations, average_ranks
+from .data import CATEGORICAL, NUMERIC, Dataset, PseudoObservations, average_ranks, unique
 from .errors import ConfigError, RegressionError
 from .pruning import choose_k, leaves_below, weakest_link_path
 from .special import ndtr
@@ -67,24 +67,33 @@ def pseudo_kernel(data: Dataset, h: float) -> PseudoObservations:
     the result is clamped to [1/(2n), 1 - 1/(2n)].
     Rows are weighted in blocks of _KERNEL_BLOCK_ROWS, so memory grows
     linearly in n; every row's arithmetic is that of the whole n x n matrix.
+    A block's squared scaled distances are added one covariate at a time
+    into one (rows, n) array, in the order in which summing the
+    (rows, n, covariates) cube over its last axis adds them.
     """
     check_bandwidth(h)
     if any(c.kind != NUMERIC for c in data.covariates):
         raise ConfigError("pseudo_kernel requires all covariates to be numeric")
     n = data.n
     eps = 1.0 / (2.0 * n)
-    x = np.column_stack([c.values for c in data.covariates]) if data.covariates else np.zeros((n, 1))
     out = np.empty_like(data.responses)
     for i0 in range(0, n, _KERNEL_BLOCK_ROWS):
         rows = slice(i0, i0 + _KERNEL_BLOCK_ROWS)
-        diff = (x[rows, None, :] - x[None, :, :]) / h
-        logw = -0.5 * np.sum(diff * diff, axis=2)  # (i, l): log kernel up to const
-        w = np.exp(logw - logw.max(axis=1, keepdims=True))
+        w = np.zeros((min(_KERNEL_BLOCK_ROWS, n - i0), n))  # (i, l): squared scaled distance
+        d = np.empty_like(w)
+        for c in data.covariates:
+            np.subtract(c.values[rows, None], c.values[None, :], out=d)
+            d /= h
+            d *= d
+            w += d
+        w *= -0.5  # log kernel up to const
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)  # kernel weight, largest 1 in each row
         denom = w.sum(axis=1)
         for j in range(data.k):
             yj = data.responses[:, j]
             below = yj[None, :] <= yj[rows, None]  # (i, l) = 1{Y_l <= Y_i}
-            out[rows, j] = (w * below).sum(axis=1) / denom
+            out[rows, j] = np.where(below, w, 0.0).sum(axis=1) / denom
     return PseudoObservations(np.clip(out, eps, 1.0 - eps), f"kernel(h={h})")
 
 
@@ -125,7 +134,7 @@ def pseudo_discrete(data: Dataset) -> PseudoObservations:
     class_index: dict = {}
     labels = np.array([class_index.setdefault(c, len(class_index)) for c in combos])
     out = np.empty_like(data.responses)
-    for lab in np.unique(labels):
+    for lab in range(len(class_index)):
         mask = labels == lab
         block = data.responses[mask]
         out[mask] = _column_ranks(block) / (block.shape[0] + 1)
@@ -216,7 +225,7 @@ def pseudo_margin_tree(data: Dataset, config: MarginTreeConfig = MarginTreeConfi
         y = data.responses[:, j]
         root = _pruned_margin_tree(y, data, config.min_leaf, config.seed + j)
         leaf_ids = route(root, columns, data.n)
-        for leaf in np.unique(leaf_ids):
+        for leaf in unique(leaf_ids):
             mask = leaf_ids == leaf
             block = y[mask]
             out[mask, j] = average_ranks(block) / (block.size + 1)

@@ -95,15 +95,21 @@ def weakest_link_path(root: TreeNode) -> list[tuple[TreeNode, int, float]]:
 
     collapses; ties collapse the deepest node first, then the lowest id.
     Returns (pruned copy of the tree, leaf count, summed leaf loglik) for
-    every step, from the full tree down to the root alone.
+    every step, from the full tree down to the root alone.  Each step lists
+    the leaves under every node of the current subtree once, children
+    before their parents.
     """
     by_id = {nd.id: nd for nd in walk(root)}
     leafset = frozenset(nd.id for nd in by_id.values() if nd.is_leaf)
 
-    def leaves_under(node):
-        if node.id in leafset or node.is_leaf:
-            return [node.id]
-        return leaves_under(node.left) + leaves_under(node.right)
+    def pruned_nodes():
+        """Nodes of the current subtree, each before its children."""
+        stack = [root]
+        while stack:
+            nd = stack.pop()
+            yield nd
+            if nd.id not in leafset:
+                stack += (nd.right, nd.left)
 
     def snapshot():
         return (
@@ -115,12 +121,12 @@ def weakest_link_path(root: TreeNode) -> list[tuple[TreeNode, int, float]]:
     path = [snapshot()]
     while len(leafset) > 1:
         candidates = []
-        for nd in walk(root):
-            if nd.is_leaf or nd.id in leafset:
+        below: dict[int, list[int]] = {}
+        for nd in reversed(list(pruned_nodes())):  # children before their parents
+            if nd.id in leafset:
+                below[nd.id] = [nd.id]
                 continue
-            under = leaves_under(nd)
-            if not all(i in leafset for i in under):
-                continue
+            under = below[nd.id] = below[nd.left.id] + below[nd.right.id]
             gain = sum(by_id[i].fit.loglik for i in sorted(under)) - nd.fit.loglik
             g = gain / (len(under) - 1)
             candidates.append((g, -nd.depth, nd.id, under))

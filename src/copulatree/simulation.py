@@ -27,7 +27,7 @@ from numpy.random import SeedSequence, default_rng
 from . import copulas as cop
 from .copulas import CopulaSpec, Family, fit_mle, spec_for
 from .data import Dataset, PseudoObservations, numeric_column
-from .errors import ScenarioError
+from .errors import ConfigError, ScenarioError
 from .margins import check_bandwidth, pseudo_kernel, pseudo_parametric_normal
 from .pruning import check_cv_options, check_cv_rows, fit_pruned_tree
 from .special import ndtri
@@ -44,6 +44,9 @@ MEAN_COEF = ((1.0, 0.2, 0.05), (1.0, -0.1, 0.2))
 KERNEL_H = {Family.CLAYTON: 0.4, Family.FRANK: 0.4, Family.GUMBEL: 0.3}
 
 TAU_CLAMP = (0.01, 0.9)
+
+# pseudo-observation sources: true uniforms, parametric (normal) and kernel margins
+SOURCES = ("U", "V", "W")
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ class SimulatedDataset:
 class PipelineConfig:
     """How each replication fits its models."""
 
-    sources: tuple[str, ...] = ("U", "V", "W")
+    sources: tuple[str, ...] = SOURCES
     stopping: StoppingConfig = field(default_factory=lambda: StoppingConfig(max_candidates=16))
     cv_folds: int = 3
     cv_repeats: int = 5
@@ -81,6 +84,9 @@ class PipelineConfig:
     kernel_h: float | None = None  # None: family default
 
     def __post_init__(self):
+        for src in self.sources:
+            if src not in SOURCES:
+                raise ConfigError(f"unknown pseudo source {src!r}")
         check_cv_options(self.cv_folds, self.cv_repeats, self.cv_rule)
         if self.kernel_h is not None:
             check_bandwidth(self.kernel_h)
@@ -189,11 +195,9 @@ def _pseudo_sources(ds: SimulatedDataset, family: CopulaSpec, config: PipelineCo
             out[src] = PseudoObservations(np.clip(ds.u, 1e-12, 1 - 1e-12), "true_u")
         elif src == "V":
             out[src] = pseudo_parametric_normal(data)
-        elif src == "W":
+        else:  # "W"; PipelineConfig admits no other source
             h = config.kernel_h if config.kernel_h is not None else KERNEL_H[family.family]
             out[src] = pseudo_kernel(data, h=h)
-        else:
-            raise ScenarioError(f"unknown pseudo source {src!r}")
     return data, out
 
 

@@ -71,7 +71,7 @@ from .copulas import (
     theta_to_tau,
 )
 from .copulas import log_density as _log_density
-from .data import CATEGORICAL, NUMERIC, Dataset, PseudoObservations, average_ranks
+from .data import CATEGORICAL, NUMERIC, Dataset, PseudoObservations, average_ranks, unique
 from .errors import ConfigError, SchemaError
 
 __all__ = [
@@ -297,7 +297,7 @@ def order_modalities(
     uv = pseudo.values[idx]
     rank_mean = None  # merge key, ranked only once a merge is needed
 
-    groups: list[list[int]] = [[int(c)] for c in np.unique(codes)]
+    groups: list[list[int]] = [[int(c)] for c in unique(codes)]
     group_of = np.empty(len(col.levels), dtype=np.int64)  # level code -> group index
 
     while True:
@@ -353,7 +353,7 @@ def _numeric_split_positions(xs: np.ndarray, min_leaf: int, cap: int | None):
     boundary = np.nonzero(xs[:-1] < xs[1:])[0]  # xs sorted ascending
     ok = boundary[(boundary + 1 >= min_leaf) & (n - boundary - 1 >= min_leaf)]
     if cap is not None and len(ok) > cap:
-        pick = np.unique(np.round(np.linspace(0, len(ok) - 1, cap)).astype(int))
+        pick = unique(np.round(np.linspace(0, len(ok) - 1, cap)).astype(int))
         ok = ok[pick]
     return ok, 0.5 * (xs[ok] + xs[ok + 1])
 
@@ -523,7 +523,7 @@ class _Screen:
 
     def _splits(self, ks, orders):
         """_side_sums' splits of the cuts ``ks`` (ascending)."""
-        return [(orders[f], self.n_left[ks[self.slot[ks] == f]]) for f in np.unique(self.slot[ks])]
+        return [(orders[f], self.n_left[ks[self.slot[ks] == f]]) for f in unique(self.slot[ks])]
 
     def _grid_cells(self, ks):
         """(first cell, side sums, curvature, cell bounds) per column block, for the cuts ``ks``.
@@ -619,7 +619,7 @@ class _Screen:
         side, a, b, fa, fb, ga, gb, curvature, parent = cells
         side = side.astype(np.intp)
         mid = 0.5 * (a + b)
-        grid, col = np.unique(mid, return_inverse=True)
+        grid, col = unique(mid, return_inverse=True)
         fm, gm = np.empty(len(mid)), np.empty(len(mid))
         side_sums = _side_sums(self._splits(ks, self.orders))
         width = _block_width(max(len(self.uv), 2 * len(ks)))
@@ -755,7 +755,7 @@ def sse_fit(y: np.ndarray) -> SseFit:
 
 def _levels_by_mean(y, codes) -> list[tuple[int]]:
     """A node's levels as singleton groups in ascending order of mean response."""
-    levels = np.unique(codes)
+    levels = unique(codes)
     means = [float(y[codes == c].mean()) for c in levels]
     return [(int(c),) for _, c in sorted(zip(means, levels))]
 

@@ -90,13 +90,22 @@ def run_fit(fit_csv, out, extra=()):
     )
 
 
-def after_cli_import(expr: str) -> str:
-    """What ``expr`` (it may read ``sys``) prints in a fresh interpreter after ``import copulatree.cli``."""
+def after_cli_import(expr: str, argv=None) -> str:
+    """What ``expr`` (it may read ``sys``) prints in a fresh interpreter after
+    ``import copulatree.cli`` and, given ``argv``, a successful CLI call."""
     src = os.path.dirname(os.path.dirname(copulatree.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", f"import sys, copulatree.cli; print({expr})"], env=env,
+    call = "" if argv is None else f"assert copulatree.cli.main({[str(a) for a in argv]!r}) == 0; "
+    out = subprocess.run([sys.executable, "-c", f"import sys, copulatree.cli; {call}print({expr})"], env=env,
                          capture_output=True, text=True, check=True)
-    return out.stdout.strip()
+    return out.stdout.strip().splitlines()[-1]
+
+
+# expressions that print the loaded modules an import guard forbids
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+POOL_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.'))"
+UNUSED_LOADED = ("sorted(m for m in ('numpy.ma', 'logging', 'copulatree.simulation', 'copulatree.compositional') "
+                 "if m in sys.modules)")
 
 
 def test_cli_import_leaves_out_scipy_special():
@@ -104,15 +113,38 @@ def test_cli_import_leaves_out_scipy_special():
     functions live in the package and its segment sums are numpy's, so the
     CLI loads no scipy module at all.  Importing scipy.optimize and
     scipy.stats cost about 0.6 s of start-up, scipy.sparse about 0.2 s."""
-    assert after_cli_import("sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')") == "[]"
+    assert after_cli_import(SCIPY_LOADED) == "[]"
 
 
 def test_cli_import_leaves_out_multiprocessing():
     """Only a study run with --jobs > 1 needs a process pool; its import
     pulls in multiprocessing, which costs every other CLI call start-up time."""
-    assert after_cli_import(
-        "sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.'))"
-    ) == "[]"
+    assert after_cli_import(POOL_LOADED) == "[]"
+
+
+def fit_margin_tree_argv(fit_csv, out):
+    return ["fit", "--input", fit_csv, "--out", out, "--family", "clayton", "--pseudo", "margin-tree",
+            "--seed", "5", "--repeats", "1", "--min-leaf", "50", "--max-candidates", "16"]
+
+
+def test_fit_leaves_out_scipy_and_multiprocessing(fit_csv, tmp_path):
+    argv = fit_margin_tree_argv(fit_csv, tmp_path / "o")
+    assert after_cli_import(f"{SCIPY_LOADED} + {POOL_LOADED}", argv) == "[]"
+
+
+@pytest.mark.parametrize("call", ["import", "fit"])
+def test_cli_loads_only_what_the_command_runs(call, fit_csv, tmp_path):
+    """Start-up and fit leave out the study (``simulation``, which brings
+    ``logging``), the flu ingest (``compositional``) and numpy.ma, which
+    ``np.unique`` imports and ``data.unique`` does not."""
+    argv = fit_margin_tree_argv(fit_csv, tmp_path / "o") if call == "fit" else None
+    assert after_cli_import(UNUSED_LOADED, argv) == "[]"
+
+
+def test_flu_leaves_out_simulation(fixture_csv, tmp_path):
+    argv = ["flu", "--input", fixture_csv, "--out", tmp_path / "o", "--seed", "3", "--repeats", "1",
+            "--min-leaf", "25"]
+    assert after_cli_import("'copulatree.simulation' in sys.modules", argv) == "False"
 
 
 PACKAGE_MODULES = ["copulatree"] + [f"copulatree.{m.name}" for m in pkgutil.iter_modules(copulatree.__path__)]
@@ -289,10 +321,23 @@ EARLY_BAD = [
     (["--folds", "1"], "folds must be >= 2"),
     (["--max-candidates", "0"], "max_candidates must be >= 1 or unset"),
 ]
+# (flags, error message) of study sizes and sources that simulate checks before it works
+SIMULATE_BAD = [
+    (["--reps", "0"], "reps must be >= 1, got 0"),
+    (["--reps", "-1"], "reps must be >= 1, got -1"),
+    (["--jobs", "0"], "jobs must be >= 1, got 0"),
+    (["--n", "0"], "n must be >= 1, got 0"),
+    (["--n", "-5"], "n must be >= 1, got -5"),
+    (["--sources", "X"], "unknown pseudo source 'X'"),
+    (["--sources", "U,X"], "unknown pseudo source 'X'"),
+]
+EARLY_CASES = [pytest.param(command, flags, message, id=f"{command}-{flags[0][2:]}")
+               for command in ("fit", "flu", "simulate") for flags, message in EARLY_BAD]
+EARLY_CASES += [pytest.param("simulate", flags, message, id=f"simulate-{flags[0][2:]}={flags[1]}")
+                for flags, message in SIMULATE_BAD]
 
 
-@pytest.mark.parametrize("flags, message", EARLY_BAD, ids=[f[0][2:] for f, _ in EARLY_BAD])
-@pytest.mark.parametrize("command", ["fit", "flu", "simulate"])
+@pytest.mark.parametrize("command, flags, message", EARLY_CASES)
 def test_bad_options_fail_before_any_work(command, flags, message, fit_csv, fixture_csv, tmp_path, capsys,
                                           monkeypatch):
     """A bad option exits 4 before any data is generated or any tree is grown."""

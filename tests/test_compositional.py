@@ -163,6 +163,22 @@ class TestCsvRoundtrip:
         with pytest.raises(IngestionError, match="row 0"):
             co.read_weekly_csv(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("u1,2015-W21,3", "{path} row 1: short row"),
+        ("u1,2015-W21,ten,0,0,z", "{path} row 1: invalid literal for int() with base 10: 'ten'"),
+        ("u1,2015-W21,1,-2,0,", "row 1: negative count"),
+        ("u1,2015-W99,1,2,0,", "bad iso_week '2015-W99': Invalid week: 99"),
+        ("u1,2015/21,1,2,0,", "bad iso_week '2015/21', expected YYYY-Www"),
+    ], ids=["short", "integer", "negative", "week", "week-format"])
+    def test_ingest_errors_name_the_row(self, tmp_path, line, message):
+        """Reading and summing a file: each malformed row's IngestionError
+        text; blank lines do not count as rows."""
+        path = tmp_path / "weekly.csv"
+        path.write_text(f"unit_id,iso_week,count_h1,count_h3,count_b,itz\nu1,2015-W20,10,20,70,z\n\n{line}\n")
+        with pytest.raises(IngestionError) as err:
+            co.aggregate_counts(co.read_weekly_csv(path))
+        assert str(err.value) == message.format(path=path)
+
     def test_ilr_output_schema(self, tmp_path):
         uys = co.aggregate_counts([co.WeeklyRecord("u1", "2015-W20", 10, 20, 70, "z")])
         out = tmp_path / "ilr.csv"

@@ -14,7 +14,7 @@ from copulatree import pruning as pr
 from copulatree import simulation as sim
 from copulatree import tree as tr
 from copulatree.compositional import aggregate_counts, ilr_forward
-from copulatree.data import Dataset, average_ranks, categorical_column, numeric_column
+from copulatree.data import Dataset, average_ranks, categorical_column, numeric_column, unique
 from copulatree.errors import ConfigError, RegressionError
 from copulatree.fludata import make_flu_fixture
 
@@ -100,6 +100,39 @@ class TestAverageRanks:
             assert a.values.tobytes() == b.values.tobytes()
 
 
+class TestUnique:
+    """data.unique against np.unique: values, inverse and counts."""
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(-3, 3), max_size=60).map(lambda v: np.array(v, dtype=np.int64)),
+            st.lists(
+                st.one_of(
+                    st.sampled_from([-0.0, 0.0, 1.0, 2.5, -3.0]),  # heavy ties
+                    st.floats(allow_nan=False, allow_infinity=False),
+                ),
+                max_size=60,
+            ).map(lambda v: np.array(v, dtype=float)),
+        )
+    )
+    @example(np.array([-0.0, 0.0, -0.0]))
+    @example(np.array([], dtype=np.int64))
+    def test_equals_np_unique(self, x):
+        want, want_inverse, want_counts = np.unique(x, return_inverse=True, return_counts=True)
+        for inverse in (False, True):
+            for counts in (False, True):
+                got = unique(x, return_inverse=inverse, return_counts=counts)
+                if not (inverse or counts):
+                    got = (got,)
+                values, rest = got[0], list(got[1:])
+                assert values.dtype == want.dtype
+                assert len(values) == len(want) and np.all(values == want)  # 0.0 and -0.0 may swap
+                if inverse:
+                    assert np.array_equal(rest.pop(0), want_inverse)
+                if counts:
+                    assert np.array_equal(rest.pop(0), want_counts)
+
+
 class TestKernel:
     def test_huge_bandwidth_matches_empirical(self):
         rng = np.random.default_rng(1)
@@ -141,8 +174,8 @@ class TestKernel:
         assert np.all(np.diff(p[order]) >= 0)
 
 
-    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
-    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300, 301, 1000])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_blocks_equal_the_direct_formula(self, n, p):
         rng = np.random.default_rng(100 * n + p)
         x = rng.random((n, p))

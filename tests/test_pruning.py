@@ -105,6 +105,71 @@ class TestPrunePath:
         assert all(a >= b for a, b in zip(lls, lls[1:]))
 
 
+def recursive_weakest_link_path(root):
+    """The weakest-link path as first written: the leaves under every
+    internal node found recursively at every collapse step."""
+    by_id = {nd.id: nd for nd in tr.walk(root)}
+    leafset = frozenset(nd.id for nd in by_id.values() if nd.is_leaf)
+
+    def leaves_under(node):
+        if node.id in leafset or node.is_leaf:
+            return [node.id]
+        return leaves_under(node.left) + leaves_under(node.right)
+
+    def snapshot():
+        return pr._copy_pruned(root, leafset), len(leafset), sum(by_id[i].fit.loglik for i in sorted(leafset))
+
+    path = [snapshot()]
+    while len(leafset) > 1:
+        candidates = []
+        for nd in tr.walk(root):
+            if nd.is_leaf or nd.id in leafset:
+                continue
+            under = leaves_under(nd)
+            if not all(i in leafset for i in under):
+                continue
+            gain = sum(by_id[i].fit.loglik for i in sorted(under)) - nd.fit.loglik
+            candidates.append((gain / (len(under) - 1), -nd.depth, nd.id, under))
+        _, _, nid, under = min(candidates)
+        leafset = (leafset - set(under)) | {nid}
+        path.append(snapshot())
+    return path
+
+
+def random_tree(rng, n_leaves):
+    """A random binary tree whose node logliks come from a few values, so
+    that many collapse gains tie; ids are assigned as the tree grows."""
+    def node(nid, depth):
+        return tr.TreeNode(nid, tr.SseFit(0.0, float(rng.choice([-3.0, -1.0, -0.5, 0.0, 0.25]))), depth)
+
+    root, leaves, next_id = node(0, 0), [], 1
+    leaves.append(root)
+    while len(leaves) < n_leaves:
+        parent = leaves.pop(int(rng.integers(len(leaves))))
+        parent.rule = tr.SplitRule(0, threshold=0.5)
+        parent.left, parent.right = node(next_id, parent.depth + 1), node(next_id + 1, parent.depth + 1)
+        next_id += 2
+        leaves += [parent.left, parent.right]
+    return root
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_weakest_link_path_equals_the_recursive_one(seed):
+    rng = np.random.default_rng(seed)
+    root = random_tree(rng, int(rng.integers(1, 40)))
+    got, want = pr.weakest_link_path(root), recursive_weakest_link_path(root)
+    assert [(k, ll) for _, k, ll in got] == [(k, ll) for _, k, ll in want]
+    for (a, _, _), (b, _, _) in zip(got, want):
+        assert [(nd.id, nd.is_leaf) for nd in tr.walk(a)] == [(nd.id, nd.is_leaf) for nd in tr.walk(b)]
+
+
+def test_weakest_link_path_on_grown_trees_equals_the_recursive_one():
+    for seed in (11, 12):
+        root = step_tree(seed=seed)[0].root
+        got, want = pr.weakest_link_path(root), recursive_weakest_link_path(root)
+        assert [(k, ll) for _, k, ll in got] == [(k, ll) for _, k, ll in want]
+
+
 class TestSelectPenalized:
     def test_endpoints(self):
         tree, _, _ = step_tree(seed=21)
