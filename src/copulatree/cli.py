@@ -86,9 +86,11 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = list(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
-        rows = list(reader)
+        except UnicodeDecodeError:
+            raise SchemaError(f"{path}: not UTF-8 text") from None
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     for i, row in enumerate(rows):
@@ -490,6 +492,8 @@ def _load_config_file(path) -> dict:
                 values[key.strip().replace("-", "_")] = val.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     return values
 
 
@@ -531,6 +535,8 @@ def main(argv=None) -> int:
                 args = parser.parse_args(argv[:at] + tokens + argv[at:])
             except ConfigError as exc:
                 raise ConfigError(f"{args.config}: {exc}") from None
+        if getattr(args, "seed", None) is not None and args.seed < 0:  # numpy's seeds are >= 0
+            raise ConfigError(f"seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (SchemaError, IngestionError, OSError) as exc:
         print(f"error: schema: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, IngestionError
 
@@ -124,9 +124,10 @@ def aggregate_counts(
     Seasons run boundary-to-boundary (default April 1): a week belongs to
     the season whose start its Monday falls on or after.  Unit-seasons
     with fewer than ``min_total`` raw cases are dropped; zero cells then
-    take the pseudo-count before normalisation.  ``records`` are
-    ``WeeklyRecord``s or tuples in its field order, as ``read_weekly_csv``
-    returns them.
+    take the pseudo-count before normalisation.  ``records`` is any
+    iterable of ``WeeklyRecord``s or tuples in its field order, such as the
+    iterator ``read_weekly_csv`` returns; each is summed as it is read, so a
+    file's rows raise their errors in file order.
     """
     sums: dict[tuple[str, str], list] = {}
     seasons: dict[str, str] = {}  # iso_week -> season, each week worked out once
@@ -158,21 +159,35 @@ def aggregate_counts(
     return out
 
 
-def read_weekly_csv(path) -> list[tuple]:
+def read_weekly_csv(path) -> Iterator[tuple]:
     """Weekly rows of a CSV with columns unit_id, iso_week, count_h1,
     count_h3, count_b and optionally itz (a blank itz reads as None), as
     plain tuples in ``WeeklyRecord``'s field order for ``aggregate_counts``.
 
-    Columns are found by header name (the last of equal names); blank lines
-    are skipped and row N counts the other lines after the header from 0.
-    A row shorter than the header is an IngestionError; fields past the
-    header's are ignored.
+    The header is checked now.  The rows are parsed one at a time as the
+    returned iterator is consumed, so no list of them is ever held, and the
+    file closes when they run out, an error is raised or the iterator is
+    closed.  Columns are found by header name (the last of equal names);
+    blank lines are skipped and row N counts the other lines after the
+    header from 0.  A row shorter than the header, a count that is not an
+    integer and bytes that are not UTF-8 are IngestionErrors that name the
+    row; fields past the header's are ignored.
     """
+    rows = _weekly_rows(path)
+    next(rows)  # runs up to the header check
+    return rows
+
+
+def _weekly_rows(path):
     required = ["unit_id", "iso_week", "count_h1", "count_h3", "count_b"]
-    records = []
-    with open(path, newline="") as fh:
+    # Bytes that do not decode read as lone surrogates, so the row that
+    # holds them reports them in its turn; a strict decoder fails when it
+    # decodes the 8 KiB chunk that holds them, ahead of the rows before them.
+    with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
+        if not _is_utf8(header):
+            raise IngestionError(f"{path}: header is not UTF-8 text")
         col = {name: j for j, name in enumerate(header)}
         missing = [c for c in required if c not in col]
         if missing:
@@ -180,17 +195,29 @@ def read_weekly_csv(path) -> list[tuple]:
         unit, week, h1, h3, b = (col[c] for c in required)
         itz = col.get("itz")
         width = len(header)
+        yield None
         for i, row in enumerate(r for r in reader if r):
             if len(row) < width:
                 raise IngestionError(f"{path} row {i}: short row")
+            if not "".join(row).isascii() and not _is_utf8(row):
+                raise IngestionError(f"{path} row {i}: not UTF-8 text")
             try:
-                records.append((
+                record = (
                     row[unit], row[week], int(row[h1]), int(row[h3]), int(row[b]),
                     (row[itz] or None) if itz is not None else None,
-                ))
+                )
             except ValueError as exc:
                 raise IngestionError(f"{path} row {i}: {exc}") from None
-    return records
+            yield record
+
+
+def _is_utf8(fields: list[str]) -> bool:
+    """False if a field holds a byte that did not decode (a lone surrogate)."""
+    try:
+        "".join(fields).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def write_ilr_csv(unit_years: list[UnitYear], path) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -315,6 +316,39 @@ def read_records_tsv(path) -> list[dict]:
         return [dict(zip(cols, row)) for row in reader]
 
 
+def _quartiles(vals) -> list[float]:
+    """The 25th, 50th and 75th percentiles of ``vals``, bit for bit as
+    ``np.percentile(vals, [25, 50, 75])`` computes them, without its import
+    of ``numpy.ma``.
+
+    As numpy's default (linear) method: the virtual index v = (n - 1) q
+    lies between neighbours a and b of the partially sorted values, t is
+    v less a's index, and numpy's ``_lerp`` gives a + (b - a) t, or
+    b - (b - a) (1 - t) at t >= 0.5.  Any NaN makes all three NaN.  The
+    partition takes numpy's kth indices, so tied values (zeros of either
+    sign) land where they do there.
+    """
+    n = len(vals)
+    picks = []
+    for q in (0.25, 0.5, 0.75):
+        v = (n - 1) * q
+        if v >= n - 1:  # numpy takes the last value twice, at index -1
+            picks.append((-1, -1, v + 1))
+        else:
+            lo = math.floor(v)
+            picks.append((lo, lo + 1, v - lo))
+    kth = sorted({0, -1, *(i for lo, hi, _ in picks for i in (lo, hi))})
+    arr = np.partition(np.asarray(vals, dtype=float), kth)
+    if math.isnan(arr[-1]):
+        return [math.nan] * 3
+    out = []
+    for lo, hi, t in picks:
+        a, b = float(arr[lo]), float(arr[hi])
+        d = b - a
+        out.append(b - d * (1.0 - t) if t >= 0.5 else a + d * t)
+    return out
+
+
 def summarize(records: list[RepRecord]) -> dict:
     """Medians and quartiles per (family, surface, source, model, metric)."""
     groups: dict[tuple, dict[str, list[float]]] = {}
@@ -328,8 +362,8 @@ def summarize(records: list[RepRecord]) -> dict:
         fam, surf, src, model = key
         entry = {"family": fam, "scenario": surf, "source": src, "model": model}
         for m, vals in groups[key].items():
-            q1, q2, q3 = np.percentile(vals, [25, 50, 75])
-            entry[m] = {"q1": float(q1), "median": float(q2), "q3": float(q3)}
+            q1, q2, q3 = _quartiles(vals)
+            entry[m] = {"q1": q1, "median": q2, "q3": q3}
         entry["n_reps"] = len(groups[key][METRICS[0]])
         cells.append(entry)
     return {"format_version": 1, "cells": cells}

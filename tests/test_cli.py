@@ -15,6 +15,7 @@ from scipy.special import ndtri
 import copulatree
 from copulatree import copulas as cp
 from copulatree import cli
+from copulatree import compositional as co
 from copulatree import margins as mg
 from copulatree import pruning as pr
 from copulatree import simulation as sim
@@ -104,8 +105,8 @@ def after_cli_import(expr: str, argv=None) -> str:
 # expressions that print the loaded modules an import guard forbids
 SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 POOL_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.'))"
-UNUSED_LOADED = ("sorted(m for m in ('numpy.ma', 'logging', 'copulatree.simulation', 'copulatree.compositional') "
-                 "if m in sys.modules)")
+UNUSED_LOADED = ("sorted(m for m in ('numpy.ma', 'numpy.polynomial', 'logging', 'copulatree.simulation', "
+                 "'copulatree.compositional') if m in sys.modules)")
 
 
 def test_cli_import_leaves_out_scipy_special():
@@ -135,8 +136,9 @@ def test_fit_leaves_out_scipy_and_multiprocessing(fit_csv, tmp_path):
 @pytest.mark.parametrize("call", ["import", "fit"])
 def test_cli_loads_only_what_the_command_runs(call, fit_csv, tmp_path):
     """Start-up and fit leave out the study (``simulation``, which brings
-    ``logging``), the flu ingest (``compositional``) and numpy.ma, which
-    ``np.unique`` imports and ``data.unique`` does not."""
+    ``logging``), the flu ingest (``compositional``), numpy.ma, which
+    ``np.unique`` imports and ``data.unique`` does not, and numpy.polynomial,
+    whose ``polyval`` ``copulas._polyval`` replaces."""
     argv = fit_margin_tree_argv(fit_csv, tmp_path / "o") if call == "fit" else None
     assert after_cli_import(UNUSED_LOADED, argv) == "[]"
 
@@ -145,6 +147,14 @@ def test_flu_leaves_out_simulation(fixture_csv, tmp_path):
     argv = ["flu", "--input", fixture_csv, "--out", tmp_path / "o", "--seed", "3", "--repeats", "1",
             "--min-leaf", "25"]
     assert after_cli_import("'copulatree.simulation' in sys.modules", argv) == "False"
+
+
+def test_simulate_leaves_out_numpy_ma(tmp_path):
+    """The study's quartiles come from ``simulation._quartiles``; ``np.percentile``
+    imports numpy.ma (9-15 ms and 0.5 MiB)."""
+    argv = ["simulate", "--families", "clayton", "--surfaces", "step", "--sources", "U", "--reps", "1",
+            "--n", "200", "--repeats", "1", "--min-leaf", "30", "--seed", "1", "--out", tmp_path / "o"]
+    assert after_cli_import("'numpy.ma' in sys.modules", argv) == "False"
 
 
 PACKAGE_MODULES = ["copulatree"] + [f"copulatree.{m.name}" for m in pkgutil.iter_modules(copulatree.__path__)]
@@ -320,6 +330,7 @@ EARLY_BAD = [
     (["--repeats", "0"], "repeats must be >= 1"),
     (["--folds", "1"], "folds must be >= 2"),
     (["--max-candidates", "0"], "max_candidates must be >= 1 or unset"),
+    (["--seed", "-3"], "seed must be >= 0, got -3"),
 ]
 # (flags, error message) of study sizes and sources that simulate checks before it works
 SIMULATE_BAD = [
@@ -340,11 +351,13 @@ EARLY_CASES += [pytest.param("simulate", flags, message, id=f"simulate-{flags[0]
 @pytest.mark.parametrize("command, flags, message", EARLY_CASES)
 def test_bad_options_fail_before_any_work(command, flags, message, fit_csv, fixture_csv, tmp_path, capsys,
                                           monkeypatch):
-    """A bad option exits 4 before any data is generated or any tree is grown."""
+    """A bad option exits 4 before any input is read, any data is generated
+    or any tree is grown."""
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the options were checked")
 
-    for module, name in ((tr, "grow"), (mg, "grow"), (sim, "generate")):
+    for module, name in ((cli, "read_fit_csv"), (co, "read_weekly_csv"), (tr, "grow"), (mg, "grow"),
+                         (sim, "generate")):
         monkeypatch.setattr(module, name, refuse)
     argv = {
         "fit": ["fit", "--input", str(fit_csv), "--family", "clayton", "--pseudo", "margin-tree"],
@@ -379,6 +392,45 @@ def test_too_few_rows_for_cv_fail_before_any_work(command, fit_csv, tmp_path, ca
     assert capsys.readouterr().err.strip().splitlines() == [
         f"error: fit: need at least folds * 2 * min_leaf = {need} rows, got {got}"
     ]
+
+
+@pytest.mark.parametrize("command, message", [
+    ("fit", "{bad}: not UTF-8 text"),
+    ("predict", "{bad}: not UTF-8 text"),
+    ("flu", "{bad} row 3: not UTF-8 text"),
+], ids=["fit", "predict", "flu"])
+def test_undecodable_input_is_schema_error(command, message, fit_csv, fixture_csv, tmp_path, capsys):
+    """Invalid UTF-8 in an input CSV (on its fifth line) is one schema-error
+    line, not a UnicodeDecodeError traceback; flu's streamed ingest names
+    the row."""
+    lines = (fixture_csv if command == "flu" else fit_csv).read_bytes().split(b"\n")
+    lines[4] = b"\xff" + lines[4]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\n".join(lines))
+    if command == "predict":
+        doc = {"format_version": 1, "family": "clayton", "covariates": [{"name": "g", "kind": "cat", "levels": ["a"]}],
+               "nodes": [{"id": 0, "n": 100, "theta": 2.0, "tau": 0.5, "loglik": 10.0}]}
+        (tmp_path / "tree.json").write_text(json.dumps(doc))
+        argv = ["predict", "--tree", str(tmp_path / "tree.json"), "--input", str(bad), "--out", str(tmp_path / "p.csv")]
+    else:
+        argv = [command, "--input", str(bad), "--seed", "1", "--out", str(tmp_path / "o")]
+        argv += ["--family", "clayton"] if command == "fit" else []
+    assert main(argv) == EXIT_SCHEMA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: schema: " + message.format(bad=bad)]
+
+
+@pytest.mark.parametrize("command", ["fit", "flu", "simulate"])
+def test_undecodable_config_is_config_error(command, fit_csv, fixture_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"seed = 1\nfamily = clayton\xff\n")
+    argv = {
+        "fit": ["fit", "--input", str(fit_csv)],
+        "flu": ["flu", "--input", str(fixture_csv)],
+        "simulate": ["simulate"],
+    }[command]
+    assert main(argv + ["--out", str(tmp_path / "o"), "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: config: {cfg}: not UTF-8 text"]
 
 
 class TestParser:

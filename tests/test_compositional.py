@@ -1,6 +1,9 @@
 """Tests for the isometric log-ratio transform and count aggregation."""
 
+import gc
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -146,7 +149,7 @@ class TestCsvRoundtrip:
             "unit_id,iso_week,count_h1,count_h3,count_b,itz\n"
             "u1,2015-W20,10,20,70,zoneA\n"
         )
-        recs = co.read_weekly_csv(path)
+        recs = list(co.read_weekly_csv(path))
         assert recs == [co.WeeklyRecord("u1", "2015-W20", 10, 20, 70, "zoneA")]
 
     def test_missing_column(self, tmp_path):
@@ -161,7 +164,7 @@ class TestCsvRoundtrip:
             "unit_id,iso_week,count_h1,count_h3,count_b\nu1,2015-W20,ten,0,0\n"
         )
         with pytest.raises(IngestionError, match="row 0"):
-            co.read_weekly_csv(path)
+            list(co.read_weekly_csv(path))
 
     @pytest.mark.parametrize("line, message", [
         ("u1,2015-W21,3", "{path} row 1: short row"),
@@ -178,6 +181,75 @@ class TestCsvRoundtrip:
         with pytest.raises(IngestionError) as err:
             co.aggregate_counts(co.read_weekly_csv(path))
         assert str(err.value) == message.format(path=path)
+
+    def test_first_bad_row_in_file_order_is_reported(self, tmp_path):
+        """Rows are summed as they are read, so a negative count at row 5
+        is reported before a short row at row 100."""
+        path = tmp_path / "weekly.csv"
+        rows = ["u1,2015-W20,1,2,3"] * 101
+        rows[5], rows[100] = "u1,2015-W20,1,-2,3", "u1,2015-W20"
+        path.write_text("\n".join(["unit_id,iso_week,count_h1,count_h3,count_b"] + rows) + "\n")
+        with pytest.raises(IngestionError) as err:
+            co.aggregate_counts(co.read_weekly_csv(path))
+        assert str(err.value) == "row 5: negative count"
+
+    @pytest.mark.parametrize("bad_row", [0, 3, 2000])
+    def test_undecodable_bytes_name_their_row(self, tmp_path, bad_row):
+        """A byte that is not UTF-8 is reported at its own row, also past
+        the first 8 KiB the file decoder reads; valid UTF-8 reads as text."""
+        path = tmp_path / "weekly.csv"
+        rows = ["Zürich,2015-W20,1,2,3".encode()] * 2001
+        write = lambda: path.write_bytes(b"\n".join([b"unit_id,iso_week,count_h1,count_h3,count_b"] + rows) + b"\n")
+        write()
+        assert [uy.unit_id for uy in co.aggregate_counts(co.read_weekly_csv(path))] == ["Zürich"]
+        rows[bad_row] = b"u\xff1,2015-W20,1,2,3"
+        write()
+        with pytest.raises(IngestionError) as err:
+            co.aggregate_counts(co.read_weekly_csv(path))
+        assert str(err.value) == f"{path} row {bad_row}: not UTF-8 text"
+
+    def test_undecodable_header(self, tmp_path):
+        path = tmp_path / "weekly.csv"
+        path.write_bytes(b"unit_id,iso_week,count_h1,count_h3,count_b\xff\nu1,2015-W20,1,2,3\n")
+        with pytest.raises(IngestionError) as err:
+            co.read_weekly_csv(path)
+        assert str(err.value) == f"{path}: header is not UTF-8 text"
+
+    def test_file_closes_when_rows_stop(self, tmp_path):
+        """The file closes when the rows run out, on an error and when the
+        iterator is closed early; an open file would warn when collected."""
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("unit_id,iso_week,count_h1,count_h3,count_b\nu1,2015-W20,1,2,3\nu1,2015-W21,1,2,3\n")
+        bad.write_text("unit_id,iso_week,count_h1,count_h3,count_b\nu1,2015-W20,1,2,3\nu1,2015-W20,x,2,3\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert len(list(co.read_weekly_csv(good))) == 2
+            with pytest.raises(IngestionError):
+                list(co.read_weekly_csv(bad))
+            rows = co.read_weekly_csv(good)
+            next(rows)
+            rows.close()
+            del rows
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_ingest_memory_depends_on_unit_seasons_not_rows(self, tmp_path):
+        """No list of weekly rows is held: four times the rows over the same
+        40 unit-seasons and weeks peak within 64 KiB of each other (a list
+        of tuples takes about 1.5 MiB more)."""
+        peaks = []
+        for n_rows in (2000, 8000):
+            path = tmp_path / f"weekly{n_rows}.csv"
+            with open(path, "w") as fh:
+                fh.write("unit_id,iso_week,count_h1,count_h3,count_b,itz\n")
+                for i in range(n_rows):
+                    fh.write(f"u{i % 10},{2011 + i // 10 % 4}-W{20 + i % 30:02d},{i % 7},{i % 5},{i % 3},z{i % 10}\n")
+            tracemalloc.start()
+            unit_years = co.aggregate_counts(co.read_weekly_csv(path), min_total=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert len(unit_years) == 40
+        assert peaks[1] - peaks[0] <= 64 * 1024
 
     def test_ilr_output_schema(self, tmp_path):
         uys = co.aggregate_counts([co.WeeklyRecord("u1", "2015-W20", 10, 20, 70, "z")])

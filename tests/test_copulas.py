@@ -294,6 +294,16 @@ class TestTauBridge:
     def test_debye_series_is_exact_bernoulli_rounded(self):
         assert cp._DEBYE_SERIES.tolist() == [float(c) for c in DEBYE_C[:18]]
 
+    @pytest.mark.parametrize("coefficients", ["_DEBYE_SERIES", "_DEBYE_SLOPE"])
+    def test_polyval_is_numpys_bit_for_bit(self, coefficients):
+        from numpy.polynomial.polynomial import polyval
+
+        c = getattr(cp, coefficients)
+        x = np.random.default_rng(3).uniform(0.0, cp._DEBYE_SWITCH**2, 100_000)
+        assert np.array_equal(cp._polyval(x, c), polyval(x, c))
+        assert np.array_equal(cp._polyval(x[:60].reshape(3, 4, 5), c), polyval(x[:60].reshape(3, 4, 5), c))
+        assert cp._polyval(np.asarray(x[0]), c) == polyval(np.asarray(x[0]), c)
+
     @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.family.value)
     def test_array_calls_equal_scalar_calls(self, spec):
         lo, hi = spec.tau_domain

@@ -1,9 +1,12 @@
 """Tests for the scenario study machinery."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from copulatree import copulas as cp
@@ -162,3 +165,20 @@ class TestStudyHarness:
         summary = sim.summarize(records)
         cell = summary["cells"][0]
         assert {"q1", "median", "q3"} <= set(cell["mse_tau"])
+
+
+# few distinct values, so ties (signed zeros among them) are common
+SUMMARY_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(vals=st.lists(SUMMARY_VALUES, min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_quartiles_are_numpys_percentiles_bit_for_bit(vals):
+    """``summary.json``'s q1 / median / q3 keep the bits of
+    ``np.percentile(vals, [25, 50, 75])``, NaN and either sign of zero included."""
+    with np.errstate(all="ignore"):
+        want = [float(v) for v in np.percentile(vals, [25, 50, 75])]
+    assert [v.hex() for v in sim._quartiles(vals)] == [v.hex() for v in want]
