@@ -81,16 +81,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_csv(path) -> tuple[list[str], list[list[str]]]:
-    """Header and data rows of a CSV; every row has the header's length."""
+    """Header and data rows of a CSV; every row has the header's length.
+
+    Rows count from 1 at the header, as the lines of a file without
+    quoted line breaks do."""
+    rows = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-            rows = list(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
+            for row in csv.reader(fh):
+                rows.append(row)
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise SchemaError(f"{path}: row {len(rows) + 1}: {exc}") from None
         except UnicodeDecodeError:
             raise SchemaError(f"{path}: not UTF-8 text") from None
+    if not rows:
+        raise SchemaError(f"{path}: empty file")
+    header = rows.pop(0)
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     for i, row in enumerate(rows):
@@ -115,6 +121,8 @@ def read_fit_csv(path) -> Dataset:
             colname, kind = body.rsplit(":", 1)
             if kind not in (NUMERIC, CATEGORICAL):
                 raise SchemaError(f"{path}: column {name!r} has unknown kind {kind!r}")
+            if any(colname == seen for _, seen, _ in x_cols):  # predict finds columns by name
+                raise SchemaError(f"{path}: covariate name {colname!r} appears twice")
             x_cols.append((i, colname, kind))
     if len(y_cols) != 2:
         raise SchemaError(f"{path}: expected exactly 2 y_ columns, found {len(y_cols)}")

@@ -170,8 +170,9 @@ def read_weekly_csv(path) -> Iterator[tuple]:
     closed.  Columns are found by header name (the last of equal names);
     blank lines are skipped and row N counts the other lines after the
     header from 0.  A row shorter than the header, a count that is not an
-    integer and bytes that are not UTF-8 are IngestionErrors that name the
-    row; fields past the header's are ignored.
+    integer, bytes that are not UTF-8 and a row the csv module cannot parse
+    (such as a field over ``csv.field_size_limit()``) are IngestionErrors
+    that name the row; fields past the header's are ignored.
     """
     rows = _weekly_rows(path)
     next(rows)  # runs up to the header check
@@ -185,7 +186,10 @@ def _weekly_rows(path):
     # decodes the 8 KiB chunk that holds them, ahead of the rows before them.
     with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
+        try:
+            header = next(reader, [])
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise IngestionError(f"{path}: header: {exc}") from None
         if not _is_utf8(header):
             raise IngestionError(f"{path}: header is not UTF-8 text")
         col = {name: j for j, name in enumerate(header)}
@@ -196,19 +200,23 @@ def _weekly_rows(path):
         itz = col.get("itz")
         width = len(header)
         yield None
-        for i, row in enumerate(r for r in reader if r):
-            if len(row) < width:
-                raise IngestionError(f"{path} row {i}: short row")
-            if not "".join(row).isascii() and not _is_utf8(row):
-                raise IngestionError(f"{path} row {i}: not UTF-8 text")
-            try:
-                record = (
-                    row[unit], row[week], int(row[h1]), int(row[h3]), int(row[b]),
-                    (row[itz] or None) if itz is not None else None,
-                )
-            except ValueError as exc:
-                raise IngestionError(f"{path} row {i}: {exc}") from None
-            yield record
+        i = -1
+        try:
+            for i, row in enumerate(r for r in reader if r):
+                if len(row) < width:
+                    raise IngestionError(f"{path} row {i}: short row")
+                if not "".join(row).isascii() and not _is_utf8(row):
+                    raise IngestionError(f"{path} row {i}: not UTF-8 text")
+                try:
+                    record = (
+                        row[unit], row[week], int(row[h1]), int(row[h3]), int(row[b]),
+                        (row[itz] or None) if itz is not None else None,
+                    )
+                except ValueError as exc:
+                    raise IngestionError(f"{path} row {i}: {exc}") from None
+                yield record
+        except csv.Error as exc:  # raised while reading the row after row i
+            raise IngestionError(f"{path} row {i + 1}: {exc}") from None
 
 
 def _is_utf8(fields: list[str]) -> bool:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.random import default_rng
 
 from .errors import BoundaryError, DomainError, FitError, InsufficientDataError
 
@@ -568,7 +567,11 @@ def _gumbel_cond_quantile(theta, u, w, iters: int = 48):
 
 
 def sample(spec: CopulaSpec, theta, n: int, seed) -> np.ndarray:
-    """Draw ``n`` pairs from C_theta; deterministic given ``seed``."""
+    """Draw ``n`` pairs from C_theta; deterministic given ``seed``, which is
+    anything ``numpy.random.default_rng`` takes (imported here, as no CLI
+    command samples)."""
+    from numpy.random import default_rng
+
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     _check_theta(spec, theta)

@@ -21,8 +21,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random import default_rng
 
+from ._pcg64 import PCG64
 from .data import CATEGORICAL, NUMERIC, Dataset, PseudoObservations, average_ranks, unique
 from .errors import ConfigError, RegressionError
 from .pruning import choose_k, leaves_below, weakest_link_path
@@ -188,7 +188,7 @@ def _cv_leaf_count(y, data, min_leaf, seed) -> int:
 
     Each fold's validation rows are routed once, through its maximal tree.
     """
-    folds = np.array_split(default_rng(seed).permutation(data.n), _CV_FOLDS)
+    folds = np.array_split(PCG64(seed).permutation(data.n), _CV_FOLDS)
     scores = []
     for f, val_idx in enumerate(folds):
         train_idx = np.concatenate([g for i, g in enumerate(folds) if i != f])

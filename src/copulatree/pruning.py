@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
 
+from ._pcg64 import PCG64
 from .copulas import CopulaSpec, log_density
 from .data import Dataset, PseudoObservations
 from .errors import ConfigError, InsufficientDataError
@@ -328,9 +328,7 @@ def cross_validate(
 
     scores: list[dict[int, float]] = []
     for rep in range(repeats):
-        rng = default_rng(SeedSequence(seed, spawn_key=(rep,)))
-        perm = rng.permutation(n)
-        chunks = np.array_split(perm, folds)
+        chunks = np.array_split(PCG64(seed, spawn_key=(rep,)).permutation(n), folds)
         for f in range(folds):
             val_idx = np.sort(chunks[f])
             train_idx = np.sort(np.concatenate([chunks[g] for g in range(folds) if g != f]))

@@ -96,6 +96,8 @@ def tree_from_doc(doc: dict) -> CopulaTree:
         if c["kind"] not in (NUMERIC, CATEGORICAL) or (c["kind"] == CATEGORICAL) != ("levels" in c):
             raise SchemaError(f"tree document: {where}: bad kind or levels")
         levels = tuple(_names(c["levels"], where)) if "levels" in c else None
+        if any(c["name"] == seen.name for seen in schema):
+            raise SchemaError(f"tree document: {where}: name {c['name']!r} appears twice")
         schema.append(ColumnSchema(c["name"], c["kind"], levels))
     raw = {}
     for i, e in enumerate(_typed(doc["nodes"], list, "nodes", "not a list")):

@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
 
 from . import copulas as cop
+from ._pcg64 import PCG64, seed_words
 from .copulas import CopulaSpec, Family, fit_mle, spec_for
 from .data import Dataset, PseudoObservations, numeric_column
 from .errors import ConfigError, ScenarioError
@@ -128,8 +128,8 @@ def tau_surface(kind: str, x1, x2):
 def generate(spec: ScenarioSpec) -> SimulatedDataset:
     """Synthesise one scenario dataset; deterministic given the seed."""
     family = spec_for(spec.family)
-    rng = default_rng(spec.seed)
-    x = rng.random((spec.n, 2))
+    rng = PCG64(spec.seed)
+    x = rng.random(2 * spec.n).reshape(spec.n, 2)
     tau = np.asarray(tau_surface(spec.surface, x[:, 0], x[:, 1]), dtype=float)
 
     lo, hi = family.tau_domain
@@ -268,9 +268,7 @@ def run_study(
     tasks = []
     for ci, (fam, surf) in enumerate(cells):
         for rep in range(n_reps):
-            seed = int(
-                SeedSequence(base_seed, spawn_key=(ci, rep)).generate_state(1)[0]
-            )
+            seed = seed_words(base_seed, spawn_key=(ci, rep))[0]
             tasks.append((ScenarioSpec(fam, surf, n, seed), config, rep))
 
     if n_jobs > 1:

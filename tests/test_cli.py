@@ -105,8 +105,10 @@ def after_cli_import(expr: str, argv=None) -> str:
 # expressions that print the loaded modules an import guard forbids
 SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 POOL_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.'))"
-UNUSED_LOADED = ("sorted(m for m in ('numpy.ma', 'numpy.polynomial', 'logging', 'copulatree.simulation', "
-                 "'copulatree.compositional') if m in sys.modules)")
+# modules that no command needs, apart from the commands that NEEDED names
+UNUSED = ("numpy.ma", "numpy.polynomial", "numpy.random", "secrets", "hashlib", "logging", "copulatree.simulation",
+          "copulatree.compositional")
+NEEDED = {"flu": ("copulatree.compositional",), "simulate": ("copulatree.simulation", "logging")}
 
 
 def test_cli_import_leaves_out_scipy_special():
@@ -133,28 +135,30 @@ def test_fit_leaves_out_scipy_and_multiprocessing(fit_csv, tmp_path):
     assert after_cli_import(f"{SCIPY_LOADED} + {POOL_LOADED}", argv) == "[]"
 
 
-@pytest.mark.parametrize("call", ["import", "fit"])
-def test_cli_loads_only_what_the_command_runs(call, fit_csv, tmp_path):
-    """Start-up and fit leave out the study (``simulation``, which brings
-    ``logging``), the flu ingest (``compositional``), numpy.ma, which
-    ``np.unique`` imports and ``data.unique`` does not, and numpy.polynomial,
-    whose ``polyval`` ``copulas._polyval`` replaces."""
-    argv = fit_margin_tree_argv(fit_csv, tmp_path / "o") if call == "fit" else None
-    assert after_cli_import(UNUSED_LOADED, argv) == "[]"
-
-
-def test_flu_leaves_out_simulation(fixture_csv, tmp_path):
-    argv = ["flu", "--input", fixture_csv, "--out", tmp_path / "o", "--seed", "3", "--repeats", "1",
-            "--min-leaf", "25"]
-    assert after_cli_import("'copulatree.simulation' in sys.modules", argv) == "False"
-
-
-def test_simulate_leaves_out_numpy_ma(tmp_path):
-    """The study's quartiles come from ``simulation._quartiles``; ``np.percentile``
-    imports numpy.ma (9-15 ms and 0.5 MiB)."""
-    argv = ["simulate", "--families", "clayton", "--surfaces", "step", "--sources", "U", "--reps", "1",
-            "--n", "200", "--repeats", "1", "--min-leaf", "30", "--seed", "1", "--out", tmp_path / "o"]
-    assert after_cli_import("'numpy.ma' in sys.modules", argv) == "False"
+@pytest.mark.parametrize("call", ["import", "fit", "predict", "flu", "simulate"])
+def test_cli_loads_only_what_the_command_runs(call, fit_csv, fixture_csv, tmp_path):
+    """Start-up and each command leave out what they do not run:
+    - the study (``simulation``, which brings ``logging``) and the flu ingest
+      (``compositional``), outside ``simulate`` and ``flu``;
+    - numpy.ma, which ``np.unique`` and ``np.percentile`` import (9-15 ms and
+      0.5 MiB), where ``data.unique`` and ``simulation._quartiles`` do not;
+    - numpy.polynomial, whose ``polyval`` ``copulas._polyval`` replaces;
+    - numpy.random, with the ``secrets`` and OpenSSL ``hashlib`` it imports
+      (about 6 MiB and 14 ms), whose streams ``_pcg64`` reproduces."""
+    argv = {
+        "import": None,
+        "fit": fit_margin_tree_argv(fit_csv, tmp_path / "o"),
+        "predict": ["predict", "--tree", tmp_path / "fit" / "tree.json", "--input", fit_csv,
+                    "--out", tmp_path / "p.csv"],
+        "flu": ["flu", "--input", fixture_csv, "--out", tmp_path / "o", "--seed", "3", "--repeats", "1",
+                "--min-leaf", "25"],
+        "simulate": ["simulate", "--families", "clayton", "--surfaces", "step", "--reps", "1", "--n", "300",
+                     "--repeats", "1", "--min-leaf", "30", "--seed", "1", "--out", tmp_path / "o"],
+    }[call]
+    if call == "predict":
+        assert run_fit(fit_csv, tmp_path / "fit") == EXIT_OK
+    unused = [m for m in UNUSED if m not in NEEDED.get(call, ())]
+    assert after_cli_import(f"sorted(m for m in {unused!r} if m in sys.modules)", argv) == "[]"
 
 
 PACKAGE_MODULES = ["copulatree"] + [f"copulatree.{m.name}" for m in pkgutil.iter_modules(copulatree.__path__)]
@@ -252,6 +256,17 @@ class TestFit:
         assert main(with_bad_value(argv, tmp_path, key, value, via_config)) == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: config: {message}"]
+
+    def test_repeated_covariate_name_is_schema_error(self, fit_csv, tmp_path, capsys):
+        """``x_z:num`` and ``x_z:cat`` would both be covariate z, and predict
+        finds a tree's covariates by name."""
+        rows = fit_csv.read_text().splitlines()
+        twice = tmp_path / "twice.csv"
+        twice.write_text("\n".join([rows[0] + ",x_z:cat"] + [row + ",c" for row in rows[1:]]) + "\n")
+        assert run_fit(twice, tmp_path / "fit") == EXIT_SCHEMA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: schema: {twice}: covariate name 'z' appears twice"]
+        assert not (tmp_path / "fit").exists()
 
     def test_missing_column_schema_exit(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -394,6 +409,27 @@ def test_too_few_rows_for_cv_fail_before_any_work(command, fit_csv, tmp_path, ca
     ]
 
 
+def with_bad_line(good, line, mutate, tmp_path):
+    """A copy of the CSV ``good`` whose 0-based ``line`` is ``mutate(line)``."""
+    lines = good.read_bytes().split(b"\n")
+    lines[line] = mutate(lines[line])
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\n".join(lines))
+    return bad
+
+
+def argv_reading(command, path, tmp_path):
+    """A ``fit``, ``flu`` or ``predict`` call that reads ``path``; predict's
+    tree has one categorical covariate and no split."""
+    if command != "predict":
+        return [command, "--input", str(path), "--seed", "1", "--out", str(tmp_path / "o")] + (
+            ["--family", "clayton"] if command == "fit" else [])
+    doc = {"format_version": 1, "family": "clayton", "covariates": [{"name": "g", "kind": "cat", "levels": ["a"]}],
+           "nodes": [{"id": 0, "n": 100, "theta": 2.0, "tau": 0.5, "loglik": 10.0}]}
+    (tmp_path / "tree.json").write_text(json.dumps(doc))
+    return ["predict", "--tree", str(tmp_path / "tree.json"), "--input", str(path), "--out", str(tmp_path / "p.csv")]
+
+
 @pytest.mark.parametrize("command, message", [
     ("fit", "{bad}: not UTF-8 text"),
     ("predict", "{bad}: not UTF-8 text"),
@@ -403,19 +439,24 @@ def test_undecodable_input_is_schema_error(command, message, fit_csv, fixture_cs
     """Invalid UTF-8 in an input CSV (on its fifth line) is one schema-error
     line, not a UnicodeDecodeError traceback; flu's streamed ingest names
     the row."""
-    lines = (fixture_csv if command == "flu" else fit_csv).read_bytes().split(b"\n")
-    lines[4] = b"\xff" + lines[4]
-    bad = tmp_path / "bad.csv"
-    bad.write_bytes(b"\n".join(lines))
-    if command == "predict":
-        doc = {"format_version": 1, "family": "clayton", "covariates": [{"name": "g", "kind": "cat", "levels": ["a"]}],
-               "nodes": [{"id": 0, "n": 100, "theta": 2.0, "tau": 0.5, "loglik": 10.0}]}
-        (tmp_path / "tree.json").write_text(json.dumps(doc))
-        argv = ["predict", "--tree", str(tmp_path / "tree.json"), "--input", str(bad), "--out", str(tmp_path / "p.csv")]
-    else:
-        argv = [command, "--input", str(bad), "--seed", "1", "--out", str(tmp_path / "o")]
-        argv += ["--family", "clayton"] if command == "fit" else []
-    assert main(argv) == EXIT_SCHEMA
+    bad = with_bad_line(fixture_csv if command == "flu" else fit_csv, 4, lambda line: b"\xff" + line, tmp_path)
+    assert main(argv_reading(command, bad, tmp_path)) == EXIT_SCHEMA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: schema: " + message.format(bad=bad)]
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("fit", 4, "{bad}: row 5: field larger than field limit (131072)"),
+    ("predict", 4, "{bad}: row 5: field larger than field limit (131072)"),
+    ("flu", 4, "{bad} row 3: field larger than field limit (131072)"),
+    ("flu", 0, "{bad}: header: field larger than field limit (131072)"),
+], ids=["fit", "predict", "flu", "flu-header"])
+def test_overlong_field_is_schema_error(command, line, message, fit_csv, fixture_csv, tmp_path, capsys):
+    """A quoted field longer than ``csv.field_size_limit()`` is one
+    schema-error line that names its row, not a ``_csv.Error`` traceback."""
+    overlong = lambda text: b'"' + b"a" * 200_000 + b'",' + text
+    bad = with_bad_line(fixture_csv if command == "flu" else fit_csv, line, overlong, tmp_path)
+    assert main(argv_reading(command, bad, tmp_path)) == EXIT_SCHEMA
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: schema: " + message.format(bad=bad)]
 

@@ -14,7 +14,7 @@ from copulatree import margins as mg
 from copulatree import tree as tr
 from copulatree.compositional import aggregate_counts, ilr_forward
 from copulatree.data import Dataset, PseudoObservations, categorical_column, numeric_column
-from copulatree.errors import ConfigError, InsufficientDataError
+from copulatree.errors import ConfigError, InsufficientDataError, SchemaError
 from copulatree.fludata import make_flu_fixture
 from copulatree.serialize import tree_from_doc, tree_to_doc
 
@@ -394,6 +394,14 @@ class TestBuildAndPredict:
         theta1, tau1, id1 = tree.predict(data)
         theta2, tau2, id2 = back.predict(data)
         assert np.array_equal(id1, id2) and np.array_equal(theta1, theta2)
+
+    def test_repeated_covariate_name_is_schema_error(self):
+        """predict finds a tree's covariates by name, so two of one name are refused."""
+        pseudo, data = step_node(500, 666, with_x2_cut=False)
+        doc = tree_to_doc(tr.build_maximal_tree(CLAYTON, pseudo, data, tr.StoppingConfig(min_leaf=50, max_candidates=8)))
+        doc["covariates"][1]["name"] = doc["covariates"][0]["name"]
+        with pytest.raises(SchemaError, match="^tree document: covariate 1: name 'x1' appears twice$"):
+            tree_from_doc(doc)
 
 
 # ---------------------------------------------------------------------------
