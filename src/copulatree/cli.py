@@ -3,7 +3,9 @@
 CSV in, JSON/TSV out, everything deterministic given (inputs, flags,
 seed).  Exit codes: 0 ok, 2 schema error, 3 fit failure, 4 configuration
 error.  Failures print a single machine-parsable line to stderr:
-``error: <code>: <message>``.
+``error: <code>: <message>``.  A run whose pseudo-observation estimator
+fell back prints one ``warning: pseudo: <method>: <notes>`` line to stderr
+and lists the notes in ``cv_report.json``.
 
 Flags may be seeded from a key=value config file via --config; explicit
 flags win.
@@ -16,7 +18,7 @@ import csv
 import json
 import locale  # noqa: F401  argparse's gettext imports it for the first parser; do it at start-up
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -148,21 +150,22 @@ def _covariates_for_tree(path, tree) -> Dataset:
     """Covariate CSV matched against a fitted tree's schema.
 
     Accepts either the fit header convention (x_<name>:kind) or plain
-    column names.  Unseen categorical labels extend the level table past
-    the training codes, which routes them right at every categorical rule.
+    column names; a fit-convention column wins over a plain one, as ``fit``
+    reads it and ignores the plain one.  Unseen categorical labels extend the
+    level table past the training codes, which routes them right at every
+    categorical rule.
     """
     header, rows = _read_csv(path)
 
-    def matches(col_header, want):
-        if col_header == want:
-            return True
-        return col_header.startswith("x_") and col_header[2:].rsplit(":", 1)[0] == want
-
     covs = []
     for sch in tree.schema:
-        idx = next((i for i, h in enumerate(header) if matches(h, sch.name)), None)
-        if idx is None:
+        found = [i for i, h in enumerate(header) if h.startswith("x_") and h[2:].rsplit(":", 1)[0] == sch.name]
+        found = found or [i for i, h in enumerate(header) if h == sch.name]
+        if not found:
             raise SchemaError(f"{path}: missing covariate column {sch.name!r}")
+        if len(found) > 1:
+            raise SchemaError(f"{path}: covariate column {sch.name!r} appears twice")
+        idx = found[0]
         raw = [row[idx] for row in rows]
         if sch.kind == NUMERIC:
             try:
@@ -227,6 +230,14 @@ def _make_pseudo(args, data: Dataset):
     raise ConfigError(f"unknown pseudo method {method!r}")
 
 
+def _with_pseudo_notes(report, pseudo):
+    """``report`` with the pseudo estimator's notes (its fallbacks) added,
+    which are also printed as one warning line."""
+    if pseudo.notes:
+        print(f"warning: pseudo: {pseudo.method}: {', '.join(pseudo.notes)}", file=sys.stderr)
+    return replace(report, notes=report.notes + pseudo.notes)
+
+
 def cmd_fit(args) -> int:
     _require(args, "input", "out", "family", "seed")
     stopping = _stopping_from_args(args)
@@ -242,6 +253,7 @@ def cmd_fit(args) -> int:
         seed=args.seed,
         rule=args.rule,
     )
+    report = _with_pseudo_notes(report, pseudo)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_tree_json(subtree, out / "tree.json")
@@ -342,6 +354,7 @@ def cmd_flu(args) -> int:
         stopping=stopping, folds=args.folds, repeats=args.repeats,
         seed=args.seed, rule=args.rule,
     )
+    report = _with_pseudo_notes(report, pseudo)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

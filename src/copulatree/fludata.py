@@ -12,13 +12,13 @@ carries the planted signal.
 from __future__ import annotations
 
 import csv
+from statistics import NormalDist
 
 import numpy as np
 from numpy.random import default_rng
 
 from .compositional import IlrPoint, WeeklyRecord, ilr_inverse
 from .copulas import conditional_quantile, spec_for, tau_to_theta
-from .special import ndtri
 
 __all__ = ["make_flu_fixture", "write_flu_fixture_csv"]
 
@@ -39,6 +39,7 @@ def make_flu_fixture(
     """Weekly records with a season-shifted dependence structure."""
     frank = spec_for("frank")
     rng = default_rng(seed)
+    inv_cdf = NormalDist().inv_cdf
     theta_low = tau_to_theta(frank, tau_low)
     theta_high = tau_to_theta(frank, tau_high)
 
@@ -50,8 +51,8 @@ def make_flu_fixture(
             theta = theta_high if s >= shift_season else theta_low
             u1 = float(np.clip(rng.random(), 1e-9, 1 - 1e-9))
             u2 = float(conditional_quantile(frank, theta, u1, rng.random()))
-            y1 = ndtri(u1) * y_scale
-            y2 = ndtri(u2) * y_scale
+            y1 = inv_cdf(u1) * y_scale
+            y2 = inv_cdf(u2) * y_scale
             comp = ilr_inverse(IlrPoint(y1, y2))
             total = 150 + int(rng.poisson(400))
             annual = rng.multinomial(total, [comp.p1, comp.p2, comp.p3])

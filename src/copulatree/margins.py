@@ -17,7 +17,7 @@ takes an explicit seed.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +26,6 @@ from ._pcg64 import PCG64
 from .data import CATEGORICAL, NUMERIC, Dataset, PseudoObservations, average_ranks, unique
 from .errors import ConfigError, RegressionError
 from .pruning import choose_k, leaves_below, weakest_link_path
-from .special import ndtr
 from .tree import TreeNode, grow, route, sse_fit, sse_split, walk
 
 __all__ = [
@@ -119,8 +118,9 @@ def pseudo_parametric_normal(data: Dataset, design=None) -> PseudoObservations:
         raise RegressionError("rank-deficient regression design")
     beta, *_ = np.linalg.lstsq(xmat, data.responses, rcond=None)
     resid = data.responses - xmat @ beta
+    cdf = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in resid.ravel().tolist()]).reshape(resid.shape)
     eps = 1.0 / (2.0 * data.n)
-    return PseudoObservations(np.clip(ndtr(resid), eps, 1.0 - eps), "parametric_normal")
+    return PseudoObservations(np.clip(cdf, eps, 1.0 - eps), "parametric_normal")
 
 
 def pseudo_discrete(data: Dataset) -> PseudoObservations:
@@ -213,10 +213,10 @@ def pseudo_margin_tree(data: Dataset, config: MarginTreeConfig = MarginTreeConfi
     engine of the copula tree (``tree.sse_split`` as node criterion,
     categorical levels ordered by mean response), at the leaf count that
     5-fold cross-validation picks by the one-SE rule.  Falls back to the
-    empirical estimator when the sample cannot support a split.
+    empirical estimator when the sample cannot support a split, and says so
+    in ``notes`` (``fallback_empirical``).
     """
     if data.n < 2 * config.min_leaf:
-        warnings.warn("too few rows for margin trees; falling back to empirical ranks")
         return replace(pseudo_empirical(data), method="margin_tree", notes=("fallback_empirical",))
 
     out = np.empty_like(data.responses)

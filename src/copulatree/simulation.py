@@ -21,6 +21,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .data import Dataset, PseudoObservations, numeric_column
 from .errors import ConfigError, ScenarioError
 from .margins import check_bandwidth, pseudo_kernel, pseudo_parametric_normal
 from .pruning import check_cv_options, check_cv_rows, fit_pruned_tree
-from .special import ndtri
 from .tree import StoppingConfig
 
 logger = logging.getLogger(__name__)
@@ -151,7 +151,7 @@ def generate(spec: ScenarioSpec) -> SimulatedDataset:
         logger.debug("clamped row indices: %s", np.nonzero(bad)[0].tolist())
 
     theta = cop.tau_to_theta(family, tau)
-    u1 = np.clip(rng.random(spec.n), 1e-12, 1.0 - 1e-12)
+    u1 = np.clip(rng.random(spec.n), 1e-12, 1.0 - 1e-12)  # inv_cdf raises at 0 and 1
     w = rng.random(spec.n)
     u2 = np.asarray(cop.conditional_quantile(family, theta, u1, w))
     u = np.column_stack([u1, u2])
@@ -159,7 +159,8 @@ def generate(spec: ScenarioSpec) -> SimulatedDataset:
     mu = np.column_stack(
         [c0 + c1 * x[:, 0] + c2 * x[:, 1] for (c0, c1, c2) in MEAN_COEF]
     )
-    y = ndtri(u) + mu
+    inv_cdf = NormalDist().inv_cdf
+    y = np.array([inv_cdf(p) for p in u.ravel().tolist()]).reshape(u.shape) + mu
     return SimulatedDataset(x, tau, theta, u, y, n_clamped)
 
 

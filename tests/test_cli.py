@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -106,16 +107,18 @@ def after_cli_import(expr: str, argv=None) -> str:
 SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 POOL_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.'))"
 # modules that no command needs, apart from the commands that NEEDED names
-UNUSED = ("numpy.ma", "numpy.polynomial", "numpy.random", "secrets", "hashlib", "logging", "copulatree.simulation",
-          "copulatree.compositional")
-NEEDED = {"flu": ("copulatree.compositional",), "simulate": ("copulatree.simulation", "logging")}
+UNUSED = ("numpy.ma", "numpy.polynomial", "numpy.random", "secrets", "hashlib", "logging", "statistics", "decimal",
+          "fractions", "copulatree.simulation", "copulatree.compositional")
+NEEDED = {"flu": ("copulatree.compositional",),
+          "simulate": ("copulatree.simulation", "logging", "statistics", "decimal", "fractions")}
 
 
 def test_cli_import_leaves_out_scipy_special():
-    """The program runs on numpy alone: its optimizer, ranks and special
-    functions live in the package and its segment sums are numpy's, so the
-    CLI loads no scipy module at all.  Importing scipy.optimize and
-    scipy.stats cost about 0.6 s of start-up, scipy.sparse about 0.2 s."""
+    """The program runs on numpy alone: its optimizer and ranks live in the
+    package, its normal CDF and quantile come from the standard library and
+    its segment sums are numpy's, so the CLI loads no scipy module at all.
+    Importing scipy.optimize and scipy.stats cost about 0.6 s of start-up,
+    scipy.sparse about 0.2 s."""
     assert after_cli_import(SCIPY_LOADED) == "[]"
 
 
@@ -138,8 +141,9 @@ def test_fit_leaves_out_scipy_and_multiprocessing(fit_csv, tmp_path):
 @pytest.mark.parametrize("call", ["import", "fit", "predict", "flu", "simulate"])
 def test_cli_loads_only_what_the_command_runs(call, fit_csv, fixture_csv, tmp_path):
     """Start-up and each command leave out what they do not run:
-    - the study (``simulation``, which brings ``logging``) and the flu ingest
-      (``compositional``), outside ``simulate`` and ``flu``;
+    - the study (``simulation``, which brings ``logging``, and ``statistics``
+      for the normal quantile, with its ``decimal`` and ``fractions``) and
+      the flu ingest (``compositional``), outside ``simulate`` and ``flu``;
     - numpy.ma, which ``np.unique`` and ``np.percentile`` import (9-15 ms and
       0.5 MiB), where ``data.unique`` and ``simulation._quartiles`` do not;
     - numpy.polynomial, whose ``polyval`` ``copulas._polyval`` replaces;
@@ -474,6 +478,24 @@ def test_undecodable_config_is_config_error(command, fit_csv, fixture_csv, tmp_p
     assert capsys.readouterr().err.strip().splitlines() == [f"error: config: {cfg}: not UTF-8 text"]
 
 
+@pytest.mark.parametrize("command", ["fit", "flu"])
+def test_margin_tree_fallback_is_one_warning_line_and_a_report_note(command, fit_csv, fixture_csv, tmp_path,
+                                                                    capsys):
+    """A margin tree that cannot split falls back to empirical ranks. The run
+    says so in one ``warning: pseudo:`` line and in cv_report.json's notes,
+    not in a Python warning that shows a source path."""
+    argv = {
+        "fit": fit_margin_tree_argv(str(fit_csv), str(tmp_path / "o")),
+        "flu": ["flu", "--input", str(fixture_csv), "--out", str(tmp_path / "o"), "--seed", "3", "--repeats", "1",
+                "--min-leaf", "25"],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--margin-min-leaf", "100000"]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == ["warning: pseudo: margin_tree: fallback_empirical"]
+    assert "fallback_empirical" in json.loads((tmp_path / "o" / "cv_report.json").read_text())["notes"]
+
+
 class TestParser:
     def test_defaults_are_the_config_defaults(self):
         parser = build_parser()
@@ -527,6 +549,30 @@ class TestPredict:
         while "rule" in node:
             node = by_id[node["right"]] if node["rule"]["kind"] == "cat" else by_id[node["left"]]
         assert int(row["leaf_id"]) in {e["id"] for e in doc["nodes"] if "rule" not in e}
+
+    def test_fit_convention_column_wins_over_a_plain_one(self, fit_csv, tmp_path):
+        """``fit`` ignores a column named ``g`` beside ``x_g:cat``; ``predict``
+        must read ``x_g:cat`` too, or it routes rows by the other column."""
+        rows = list(csv.reader(open(fit_csv)))
+        both = tmp_path / "both.csv"
+        with open(both, "w", newline="") as fh:
+            csv.writer(fh).writerows([["g"] + rows[0]] + [["ba"[r[2] == "b"]] + r for r in rows[1:]])
+        out = tmp_path / "fit"
+        assert run_fit(both, out) == EXIT_OK
+        assert json.loads((out / "tree.json").read_text())["nodes"][0]["rule"]["kind"] == "cat"
+        pred = tmp_path / "p.csv"
+        assert main(["predict", "--tree", str(out / "tree.json"), "--input", str(both), "--out", str(pred)]) == EXIT_OK
+        assert pred.read_bytes() == (out / "predictions.csv").read_bytes()
+
+    def test_covariate_matched_twice_is_schema_error(self, fit_csv, tmp_path, capsys):
+        out = tmp_path / "fit"
+        assert run_fit(fit_csv, out) == EXIT_OK
+        cov = tmp_path / "cov.csv"
+        cov.write_text("x_g:cat,x_z:num,x_z:cat\na,0.5,0.5\n")
+        capsys.readouterr()
+        rc = main(["predict", "--tree", str(out / "tree.json"), "--input", str(cov), "--out", str(tmp_path / "p.csv")])
+        assert rc == EXIT_SCHEMA
+        assert capsys.readouterr().err.splitlines() == [f"error: schema: {cov}: covariate column 'z' appears twice"]
 
     def test_missing_covariate_schema_exit(self, fit_csv, tmp_path):
         out = tmp_path / "fit"

@@ -80,7 +80,6 @@ class TestAverageRanks:
         assert got.tobytes() == scipy_ranks(x).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 300])
-    @pytest.mark.filterwarnings("ignore:too few rows")
     def test_call_sites_equal_scipy_ranks(self, n, monkeypatch):
         rng = np.random.default_rng(n)
         x = rng.random(n)
@@ -294,8 +293,7 @@ class TestMarginTree:
 
     def test_fallback_flag_when_too_small(self):
         d = make_dataset([1.0, 2.0, 3.0], [numeric_column("x", [0.1, 0.2, 0.3])])
-        with pytest.warns(UserWarning):
-            p = mg.pseudo_margin_tree(d, mg.MarginTreeConfig(min_leaf=20))
+        p = mg.pseudo_margin_tree(d, mg.MarginTreeConfig(min_leaf=20))
         assert "fallback_empirical" in p.notes
         assert np.allclose(p.values, mg.pseudo_empirical(d).values)
 
