@@ -26,7 +26,7 @@ from ._pcg64 import PCG64
 from .data import CATEGORICAL, NUMERIC, Dataset, PseudoObservations, average_ranks, unique
 from .errors import ConfigError, RegressionError
 from .pruning import choose_k, leaves_below, weakest_link_path
-from .tree import TreeNode, grow, route, sse_fit, sse_split, walk
+from .tree import TreeNode, _per_block, grow, route, sse_fit, sse_split, walk
 
 __all__ = [
     "check_bandwidth",
@@ -37,10 +37,6 @@ __all__ = [
     "pseudo_margin_tree",
     "MarginTreeConfig",
 ]
-
-
-# Rows per block of pseudo_kernel's weight matrix.
-_KERNEL_BLOCK_ROWS = 128
 
 
 def _column_ranks(y: np.ndarray) -> np.ndarray:
@@ -64,8 +60,9 @@ def pseudo_kernel(data: Dataset, h: float) -> PseudoObservations:
 
     The self term is included, so the weight denominator is never zero;
     the result is clamped to [1/(2n), 1 - 1/(2n)].
-    Rows are weighted in blocks of _KERNEL_BLOCK_ROWS, so memory grows
-    linearly in n; every row's arithmetic is that of the whole n x n matrix.
+    Rows are weighted in blocks sized for the four (rows, n) arrays a
+    block holds (``tree._per_block``), so memory grows linearly in n;
+    every row's arithmetic is that of the whole n x n matrix.
     A block's squared scaled distances are added one covariate at a time
     into one (rows, n) array, in the order in which summing the
     (rows, n, covariates) cube over its last axis adds them.
@@ -76,9 +73,10 @@ def pseudo_kernel(data: Dataset, h: float) -> PseudoObservations:
     n = data.n
     eps = 1.0 / (2.0 * n)
     out = np.empty_like(data.responses)
-    for i0 in range(0, n, _KERNEL_BLOCK_ROWS):
-        rows = slice(i0, i0 + _KERNEL_BLOCK_ROWS)
-        w = np.zeros((min(_KERNEL_BLOCK_ROWS, n - i0), n))  # (i, l): squared scaled distance
+    step = _per_block(n, 4)  # w, d, the 1{Y_l <= Y_i} mask and the masked weights
+    for i0 in range(0, n, step):
+        rows = slice(i0, i0 + step)
+        w = np.zeros((min(step, n - i0), n))  # (i, l): squared scaled distance
         d = np.empty_like(w)
         for c in data.covariates:
             np.subtract(c.values[rows, None], c.values[None, :], out=d)

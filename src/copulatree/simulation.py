@@ -27,7 +27,7 @@ import numpy as np
 
 from . import copulas as cop
 from ._pcg64 import PCG64, seed_words
-from .copulas import CopulaSpec, Family, fit_mle, spec_for
+from .copulas import CopulaSpec, Family, spec_for
 from .data import Dataset, PseudoObservations, numeric_column
 from .errors import ConfigError, ScenarioError
 from .margins import check_bandwidth, pseudo_kernel, pseudo_parametric_normal
@@ -212,7 +212,15 @@ def run_replication(
     data, sources = _pseudo_sources(ds, family, config)
     records = []
     for src, pseudo in sources.items():
-        bench = fit_mle(family, pseudo.values)
+        maximal, _, _, subtree = fit_pruned_tree(
+            family, pseudo, data,
+            stopping=config.stopping,
+            folds=config.cv_folds,
+            repeats=config.cv_repeats,
+            seed=scenario.seed,
+            rule=config.cv_rule,
+        )
+        bench = maximal.root.fit  # fit_mle of every row: the covariate-blind benchmark
         mt, mc, ll = evaluate(
             family,
             np.full(scenario.n, bench.theta_hat),
@@ -227,14 +235,6 @@ def run_replication(
             )
         )
 
-        _, _, _, subtree = fit_pruned_tree(
-            family, pseudo, data,
-            stopping=config.stopping,
-            folds=config.cv_folds,
-            repeats=config.cv_repeats,
-            seed=scenario.seed,
-            rule=config.cv_rule,
-        )
         theta_hat, tau_hat, _ = subtree.predict(data)
         mt, mc, ll = evaluate(family, theta_hat, tau_hat, ds, pseudo.values)
         records.append(

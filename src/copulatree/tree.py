@@ -45,14 +45,18 @@ below the best exact gain (a bound equal to it is still refit, for the
 tie rule).  The winner, its fits and its gain come from the same fit_mle
 calls an exhaustive search makes, so trees are bit-identical to
 refitting every cut; a non-finite bound only means that cut is refit.
-Apart from the row table, and one feature's node rows of it gathered in
-cut order when the whole grid fits one block, every array of the screen
-is built in blocks of at most about _SCREEN_BUDGET values, so memory
-grows only linearly with the rows.
+_SCREEN_BUDGET bounds the values the screen's working arrays hold at
+once, beyond the row table: every blocked kernel sizes its blocks from
+the arrays it holds (``_per_block``), the side sums gather a node's rows
+of the table a chunk at a time, and the live cells are bisected in
+chunks.  Only the row table, the per-row and per-cut vectors and the
+live cells carried from one bisection level to the next grow with the
+node.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -87,7 +91,7 @@ __all__ = [
 ]
 
 
-# Values in the largest temporary array of the split screen (bounds its memory).
+# Values the split screen's working arrays hold at once, beyond the row table.
 _SCREEN_BUDGET = 1 << 16
 # Bisection levels of the screen's live cells before any cut is refit.
 _REFINE_LEVELS = 3
@@ -418,52 +422,120 @@ def _cut_rows(data, idx, rule: SplitRule):
     return idx[left], idx[~left]
 
 
+def _per_block(size: int, buffers: int) -> int:
+    """Items per block when each item takes ``size`` values in each of the
+    ``buffers`` arrays a blocked kernel holds at once, so that the block
+    keeps to _SCREEN_BUDGET (at least one item)."""
+    return max(1, _SCREEN_BUDGET // (buffers * size))
+
+
+def _gather(values, rows) -> np.ndarray:
+    """``values[rows]`` with everything past the first axis flattened.
+
+    Not ``np.take``, which first copies a non-contiguous ``values`` (a
+    column block of the row table) whole.
+    """
+    return values[rows].reshape(len(rows), -1)
+
+
+def _pairwise_sum(values, rows, chunk) -> np.ndarray:
+    """numpy's pairwise sum of ``values[rows]`` over the rows, bit for bit,
+    gathering at most max(chunk, 128) rows at a time.
+
+    numpy's pairwise summation halves a run of more than 128 terms, rounded
+    down to a multiple of 8, and sums each half the same way; pieces are
+    cut at those same points.  A piece is summed by ``np.add.reduceat``,
+    which adds its first row to the pairwise sum of the rest, so the piece
+    is put after a row of -0.0, the exact zero of addition.
+    """
+    n = len(rows)
+    if n > max(chunk, 128):
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values, rows[:half], chunk) + _pairwise_sum(values, rows[half:], chunk)
+    piece = np.empty((n + 1, math.prod(values.shape[1:])))
+    piece[0] = -0.0
+    piece[1:] = _gather(values, rows)
+    return np.add.reduceat(piece, [0], axis=0)[0]
+
+
+def _segment_sums(values, rows, starts, chunk) -> np.ndarray:
+    """``np.add.reduceat`` of ``values[rows]`` (flattened past the first axis)
+    at ``starts``, bit for bit, gathering about ``chunk`` rows at a time.
+
+    Runs of whole segments that fit one chunk are gathered and reduced
+    together, which serves many short segments; a longer segment is its
+    first row plus the pairwise sum of the rest, summed in chunks
+    (``_pairwise_sum``), which serves few long ones.
+    """
+    ends = np.append(starts[1:], len(rows))
+    out = np.empty((len(starts), math.prod(values.shape[1:])))
+    i = 0
+    while i < len(starts):
+        j = int(np.searchsorted(ends, starts[i] + chunk, side="right"))
+        if j > i:  # segments i .. j - 1 end within one chunk
+            r0 = starts[i]
+            out[i:j] = np.add.reduceat(_gather(values, rows[r0 : ends[j - 1]]), starts[i:j] - r0, axis=0)
+            i = j
+        else:
+            seg = rows[starts[i] : ends[i]]
+            out[i] = _gather(values, seg[:1])[0] + _pairwise_sum(values, seg[1:], chunk)
+            i += 1
+    return out
+
+
 def _side_sums(splits):
     """A function that sums the rows of an (rows, ...) array over every
-    cut's left side, then every right side.
+    cut's left side, then every right side, into an (..., sides) array.
 
     ``splits`` holds, per feature, the rows in cut order (as row numbers of
     that array) and the left-side sizes of its cuts, ascending.  Each
-    feature's rows are gathered in cut order, ``np.add.reduceat`` sums
-    them between consecutive cuts, and prefix sums of those segments give
-    the sides.  One feature at a time, as one gather and reduceat over
-    every feature's rows took about 1.7 times as long on the study
-    benchmark's nodes (numpy 2.4, 2 vCPUs).
+    feature's rows are summed between consecutive cuts as one
+    ``np.add.reduceat`` over all of them in cut order would sum them, bit
+    for bit, but no more than a chunk of them is gathered at once
+    (``_segment_sums``), and prefix sums of those segments give the sides.
+    Sides come last, so that each grid node of a screen block is one run of
+    sides.  One feature at a time, as one gather and reduceat over every
+    feature's rows took about 1.7 times as long on the study benchmark's
+    nodes (numpy 2.4, 2 vCPUs).
     """
-    splits = [(rows, n_left) for rows, n_left in splits if len(n_left)]
+    splits = [(rows, np.append(0, n_left)) for rows, n_left in splits if len(n_left)]
     if not splits:
-        return lambda values: np.empty((0,) + values.shape[1:])
+        return lambda values: np.empty(values.shape[1:] + (0,))
+    n_cuts = sum(len(starts) - 1 for _, starts in splits)
 
     def sums(values):
-        prefix = [
-            np.cumsum(np.add.reduceat(values[rows].reshape(len(rows), -1), np.append(0, n_left), axis=0), axis=0)
-            for rows, n_left in splits
-        ]
-        sides = np.concatenate([p[:-1] for p in prefix] + [p[-1] - p[:-1] for p in prefix])
-        return sides.reshape((len(sides),) + values.shape[1:])
+        width = math.prod(values.shape[1:])
+        chunk = _per_block(width, 2)  # the gathered rows and their segment sums
+        out = np.empty((width, 2 * n_cuts))
+        k = 0
+        for rows, starts in splits:
+            prefix = np.cumsum(_segment_sums(values, rows, starts, chunk), axis=0)
+            k1 = k + len(starts) - 1
+            out[:, k:k1] = prefix[:-1].T
+            np.subtract(prefix[-1, :, None], prefix[:-1].T, out=out[:, n_cuts + k : n_cuts + k1])
+            k = k1
+        return out.reshape(values.shape[1:] + (2 * n_cuts,))
 
     return sums
 
 
-def _row_table(spec, uv) -> np.ndarray:
-    """Every row's log-density and score at every screen-grid node, shape (rows, 2, nodes).
+def _kernel_table(spec, theta, uv) -> np.ndarray:
+    """Every row's log-density and score at each of ``theta``, shape (rows, 2, len(theta)).
 
-    Built in row blocks of a quarter of _SCREEN_BUDGET values, as the
-    kernel keeps several block-sized temporaries alive at once, so that
-    only the table itself grows with the number of rows.
+    Built in row blocks sized for the eight or so block-shaped arrays the
+    kernel holds at once, so that only the table grows with the rows.
     """
-    theta = screen_grid(spec)
     table = np.empty((len(uv), 2, len(theta)))
-    step = max(1, _SCREEN_BUDGET // (4 * len(theta)))
+    step = _per_block(len(theta), 8)
     for r in range(0, len(uv), step):
         rows = uv[r : r + step]
-        table[r : r + step] = np.stack(log_density_and_score(spec, theta, rows[:, 0], rows[:, 1]), axis=1)
+        table[r : r + step, 0], table[r : r + step, 1] = log_density_and_score(spec, theta, rows[:, 0], rows[:, 1])
     return table
 
 
-def _block_width(rows: int) -> int:
-    """Grid cells per column block when the block's arrays have ``rows`` rows."""
-    return max(1, _SCREEN_BUDGET // (2 * rows) - 1)
+def _row_table(spec, uv) -> np.ndarray:
+    """Every row's log-density and score at every screen-grid node, shape (rows, 2, nodes)."""
+    return _kernel_table(spec, screen_grid(spec), uv)
 
 
 def _cell_maxima(fa, fb, ga, gb, curvature, a, b):
@@ -477,20 +549,49 @@ def _cell_maxima(fa, fb, ga, gb, curvature, a, b):
     Their difference is linear, so min(P_a, P_b) is P_a up to their
     crossing and P_b after it; being convex pieces, its maximum is at a,
     b or the crossing.  All arguments broadcast, so the grid's cells and
-    the bisected cells of the refinement share this.
+    the bisected cells of the refinement share this.  With c = C/2,
+    h = b - a and slope = g(a) - g(b) + 2ch, the crossing lies at
+    s = (f(b) - f(a) - g(b)h + ch^2) / slope, clipped to [0, h]; the
+    bound is the largest of f(a), f(b) and, if slope > 0, P_a(a + s),
+    else the larger of P_a(b) and P_b(a).  A non-finite result is +inf.
+    It is computed in place in four arrays of the cells' shape, each
+    operation as that expression evaluates it.
     """
     h = b - a
-    c = 0.5 * curvature
+    shape = np.broadcast(fa, fb, ga, gb, curvature, h).shape
+    c, slope, s, t = (np.empty(shape) for _ in range(4))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        slope = ga - gb + 2.0 * c * h  # >= 0 when the cap holds
-        s = np.clip((fb - fa - gb * h + c * h * h) / slope, 0.0, h)
-        top = np.where(
-            slope > 0.0,
-            fa + s * (ga + c * s),
-            np.maximum(fa + h * (ga + c * h), fb - h * (gb - c * h)),
-        )
-        out = np.maximum(np.maximum(fa, fb), top)
-    return np.where(np.isfinite(out), out, np.inf)
+        np.multiply(curvature, 0.5, out=c)
+        np.multiply(c, 2.0, out=t)
+        t *= h
+        np.subtract(ga, gb, out=slope)
+        slope += t  # >= 0 when the cap holds
+        np.subtract(fb, fa, out=s)
+        np.multiply(gb, h, out=t)
+        s -= t
+        np.multiply(c, h, out=t)
+        t *= h
+        s += t
+        s /= slope
+        np.clip(s, 0.0, h, out=s)
+        np.multiply(c, s, out=t)  # t = P_a(a + s)
+        t += ga
+        t *= s
+        t += fa
+        np.multiply(c, h, out=s)  # s = P_a(b)
+        s += ga
+        s *= h
+        s += fa
+        c *= h  # c = P_b(a)
+        np.subtract(gb, c, out=c)
+        c *= h
+        np.subtract(fb, c, out=c)
+        np.maximum(s, c, out=s)
+        np.copyto(s, t, where=slope > 0.0)
+        np.maximum(fa, fb, out=t)
+        np.maximum(t, s, out=t)
+    t[~np.isfinite(t)] = np.inf
+    return t
 
 
 class _Screen:
@@ -501,10 +602,10 @@ class _Screen:
     from the row table (``table[at[i]]`` holds node row i), and the
     per-cell curvature caps of ``copulas.curvature_caps``.  A non-finite
     value anywhere in a cut's computation makes its bound +inf, which only
-    means "refit it".  Apart from one feature's node rows of the table,
-    gathered when the grid fits one block, every temporary array holds
-    about _SCREEN_BUDGET values at most (column blocks), so memory grows
-    linearly with the node and the number of cuts.
+    means "refit it".  The grid is bounded in column blocks, the side sums
+    gather the table's rows a chunk at a time, and the live cells are
+    bisected in chunks, each sized from the arrays it holds, so the working
+    arrays keep to about _SCREEN_BUDGET values.
     """
 
     def __init__(self, spec, table, at, uv, features, parent_loglik):
@@ -518,7 +619,11 @@ class _Screen:
         n = len(uv)
         self.caps, row_caps, self.offset = curvature_caps(spec, self.theta, uv)
         self.sizes = np.concatenate([self.n_left, n - self.n_left]).astype(float)
-        self.weights = _side_sums(self._splits(np.arange(len(self.n_left)), self.orders))(row_caps)
+        # a side's curvature is the lower of its two caps; with no per-row cap
+        # (offset +inf: Frank and Gumbel) the first is the lower, bit for bit
+        self.weights = None
+        if not np.all(self.offset == np.inf):
+            self.weights = _side_sums(self._splits(np.arange(len(self.n_left)), self.orders))(row_caps)
         self.base = parent_loglik - _SCREEN_SLACK * n  # bound = left + right - base
 
     def _splits(self, ks, orders):
@@ -526,26 +631,27 @@ class _Screen:
         return [(orders[f], self.n_left[ks[self.slot[ks] == f]]) for f in unique(self.slot[ks])]
 
     def _grid_cells(self, ks):
-        """(first cell, side sums, curvature, cell bounds) per column block, for the cuts ``ks``.
+        """(first cell, f, g, curvature, cell bounds) per column block, for the cuts ``ks``.
 
-        Side sums have shape (sides, 2, nodes): log-likelihood and score.
+        f and g, the sides' summed log-likelihood and score, have shape
+        (nodes, sides), and the curvature and bounds (cells, sides).  A
+        block holds eight arrays of cells x sides at most: f and g, the
+        curvature, the cell bounds and _cell_maxima's four.
         """
         sides = np.concatenate([ks, len(self.n_left) + ks])
-        size, weight = self.sizes[sides, None], self.weights[sides, None]
+        size = self.sizes[sides]
         side_sums = _side_sums(self._splits(ks, self.table_orders))
         last = len(self.theta) - 1
-        if 2 * len(sides) * len(self.theta) <= _SCREEN_BUDGET:
-            width = last  # one block: bounds keeps it for refine
-        else:  # each block gathers the node's rows of its columns only
-            width = _block_width(max(len(self.table), len(sides)))
+        width = min(last, _per_block(len(sides), 8))  # all cells in one block: bounds keeps it for refine
         for k0 in range(0, last, width):
             k1 = min(k0 + width, last)
-            table = self.table if width == last else self.table[:, :, k0 : k1 + 1]
-            f, g = side_sums(table).transpose(1, 0, 2)
-            curvature = np.minimum(size * self.caps[k0:k1], weight + size * self.offset[k0:k1])
-            curvature = np.maximum(curvature, 0.0)
-            a, b = self.theta[k0:k1], self.theta[k0 + 1 : k1 + 1]
-            yield k0, f, g, curvature, _cell_maxima(f[:, :-1], f[:, 1:], g[:, :-1], g[:, 1:], curvature, a, b)
+            f, g = side_sums(self.table[:, :, k0 : k1 + 1])
+            curvature = self.caps[k0:k1, None] * size
+            if self.weights is not None:
+                np.minimum(curvature, self.weights[sides] + self.offset[k0:k1, None] * size, out=curvature)
+            np.maximum(curvature, 0.0, out=curvature)
+            a, b = self.theta[k0:k1, None], self.theta[k0 + 1 : k1 + 1, None]
+            yield k0, f, g, curvature, _cell_maxima(f[:-1], f[1:], g[:-1], g[1:], curvature, a, b)
 
     def bounds(self) -> np.ndarray:
         """The grid's bound on every cut's gain."""
@@ -554,7 +660,7 @@ class _Screen:
         if not n_cuts:
             return best
         for n_blocks, block in enumerate(self._grid_cells(np.arange(n_cuts)), 1):
-            np.maximum(best, block[-1].max(axis=1), out=best)
+            np.maximum(best, block[-1].max(axis=0), out=best)
         self.best = best
         self.block = block if n_blocks == 1 else None  # the whole grid; refine reads its cuts' rows
         return best[:n_cuts] + best[n_cuts:] - self.base
@@ -565,11 +671,13 @@ class _Screen:
 
         A cell of such a cut is live while its bound plus the other side's
         best can still reach ``target`` (and exceed ``min_gain``).  Live
-        cells are bisected up to _REFINE_LEVELS times: the row kernel is
-        evaluated at the new midpoints only, summed per side, and each half
-        is bounded under its parent cell's curvature cap, which holds on
-        any sub-cell.  Frank's cell around theta = 0, where the kernel is
-        undefined, is kept whole.
+        cells are bisected _REFINE_LEVELS times, a chunk at a time (see
+        ``_bisect``): the row kernel is evaluated at the new midpoints only,
+        summed per side, and each half is bounded under its parent cell's
+        curvature cap, which holds on any sub-cell.  Every side's best and
+        the best of its dead cells take all of a level's cells into account
+        before the next level's liveness test.  Frank's cell around
+        theta = 0, where the kernel is undefined, is kept whole.
         """
         ks = np.flatnonzero((bound >= target) & (bound > min_gain))
         ks = ks[ks != top]
@@ -577,33 +685,37 @@ class _Screen:
             return bound
         m = len(ks)
         other = np.concatenate([np.arange(m, 2 * m), np.arange(m)])  # the other side of each side
-        best = self.best[np.concatenate([ks, len(self.n_left) + ks])]
+        sides = np.concatenate([ks, len(self.n_left) + ks])
+        best = self.best[sides]
         rest = np.full(2 * m, -np.inf)  # each side's largest bound over its dead cells
         if self.block is None:
             blocks = self._grid_cells(ks)
         else:
-            sides = np.concatenate([ks, len(self.n_left) + ks])
-            blocks = [(0,) + tuple(a[sides] for a in self.block[1:])]
+            blocks = [(0,) + tuple(a[:, sides] for a in self.block[1:])]
         # a live cell is a column (side, a, b, f(a), f(b), g(a), g(b), curvature, bound)
         live = []
         for k0, f, g, curvature, cell in blocks:
-            alive = self._reaches(cell + best[other, None], target, min_gain)
-            np.maximum(rest, np.where(alive, -np.inf, cell).max(axis=1), out=rest)
-            r, c = np.nonzero(alive)
-            live.append(np.stack([r, self.theta[k0 + c], self.theta[k0 + c + 1], f[r, c], f[r, c + 1],
-                                  g[r, c], g[r, c + 1], curvature[r, c], cell[r, c]]))
+            alive = self._reaches(cell + best[other], target, min_gain)
+            np.maximum(rest, np.where(alive, -np.inf, cell).max(axis=0), out=rest)
+            c, r = np.nonzero(alive)
+            live.append(np.stack([r, self.theta[k0 + c], self.theta[k0 + c + 1], f[c, r], f[c + 1, r],
+                                  g[c, r], g[c + 1, r], curvature[c, r], cell[c, r]]))
         cells = np.concatenate(live, axis=1)
+        side_sums = _side_sums(self._splits(ks, self.orders))
+        step = _per_block(len(cells), 4)  # cells per chunk: the chunk, its halves, the bisection's own arrays
         for level in range(_REFINE_LEVELS + 1):
             side = cells[0].astype(np.intp)
             best = rest.copy()
             np.maximum.at(best, side, cells[-1])
-            if level == _REFINE_LEVELS or cells.size > _SCREEN_BUDGET:
+            if level == _REFINE_LEVELS:
                 break
             alive = self._reaches(cells[-1] + best[other[side]], target, min_gain)
             np.maximum.at(rest, side[~alive], cells[-1][~alive])
             if not alive.any():
                 break
-            cells = self._bisect(cells[:, alive], ks)
+            cells = cells[:, alive]
+            cells = np.concatenate([self._bisect(cells[:, c0 : c0 + step], side_sums, len(ks))
+                                    for c0 in range(0, cells.shape[1], step)], axis=1)
         out = bound.copy()
         out[ks] = np.minimum(bound[ks], best[:m] + best[m:] - self.base)
         return out
@@ -612,8 +724,14 @@ class _Screen:
         gain = total - self.base
         return (gain >= target) & (gain > min_gain)
 
-    def _bisect(self, cells, ks) -> np.ndarray:
-        """Both halves of every live cell, with their bounds (see ``refine``)."""
+    def _bisect(self, cells, side_sums, n_cuts) -> np.ndarray:
+        """Both halves of every live cell, with their bounds (see ``refine``).
+
+        ``side_sums`` sums node rows over the sides of the ``n_cuts`` live
+        cuts.  The midpoints are evaluated in column blocks sized for the
+        block's kernel table and its side sums, two arrays of two values per
+        node row or side and column, and one more for the sums' own work.
+        """
         whole = (cells[1] < 0.0) & (cells[2] > 0.0)
         kept, cells = cells[:, whole], cells[:, ~whole]
         side, a, b, fa, fb, ga, gb, curvature, parent = cells
@@ -621,13 +739,11 @@ class _Screen:
         mid = 0.5 * (a + b)
         grid, col = unique(mid, return_inverse=True)
         fm, gm = np.empty(len(mid)), np.empty(len(mid))
-        side_sums = _side_sums(self._splits(ks, self.orders))
-        width = _block_width(max(len(self.uv), 2 * len(ks)))
+        width = _per_block(2 * max(len(self.uv), 2 * n_cuts), 3)
         for c0 in range(0, len(grid), width):
-            ll, score = log_density_and_score(self.spec, grid[c0 : c0 + width], self.uv[:, 0], self.uv[:, 1])
-            sums = side_sums(np.stack([ll, score], axis=1))
+            sums = side_sums(_kernel_table(self.spec, grid[c0 : c0 + width], self.uv))
             sel = (col >= c0) & (col < c0 + width)
-            fm[sel], gm[sel] = sums[side[sel], 0, col[sel] - c0], sums[side[sel], 1, col[sel] - c0]
+            fm[sel], gm[sel] = sums[0, col[sel] - c0, side[sel]], sums[1, col[sel] - c0, side[sel]]
         low = np.minimum(_cell_maxima(fa, fm, ga, gm, curvature, a, mid), parent)
         high = np.minimum(_cell_maxima(fm, fb, gm, gb, curvature, mid, b), parent)
         return np.concatenate([
@@ -777,7 +893,7 @@ def sse_split(y: np.ndarray, data: Dataset, idx, parent: SseFit, min_leaf: int) 
     )
     centred = yv - parent.mean
     side_sums = _side_sums([(fc.order, fc.n_left) for fc in features])
-    s1, s2 = side_sums(np.column_stack([centred, centred**2])).T
+    s1, s2 = side_sums(np.column_stack([centred, centred**2]))
     n_left = np.concatenate([fc.n_left for fc in features])
     side_sse = s2 - s1**2 / np.concatenate([n_left, len(idx) - n_left])
     parent_sse = -parent.loglik

@@ -132,6 +132,16 @@ class TestReplication:
         assert bench_u.loglik == pytest.approx(fit.loglik, rel=1e-12)
         assert bench_u.n_splits == 0
 
+    def test_benchmark_records_are_those_of_a_fit_mle_of_every_row(self, records):
+        # the maximal tree's root fit serves as the benchmark, bit for bit
+        ds = sim.generate(sim.ScenarioSpec("clayton", "step", 1000, 1234))
+        _, sources = sim._pseudo_sources(ds, CLAYTON, sim.PipelineConfig(cv_repeats=2))
+        for src, pseudo in sources.items():
+            fit = cp.fit_mle(CLAYTON, pseudo.values)
+            want = sim.evaluate(CLAYTON, np.full(1000, fit.theta_hat), np.full(1000, fit.tau_hat), ds, pseudo.values)
+            got = next(r for r in records if r.source == src and r.model == "benchmark")
+            assert (got.mse_tau, got.mse_copula, got.loglik) == want
+
     def test_conditional_dominates_in_sample(self, records):
         for src in ("U", "V", "W"):
             cond = next(r for r in records if r.source == src and r.model == "conditional")

@@ -540,6 +540,23 @@ class TestScreenedSplitSearch:
             limit = np.minimum(cap[k], row_cap + offset[k])
             assert np.all(curvature <= limit + 1e-6 * (1.0 + np.abs(limit)))
 
+    @given(case=node_cases, squash=st.sampled_from([1.0, 3.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_per_row_term_is_summed_only_where_it_can_bind(self, case, squash):
+        # Frank and Gumbel have no per-row curvature term (an offset of +inf),
+        # so summing their zero row caps over every side would change no bound
+        spec, pseudo, data = random_node(case["family"], case["n"], case["seed"], case["kinds"], case["taus"])
+        uv = np.clip(pseudo.values**squash, 1e-300, 1 - 1e-16)
+        idx = np.arange(data.n)
+        features = tr._node_cuts(data, idx, case["min_leaf"], case["max_candidates"],
+                                 lambda j: tr.order_modalities(spec, PseudoObservations(uv, "t"), data, j, idx))
+        screen = tr._Screen(spec, tr._row_table(spec, uv), idx, uv, features, cp.fit_mle(spec, uv).loglik)
+        bound = screen.bounds()
+        _, row_caps, offset = cp.curvature_caps(spec, screen.theta, uv)
+        assert (screen.weights is None) == (spec.family is not cp.Family.CLAYTON) == bool(np.all(offset == np.inf))
+        screen.weights = tr._side_sums(screen._splits(np.arange(len(screen.n_left)), screen.orders))(row_caps)
+        assert screen.bounds().tobytes() == bound.tobytes()
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("cat_first", [False, True])
     @pytest.mark.parametrize("later_first", [False, True])
@@ -575,11 +592,131 @@ class TestScreenedSplitSearch:
         assert cp.fit_mle(spec, uv[rng.permutation(n)]) == cp.fit_mle(spec, uv)
 
 
+def gentle_node(n, seed):
+    """One numeric covariate along which Clayton's tau rises smoothly, so that
+    many cuts come close to the best one."""
+    rng = np.random.default_rng(seed)
+    x = rng.random(n)
+    uv = copula_rows(0.3 + 0.15 * np.tanh(4.0 * (x - 0.5)), n, seed + 1)
+    return PseudoObservations(np.clip(uv, 1e-12, 1 - 1e-12), "t"), Dataset(np.zeros((n, 2)), (numeric_column("x", x),))
+
+
+class TestRefineEveryNode:
+    def test_more_live_cells_than_the_budget_are_refined(self, monkeypatch):
+        # refinement once stopped when a node's live cells held more values than
+        # _SCREEN_BUDGET; it now bisects them in chunks and refits fewer cuts
+        monkeypatch.setattr(tr, "_SCREEN_BUDGET", 1 << 11)
+        pseudo, data = gentle_node(400, 2)
+        stopping = tr.StoppingConfig(min_leaf=30)
+        parent = cp.fit_mle(CLAYTON, pseudo.values)
+        fits, live, real_fit, real_reaches = [], [], tr.fit_mle, tr._Screen._reaches
+
+        def counting_fit(spec, uv):
+            fits.append(len(uv))
+            return real_fit(spec, uv)
+
+        def reaches(self, total, target, min_gain):
+            if total.ndim == 1:  # the live cells' liveness test, one call per level
+                live.append(total.size)
+            return real_reaches(self, total, target, min_gain)
+
+        monkeypatch.setattr(tr, "fit_mle", counting_fit)
+        monkeypatch.setattr(tr._Screen, "_reaches", reaches)
+        cand = tr.find_optimal_split(CLAYTON, pseudo, data, stopping, parent_fit=parent)
+        refined = len(fits)
+        assert 9 * live[0] > tr._SCREEN_BUDGET and len(live) == tr._REFINE_LEVELS
+        expected = brute_force_split(CLAYTON, pseudo, data, stopping)
+        assert_same_split(cand, expected)
+        # the old cutoff left such a node's grid bounds as they were, as no levels do
+        fits.clear()
+        monkeypatch.setattr(tr, "_REFINE_LEVELS", 0)
+        assert_same_split(tr.find_optimal_split(CLAYTON, pseudo, data, stopping, parent_fit=parent), expected)
+        assert refined < len(fits)
+
+
+def cell_maxima_oracle(fa, fb, ga, gb, curvature, a, b):
+    """_cell_maxima's closed form as one numpy expression per term."""
+    h = b - a
+    c = 0.5 * curvature
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        slope = ga - gb + 2.0 * c * h
+        s = np.clip((fb - fa - gb * h + c * h * h) / slope, 0.0, h)
+        top = np.where(
+            slope > 0.0,
+            fa + s * (ga + c * s),
+            np.maximum(fa + h * (ga + c * h), fb - h * (gb - c * h)),
+        )
+        out = np.maximum(np.maximum(fa, fb), top)
+    return np.where(np.isfinite(out), out, np.inf)
+
+
+cell_values = st.one_of(
+    st.floats(-1e3, 1e3), st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])
+)
+
+
+class TestCellMaxima:
+    @given(data=st.data(), n=st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_closed_form(self, data, n):
+        # any values, slopes of either sign included; a NaN anywhere or +inf at a
+        # cell end gives +inf, and every result has the closed form's bits
+        fa, fb, ga, gb, curvature = (np.array(data.draw(st.lists(cell_values, min_size=n, max_size=n)))
+                                     for _ in range(5))
+        a = np.array(data.draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n)))
+        b = a + np.array(data.draw(st.lists(st.floats(0, 10), min_size=n, max_size=n)))
+        got = tr._cell_maxima(fa, fb, ga, gb, curvature, a, b)
+        assert got.tobytes() == cell_maxima_oracle(fa, fb, ga, gb, curvature, a, b).tobytes()
+        inputs = np.stack([fa, fb, ga, gb, curvature])
+        assert np.all(got[np.isnan(inputs).any(axis=0) | (np.stack([fa, fb]) == np.inf).any(axis=0)] == np.inf)
+        assert not np.isnan(got).any() and not (got == -np.inf).any()
+
+    @given(seed=st.integers(0, 2**31), sides=st.integers(1, 40), cells=st.integers(1, 40))
+    @settings(max_examples=50, deadline=None)
+    def test_grid_blocks_broadcast(self, seed, sides, cells):
+        # a grid block: (cells, sides) values against a column of the cells' ends
+        rng = np.random.default_rng(seed)
+        f, g = rng.normal(size=(2, cells + 1, sides)) * 100.0
+        g[rng.random(g.shape) < 0.2] *= -50.0  # non-positive slopes
+        curvature = rng.random((cells, sides)) * 10.0
+        theta = np.sort(rng.normal(size=cells + 1))[:, None]
+        args = (f[:-1], f[1:], g[:-1], g[1:], curvature, theta[:-1], theta[1:])
+        assert tr._cell_maxima(*args).tobytes() == cell_maxima_oracle(*args).tobytes()
+
+
 def side_sums_oracle(splits, values):
-    """Every cut's left-side sum, then every right side, one row at a time."""
+    """Every cut's left-side sum, then every right side, one row at a time (sides last)."""
     left = [values[rows[:k]].sum(axis=0) for rows, n_left in splits for k in n_left]
     right = [values[rows[k:]].sum(axis=0) for rows, n_left in splits for k in n_left]
-    return np.array(left + right).reshape((-1,) + values.shape[1:])
+    return np.moveaxis(np.array(left + right).reshape((-1,) + values.shape[1:]), 0, -1)
+
+
+def side_sums_one_gather(splits, values):
+    """The side sums from all of a feature's rows gathered at once and summed
+    by one np.add.reduceat; _side_sums must give the same bits."""
+    prefix = [
+        np.cumsum(np.add.reduceat(values[rows].reshape(len(rows), -1), np.append(0, n_left), axis=0), axis=0)
+        for rows, n_left in splits if len(n_left)
+    ]
+    sides = np.concatenate([p[:-1] for p in prefix] + [p[-1] - p[:-1] for p in prefix])
+    return np.moveaxis(sides.reshape((len(sides),) + values.shape[1:]), 0, -1)
+
+
+def random_splits(rng, n, kinds):
+    """(a node's rows of an n-row array in cut order, left-side sizes) per kind of cuts."""
+    splits = []
+    for kind in kinds:
+        m = int(rng.integers(2, n + 1))
+        rows = rng.choice(n, m, replace=False)
+        n_left = {
+            "every": np.arange(1, m),  # 1-row segments
+            "one": rng.integers(1, m, 1),
+            "none": np.empty(0, dtype=np.int64),  # sse_split passes features without cuts
+            "some": np.flatnonzero(rng.random(m - 1) < 0.5) + 1,
+            "few": np.sort(rng.choice(np.arange(1, m), min(m - 1, 3), replace=False)),  # long segments
+        }[kind]
+        splits.append((rows, n_left))
+    return splits
 
 
 class TestSideSums:
@@ -589,29 +726,53 @@ class TestSideSums:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 40))
         values = rng.normal(size=(n,) + shape) * 10.0 ** rng.integers(-3, 4, size=(n,) + shape)
-        splits = []
-        for kind in ("every", "one", "none", "some"):
-            m = int(rng.integers(2, n + 1))
-            rows = rng.choice(n, m, replace=False)  # a node's rows of the array, in cut order
-            n_left = {
-                "every": np.arange(1, m),  # 1-row segments
-                "one": rng.integers(1, m, 1),
-                "none": np.empty(0, dtype=np.int64),  # sse_split passes features without cuts
-                "some": np.flatnonzero(rng.random(m - 1) < 0.5) + 1,
-            }[kind]
-            splits.append((rows, n_left))
+        splits = random_splits(rng, n, ("every", "one", "none", "some"))
         for order in (splits, splits[::-1]):
             got = tr._side_sums(order)(values)
             want = side_sums_oracle(order, values)
             # a right side is a feature's total minus its left side
             total = [np.abs(values[rows]).sum(axis=0) for rows, n_left in order for _ in n_left]
-            scale = np.array(total + total).reshape(want.shape)
+            scale = np.moveaxis(np.array(total + total).reshape((-1,) + values.shape[1:]), 0, -1)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
+    @given(seed=st.integers(0, 2**31), shape=st.sampled_from([(), (2,), (2, 3), (2, 64)]),
+           budget=st.sampled_from([1 << 16, 1 << 10, 16]), n=st.sampled_from([40, 700, 3000]))
+    @settings(max_examples=60, deadline=None)
+    def test_chunks_sum_as_one_gather_does(self, seed, shape, budget, n):
+        # short segments grouped into chunks, long ones summed in pieces, and
+        # rows x width over the budget: every path gives one reduceat's bits
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n,) + shape) * 10.0 ** rng.integers(-3, 4, size=(n,) + shape)
+        splits = random_splits(rng, n, ("few", "every", "none", "some", "one"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tr, "_SCREEN_BUDGET", budget)
+            got = tr._side_sums(splits)(values)
+        assert got.tobytes() == side_sums_one_gather(splits, values).tobytes()
+
+    @pytest.mark.parametrize("n_left", [np.array([1000, 1900]), np.arange(5, 3000, 5)], ids=["few", "many"])
+    def test_rows_are_gathered_a_chunk_at_a_time(self, n_left):
+        # 3000 rows of 256 values in long or short segments: no gather holds
+        # more than a chunk of rows, and each row is gathered once
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(3000, 2, 128))
+        rows = rng.permutation(3000)
+        gathered = []
+
+        class Table(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, np.ndarray):
+                    gathered.append(len(key))
+                return super().__getitem__(key)
+
+        got = tr._side_sums([(rows, n_left)])(values.view(Table))
+        assert got.tobytes() == side_sums_one_gather([(rows, n_left)], values).tobytes()
+        chunk = tr._SCREEN_BUDGET // (2 * 256)
+        assert max(gathered) <= max(chunk, 128) and sum(gathered) == 3000
+
     def test_no_splits(self):
         values = np.ones((5, 2, 3))
-        assert tr._side_sums([])(values).shape == (0, 2, 3)
+        assert tr._side_sums([])(values).shape == (2, 3, 0)
 
     def test_one_block_node_sums_the_row_table_once(self, monkeypatch):
         # with the whole grid in one block, refine reads its cuts' sides from the
@@ -696,6 +857,26 @@ class TestMaximalTreeSearch:
             assert cand.rule.feature == 0
         assert peaks[4000] <= 2.2 * peaks[2000]
         assert peaks[4000] < 24 * 2**20
+
+    @pytest.mark.parametrize("n", [2000, 8000])
+    def test_capped_search_keeps_to_the_budget(self, n):
+        # a capped root search screens its whole grid in one block; beyond the
+        # row table, its working set stays within a few budgets at any n
+        rng = np.random.default_rng(3)
+        x = rng.random((n, 2))
+        pseudo = PseudoObservations(copula_rows(np.where(x[:, 0] < 0.4, 0.3, 0.6), n, 4), "t")
+        data = Dataset(np.zeros((n, 2)), (numeric_column("x1", x[:, 0]), numeric_column("x2", x[:, 1])))
+        parent = cp.fit_mle(CLAYTON, pseudo.values)
+        build = tr._Build(tr._row_table(CLAYTON, pseudo.values))
+        stopping = tr.StoppingConfig(min_leaf=50, max_candidates=16)
+        tracemalloc.start()
+        try:
+            cand = tr.find_optimal_split(CLAYTON, pseudo, data, stopping, parent_fit=parent, _build=build)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cand.rule.feature == 0
+        assert peak < 4 * tr._SCREEN_BUDGET * 8
 
 
 # ---------------------------------------------------------------------------
