@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import locale  # noqa: F401  argparse's gettext imports it for the first parser; do it at start-up
 import sys
 from dataclasses import asdict, replace
@@ -46,9 +45,12 @@ from .margins import (
 )
 from .pruning import check_cv_options, check_cv_rows, fit_pruned_tree
 from .serialize import (
+    FORMAT_VERSION,
     read_tree_json,
     write_cv_report_json,
     write_cv_report_tsv,
+    write_json,
+    write_leaf_report,
     write_predictions_csv,
     write_prune_path_tsv,
     write_tree_json,
@@ -238,6 +240,18 @@ def _with_pseudo_notes(report, pseudo):
     return replace(report, notes=report.notes + pseudo.notes)
 
 
+def _write_pruned_fit(out, subtree, path, report) -> Path:
+    """The pruned fit's tree.json, prune_path.tsv, cv_report.tsv and
+    cv_report.json in ``out``, made if missing; returns ``out`` as a Path."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_tree_json(subtree, out / "tree.json")
+    write_prune_path_tsv(path, out / "prune_path.tsv")
+    write_cv_report_tsv(report, out / "cv_report.tsv")
+    write_cv_report_json(report, out / "cv_report.json")
+    return out
+
+
 def cmd_fit(args) -> int:
     _require(args, "input", "out", "family", "seed")
     stopping = _stopping_from_args(args)
@@ -254,12 +268,7 @@ def cmd_fit(args) -> int:
         rule=args.rule,
     )
     report = _with_pseudo_notes(report, pseudo)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_tree_json(subtree, out / "tree.json")
-    write_prune_path_tsv(path, out / "prune_path.tsv")
-    write_cv_report_tsv(report, out / "cv_report.tsv")
-    write_cv_report_json(report, out / "cv_report.json")
+    out = _write_pruned_fit(args.out, subtree, path, report)
     theta, tau, leaf_ids = subtree.predict(data)
     write_predictions_csv(out / "predictions.csv", range(data.n), leaf_ids, theta, tau)
     print(
@@ -285,11 +294,11 @@ def cmd_simulate(args) -> int:
     _require(args, "out", "seed")
     families = args.families.split(",") if args.families != "all" else [f.value for f in sim.Family]
     surfaces = args.surfaces.split(",") if args.surfaces != "all" else list(sim.SURFACES)
-    for f in families:
-        spec_for(f)
+    sim.check_unique([spec_for(f).family.value for f in families], "family")
     for s in surfaces:
         if s not in sim.SURFACES:
             raise ConfigError(f"unknown surface {s!r}")
+    sim.check_unique(surfaces, "surface")
     reps = args.reps if args.reps is not None else (500 if args.scale == "paper" else 50)
     n = args.n if args.n is not None else 1000
     for name, value in (("reps", reps), ("n", n), ("jobs", args.jobs)):
@@ -315,15 +324,13 @@ def cmd_simulate(args) -> int:
         "sources": list(config.sources),
     }
     if args.dry_run:
-        summary = {"format_version": 1, "cells": [], "config": config_echo}
+        summary = {"format_version": FORMAT_VERSION, "cells": [], "config": config_echo}
     else:
         records = sim.run_study(cells, reps, n, args.seed, config, n_jobs=args.jobs)
         sim.write_records_tsv(records, out / "records.tsv")
         summary = sim.summarize(records)
         summary["config"] = config_echo
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(summary, out / "summary.json")
     print(f"simulate: {len(cells)} cells x {reps} reps -> {out}")
     return EXIT_OK
 
@@ -355,15 +362,9 @@ def cmd_flu(args) -> int:
         seed=args.seed, rule=args.rule,
     )
     report = _with_pseudo_notes(report, pseudo)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _write_pruned_fit(args.out, subtree, path, report)
     compositional.write_ilr_csv(unit_years, out / "ilr.csv")
-    write_tree_json(subtree, out / "tree.json")
-    write_prune_path_tsv(path, out / "prune_path.tsv")
-    write_cv_report_tsv(report, out / "cv_report.tsv")
-    write_cv_report_json(report, out / "cv_report.json")
-    _write_leaf_report(subtree, out / "leaf_report.tsv")
+    write_leaf_report(subtree, out / "leaf_report.tsv")
 
     root_ll = path.entries[-1].train_loglik
     cond_ll = path.entry_for_k(report.chosen_k).train_loglik
@@ -372,40 +373,6 @@ def cmd_flu(args) -> int:
         f"loglik {root_ll:.3f} -> {cond_ll:.3f}"
     )
     return EXIT_OK
-
-
-def _rule_text(tree, node, going_left) -> str:
-    rule = node.rule
-    sch = tree.schema[rule.feature]
-    if rule.is_numeric:
-        op = "<=" if going_left else ">"
-        return f"{sch.name} {op} {rule.threshold:g}"
-    names = sorted(sch.levels[c] for c in rule.left_levels)
-    if going_left:
-        return f"{sch.name} in {{{', '.join(names)}}}"
-    return f"{sch.name} not in {{{', '.join(names)}}}"
-
-
-def _write_leaf_report(tree, path) -> None:
-    rows = []
-
-    def walk(node, conds):
-        if node.is_leaf:
-            rows.append(
-                (node.id, node.fit.n_obs, node.fit.tau_hat, node.fit.theta_hat,
-                 node.fit.loglik, " & ".join(conds) or "(root)")
-            )
-            return
-        walk(node.left, conds + [_rule_text(tree, node, True)])
-        walk(node.right, conds + [_rule_text(tree, node, False)])
-
-    walk(tree.root, [])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        writer.writerow(["format_version", 1])
-        writer.writerow(["leaf_id", "n", "tau", "theta", "loglik", "rules"])
-        for row in rows:
-            writer.writerow([row[0], row[1], repr(row[2]), repr(row[3]), repr(row[4]), row[5]])
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +444,9 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--scale", choices=["desk", "paper"], default="desk")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per replication and per CPU; "
+                        "the output does not depend on it")
     p.add_argument("--out", default=None)
     p.add_argument("--bandwidth", type=float)
     p.add_argument("--dry-run", action="store_true", help="echo the resolved config without running")

@@ -22,6 +22,7 @@ from datetime import date
 from typing import Iterator, NamedTuple
 
 from .errors import DomainError, IngestionError
+from .serialize import write_table
 
 __all__ = [
     "Composition3",
@@ -33,7 +34,6 @@ __all__ = [
     "aggregate_counts",
     "read_weekly_csv",
     "write_ilr_csv",
-    "read_ilr_csv",
 ]
 
 _SQRT23 = math.sqrt(2.0 / 3.0)
@@ -230,28 +230,8 @@ def _is_utf8(fields: list[str]) -> bool:
 
 def write_ilr_csv(unit_years: list[UnitYear], path) -> None:
     """Output schema: unit_id, season, y1, y2, itz (blank when absent)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["unit_id", "season", "y1", "y2", "itz"])
-        for uy in unit_years:
-            pt = ilr_forward(uy.composition)
-            writer.writerow([uy.unit_id, uy.season, repr(pt.y1), repr(pt.y2), uy.itz or ""])
-
-
-def read_ilr_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in ("unit_id", "season", "y1", "y2") if c not in (reader.fieldnames or [])]
-        if missing:
-            raise IngestionError(f"{path}: missing columns {missing}")
-        out = []
-        for row in reader:
-            out.append(
-                {
-                    "unit_id": row["unit_id"],
-                    "season": row["season"],
-                    "point": IlrPoint(float(row["y1"]), float(row["y2"])),
-                    "itz": row.get("itz") or None,
-                }
-            )
-    return out
+    rows = []
+    for uy in unit_years:
+        pt = ilr_forward(uy.composition)
+        rows.append([uy.unit_id, uy.season, repr(pt.y1), repr(pt.y2), uy.itz or ""])
+    write_table(path, ["unit_id", "season", "y1", "y2", "itz"], rows, tsv=False)

@@ -1,9 +1,17 @@
-"""Machine-readable artifact formats (all schema-versioned).
+"""Machine-readable artifact formats: every ``--out`` file is written here.
+
+The dialect is one for all artifacts.  JSON documents (:func:`write_json`)
+have a one-space indent, sorted keys and a final newline.  Tables
+(:func:`write_table`) end lines with ``\n``: TSVs open with a
+``format_version`` row ahead of the header, CSVs (predictions, ilr) have
+the header alone.  Floats are written with ``repr``, so they read back
+bit for bit.
 
 Tree JSON:  {format_version, family, nodes: [{id, n, theta, tau, loglik,
 rule?, left?, right?}], covariates: [{name, kind, levels?}]}.
 Categorical rules store level *names*; numeric rules the threshold.
-Round trips through :func:`tree_from_json` are stable.
+Round trips through :func:`read_tree_json` / :func:`tree_from_doc` are
+stable.
 """
 
 from __future__ import annotations
@@ -144,10 +152,26 @@ def tree_from_doc(doc: dict) -> CopulaTree:
     return CopulaTree(spec, build(min(raw), 0), tuple(schema))
 
 
-def write_tree_json(tree: CopulaTree, path) -> None:
+def write_json(doc, path) -> None:
     with open(path, "w") as fh:
-        json.dump(tree_to_doc(tree), fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def write_table(path, header, rows, tsv: bool = True) -> None:
+    """A TSV led by the ``format_version`` row, or with ``tsv=False`` a CSV."""
+    with open(path, "w", newline="") as fh:
+        if tsv:
+            writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
+            writer.writerow(["format_version", FORMAT_VERSION])
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_tree_json(tree: CopulaTree, path) -> None:
+    write_json(tree_to_doc(tree), path)
 
 
 def read_tree_json(path) -> CopulaTree:
@@ -161,22 +185,19 @@ def read_tree_json(path) -> CopulaTree:
 
 def write_prune_path_tsv(path_obj: PrunePath, path) -> None:
     intervals = lambda_intervals(path_obj)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        writer.writerow(["format_version", FORMAT_VERSION])
-        writer.writerow(["K", "train_loglik", "lambda_lo", "lambda_hi"])
-        for entry in path_obj.entries:
-            lo, hi = intervals.get(entry.k, (math.nan, math.nan))
-            writer.writerow([entry.k, repr(entry.train_loglik), repr(lo), repr(hi)])
+    rows = []
+    for entry in path_obj.entries:
+        lo, hi = intervals.get(entry.k, (math.nan, math.nan))
+        rows.append([entry.k, repr(entry.train_loglik), repr(lo), repr(hi)])
+    write_table(path, ["K", "train_loglik", "lambda_lo", "lambda_hi"], rows)
 
 
 def write_cv_report_tsv(report: CvReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        writer.writerow(["format_version", FORMAT_VERSION])
-        writer.writerow(["K", "mean_val_loglik", "se", "n_folds"])
-        for k in report.k_values:
-            writer.writerow([k, repr(report.mean_loglik[k]), repr(report.se_loglik[k]), report.n_scores])
+    write_table(
+        path,
+        ["K", "mean_val_loglik", "se", "n_folds"],
+        ([k, repr(report.mean_loglik[k]), repr(report.se_loglik[k]), report.n_scores] for k in report.k_values),
+    )
 
 
 def cv_report_to_doc(report: CvReport) -> dict:
@@ -197,65 +218,43 @@ def cv_report_to_doc(report: CvReport) -> dict:
 
 
 def write_cv_report_json(report: CvReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cv_report_to_doc(report), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(cv_report_to_doc(report), path)
 
 
 def write_predictions_csv(path, row_ids, leaf_ids, thetas, taus) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row_id", "leaf_id", "theta", "tau"])
-        for rid, lid, th, ta in zip(row_ids, leaf_ids, thetas, taus):
-            writer.writerow([rid, lid, repr(float(th)), repr(float(ta))])
+    write_table(
+        path,
+        ["row_id", "leaf_id", "theta", "tau"],
+        ([rid, lid, repr(float(th)), repr(float(ta))] for rid, lid, th, ta in zip(row_ids, leaf_ids, thetas, taus)),
+        tsv=False,
+    )
 
 
-def _read_versioned_tsv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        head = next(reader)
-        if head[0] != "format_version" or int(head[1]) != FORMAT_VERSION:
-            raise SchemaError(f"{path}: unsupported format_version {head[1:]}")
-        cols = next(reader)
-        return [dict(zip(cols, row)) for row in reader]
+def _rule_text(tree: CopulaTree, node: TreeNode, going_left: bool) -> str:
+    rule = node.rule
+    sch = tree.schema[rule.feature]
+    if rule.is_numeric:
+        op = "<=" if going_left else ">"
+        return f"{sch.name} {op} {rule.threshold:g}"
+    names = sorted(sch.levels[c] for c in rule.left_levels)
+    if going_left:
+        return f"{sch.name} in {{{', '.join(names)}}}"
+    return f"{sch.name} not in {{{', '.join(names)}}}"
 
 
-def read_prune_path_tsv(path) -> list[dict]:
-    """Rows with K, train_loglik and the lambda interval, floats parsed."""
-    rows = _read_versioned_tsv(path)
-    return [
-        {
-            "K": int(r["K"]),
-            "train_loglik": float(r["train_loglik"]),
-            "lambda_lo": float(r["lambda_lo"]),
-            "lambda_hi": float(r["lambda_hi"]),
-        }
-        for r in rows
-    ]
+def write_leaf_report(tree: CopulaTree, path) -> None:
+    """One row per leaf, depth first from the left: its fit and the
+    conditions on the path to it, ``(root)`` for a one-leaf tree."""
+    rows = []
 
+    def walk(node, conds):
+        if node.is_leaf:
+            fit = node.fit
+            rows.append([node.id, fit.n_obs, repr(fit.tau_hat), repr(fit.theta_hat), repr(fit.loglik),
+                         " & ".join(conds) or "(root)"])
+            return
+        walk(node.left, conds + [_rule_text(tree, node, True)])
+        walk(node.right, conds + [_rule_text(tree, node, False)])
 
-def read_cv_report_tsv(path) -> list[dict]:
-    rows = _read_versioned_tsv(path)
-    return [
-        {
-            "K": int(r["K"]),
-            "mean_val_loglik": float(r["mean_val_loglik"]),
-            "se": float(r["se"]),
-            "n_folds": int(r["n_folds"]),
-        }
-        for r in rows
-    ]
-
-
-def read_predictions_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return [
-        {
-            "row_id": int(r["row_id"]),
-            "leaf_id": int(r["leaf_id"]),
-            "theta": float(r["theta"]),
-            "tau": float(r["tau"]),
-        }
-        for r in rows
-    ]
+    walk(tree.root, [])
+    write_table(path, ["leaf_id", "n", "tau", "theta", "loglik", "rules"], rows)

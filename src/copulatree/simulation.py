@@ -17,9 +17,9 @@ which leaves the Clayton/Gumbel tau domain; those rows are clamped into
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -32,6 +32,7 @@ from .data import Dataset, PseudoObservations, numeric_column
 from .errors import ConfigError, ScenarioError
 from .margins import check_bandwidth, pseudo_kernel, pseudo_parametric_normal
 from .pruning import check_cv_options, check_cv_rows, fit_pruned_tree
+from .serialize import FORMAT_VERSION, write_table
 from .tree import StoppingConfig
 
 logger = logging.getLogger(__name__)
@@ -73,6 +74,16 @@ class SimulatedDataset:
     n_clamped: int = 0
 
 
+def check_unique(names, what: str) -> None:
+    """ConfigError on the first name that appears twice: a study cell or
+    source listed twice would be run twice and counted twice."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ConfigError(f"{what} {name!r} appears twice")
+        seen.add(name)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """How each replication fits its models."""
@@ -88,6 +99,7 @@ class PipelineConfig:
         for src in self.sources:
             if src not in SOURCES:
                 raise ConfigError(f"unknown pseudo source {src!r}")
+        check_unique(self.sources, "pseudo source")
         check_cv_options(self.cv_folds, self.cv_repeats, self.cv_rule)
         if self.kernel_h is not None:
             check_bandwidth(self.kernel_h)
@@ -263,7 +275,8 @@ def run_study(
 
     Replications are independent seeded units; seeds are derived from
     (base_seed, cell index, replication index), so results do not depend
-    on scheduling or on n_jobs.
+    on scheduling or on n_jobs.  The pool has at most one worker per
+    replication and per CPU, as more would only sit idle.
     """
     check_cv_rows(n, config.cv_folds, config.stopping.min_leaf)
     tasks = []
@@ -272,10 +285,11 @@ def run_study(
             seed = seed_words(base_seed, spawn_key=(ci, rep))[0]
             tasks.append((ScenarioSpec(fam, surf, n, seed), config, rep))
 
-    if n_jobs > 1:
+    workers = min(n_jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_one, tasks, chunksize=1))
     else:
         chunks = [_run_one(t) for t in tasks]
@@ -294,25 +308,12 @@ METRICS = ("mse_tau", "mse_copula", "loglik", "n_splits")
 
 def write_records_tsv(records: list[RepRecord], path) -> None:
     """Long-format TSV: scenario, family, source, model, metric, value, rep."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        writer.writerow(["format_version", "1"])
-        writer.writerow(["scenario", "family", "source", "model", "metric", "value", "rep"])
-        for r in records:
-            for metric in METRICS:
-                writer.writerow(
-                    [r.surface, r.family, r.source, r.model, metric, repr(getattr(r, metric)), r.rep]
-                )
-
-
-def read_records_tsv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        head = next(reader)
-        if head[:2] != ["format_version", "1"]:
-            raise ScenarioError(f"unrecognised records file {path}")
-        cols = next(reader)
-        return [dict(zip(cols, row)) for row in reader]
+    write_table(
+        path,
+        ["scenario", "family", "source", "model", "metric", "value", "rep"],
+        ([r.surface, r.family, r.source, r.model, metric, repr(getattr(r, metric)), r.rep]
+         for r in records for metric in METRICS),
+    )
 
 
 def _quartiles(vals) -> list[float]:
@@ -365,4 +366,4 @@ def summarize(records: list[RepRecord]) -> dict:
             entry[m] = {"q1": q1, "median": q2, "q3": q3}
         entry["n_reps"] = len(groups[key][METRICS[0]])
         cells.append(entry)
-    return {"format_version": 1, "cells": cells}
+    return {"format_version": FORMAT_VERSION, "cells": cells}

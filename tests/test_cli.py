@@ -128,6 +128,32 @@ def test_cli_import_leaves_out_multiprocessing():
     assert after_cli_import(POOL_LOADED) == "[]"
 
 
+TRACER_INSTALL = """
+import importlib, json, sys
+sys.path[:0] = sys.argv[1:]
+import tracer
+wrappers = tracer.install(tracer.Tracer())
+wanted = [f"{module}.{name}" for module, names in tracer.WRAPPED.items() for name in names]
+bound = [qual for qual, wrapper in wrappers.items()
+         if getattr(importlib.import_module("copulatree." + qual.split(".")[0]), qual.split(".")[1]) is wrapper]
+print(json.dumps([wanted, bound]))
+"""
+
+
+def test_benchmark_tracer_installs():
+    """The benchmark's tracer (perfbench/tracer.py) wraps package functions
+    by module attribute and fails its install on a name that is gone or on
+    a reference it cannot rebind (a dict, a default argument, a partial);
+    every benchmark run would then fail."""
+    src = os.path.dirname(os.path.dirname(copulatree.__file__))
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    out = subprocess.run([sys.executable, "-c", TRACER_INSTALL, src, perfbench], capture_output=True, text=True,
+                         check=True)
+    wanted, bound = json.loads(out.stdout.strip().splitlines()[-1])
+    assert len(wanted) == len(set(wanted)) > 0
+    assert sorted(bound) == sorted(wanted)
+
+
 def fit_margin_tree_argv(fit_csv, out):
     return ["fit", "--input", fit_csv, "--out", out, "--family", "clayton", "--pseudo", "margin-tree",
             "--seed", "5", "--repeats", "1", "--min-leaf", "50", "--max-candidates", "16"]
@@ -208,23 +234,30 @@ class TestFit:
         assert counts == leaf_n
 
     def test_artifacts_roundtrip_through_readers(self, fit_csv, tmp_path):
-        from copulatree.serialize import (
-            read_cv_report_tsv,
-            read_predictions_csv,
-            read_prune_path_tsv,
-            read_tree_json,
-        )
+        """The tables read back with the csv module, every field parsing;
+        the TSVs open with the format_version row and then their header."""
+        from copulatree.serialize import read_tree_json
+
+        def table(name, delimiter):
+            with open(out / name, newline="") as fh:
+                return list(csv.reader(fh, delimiter=delimiter))
 
         out = tmp_path / "fit"
         assert run_fit(fit_csv, out) == EXIT_OK
         tree = read_tree_json(out / "tree.json")
-        path_rows = read_prune_path_tsv(out / "prune_path.tsv")
-        cv_rows = read_cv_report_tsv(out / "cv_report.tsv")
-        preds = read_predictions_csv(out / "predictions.csv")
-        assert any(r["K"] == tree.n_leaves for r in path_rows)  # selected K on the path
-        assert all(r["se"] >= 0 for r in cv_rows)
+        path_table = table("prune_path.tsv", "\t")
+        cv_table = table("cv_report.tsv", "\t")
+        pred_table = table("predictions.csv", ",")
+        assert path_table[:2] == [["format_version", "1"], ["K", "train_loglik", "lambda_lo", "lambda_hi"]]
+        assert cv_table[:2] == [["format_version", "1"], ["K", "mean_val_loglik", "se", "n_folds"]]
+        assert pred_table[0] == ["row_id", "leaf_id", "theta", "tau"]
+        path_rows = [(int(k), float(ll), float(lo), float(hi)) for k, ll, lo, hi in path_table[2:]]
+        cv_rows = [(int(k), float(mean), float(se), int(n)) for k, mean, se, n in cv_table[2:]]
+        preds = [(int(r), int(leaf), float(th), float(ta)) for r, leaf, th, ta in pred_table[1:]]
+        assert any(k == tree.n_leaves for k, *_ in path_rows)  # selected K on the path
+        assert all(se >= 0 for _, _, se, _ in cv_rows)
         assert len(preds) == len(list(csv.reader(open(fit_csv)))) - 1
-        assert {p["leaf_id"] for p in preds} == {l.id for l in tree.leaves()}
+        assert {leaf for _, leaf, _, _ in preds} == {l.id for l in tree.leaves()}
 
     def test_byte_identical_artifacts(self, fit_csv, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -360,6 +393,11 @@ SIMULATE_BAD = [
     (["--n", "-5"], "n must be >= 1, got -5"),
     (["--sources", "X"], "unknown pseudo source 'X'"),
     (["--sources", "U,X"], "unknown pseudo source 'X'"),
+    # a repeated name would run and count its cells or source twice
+    (["--families", "clayton,clayton"], "family 'clayton' appears twice"),
+    (["--families", "clayton,CLAYTON"], "family 'clayton' appears twice"),
+    (["--surfaces", "step,step"], "surface 'step' appears twice"),
+    (["--sources", "U,U"], "pseudo source 'U' appears twice"),
 ]
 EARLY_CASES = [pytest.param(command, flags, message, id=f"{command}-{flags[0][2:]}")
                for command in ("fit", "flu", "simulate") for flags, message in EARLY_BAD]

@@ -1,5 +1,6 @@
 """Tests for the scenario study machinery."""
 
+import csv
 import logging
 import math
 
@@ -163,12 +164,44 @@ class TestStudyHarness:
         assert a == b
         assert [r.rep for r in a] == sorted(r.rep for r in a)
 
+    def test_pool_never_outnumbers_the_replications(self, monkeypatch):
+        """A process pool forks all of its max_workers at its first submit, so
+        n_jobs far above the replications must not size it.  The stand-in
+        pool records its size and maps in this process."""
+        import concurrent.futures
+
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        config = sim.PipelineConfig(sources=("U",), cv_repeats=1)
+        cells = [("clayton", "step")]
+        records = sim.run_study(cells, n_reps=2, n=400, base_seed=5, config=config, n_jobs=10**6)
+        assert all(workers <= 2 for workers in asked)
+        assert records == sim.run_study(cells, n_reps=2, n=400, base_seed=5, config=config)
+
     def test_tsv_and_summary_roundtrip(self, tmp_path):
         config = sim.PipelineConfig(sources=("U",), cv_repeats=1)
         records = sim.run_study([("clayton", "step")], n_reps=2, n=400, base_seed=5, config=config)
         tsv = tmp_path / "records.tsv"
         sim.write_records_tsv(records, tsv)
-        rows = sim.read_records_tsv(tsv)
+        with open(tsv, newline="") as fh:
+            table = list(csv.reader(fh, delimiter="\t"))
+        assert table[:2] == [["format_version", "1"],
+                             ["scenario", "family", "source", "model", "metric", "value", "rep"]]
+        rows = [dict(zip(table[1], row)) for row in table[2:]]
         assert len(rows) == len(records) * len(sim.METRICS)
         assert {r["metric"] for r in rows} == set(sim.METRICS)
 
