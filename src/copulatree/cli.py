@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fork import cpus
 from .copulas import spec_for
 from .data import CATEGORICAL, NUMERIC, Column, Dataset, categorical_column, numeric_column
 from .errors import (
@@ -266,6 +267,7 @@ def cmd_fit(args) -> int:
         repeats=args.repeats,
         seed=args.seed,
         rule=args.rule,
+        jobs=cpus(),
     )
     report = _with_pseudo_notes(report, pseudo)
     out = _write_pruned_fit(args.out, subtree, path, report)
@@ -293,8 +295,9 @@ def cmd_simulate(args) -> int:
 
     _require(args, "out", "seed")
     families = args.families.split(",") if args.families != "all" else [f.value for f in sim.Family]
+    families = [spec_for(f).family.value for f in families]  # records name each family as the study does
     surfaces = args.surfaces.split(",") if args.surfaces != "all" else list(sim.SURFACES)
-    sim.check_unique([spec_for(f).family.value for f in families], "family")
+    sim.check_unique(families, "family")
     for s in surfaces:
         if s not in sim.SURFACES:
             raise ConfigError(f"unknown surface {s!r}")
@@ -359,7 +362,7 @@ def cmd_flu(args) -> int:
     maximal, path, report, subtree = fit_pruned_tree(
         spec, pseudo, data,
         stopping=stopping, folds=args.folds, repeats=args.repeats,
-        seed=args.seed, rule=args.rule,
+        seed=args.seed, rule=args.rule, jobs=cpus(),
     )
     report = _with_pseudo_notes(report, pseudo)
     out = _write_pruned_fit(args.out, subtree, path, report)

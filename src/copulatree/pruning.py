@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fork import Forked
 from ._pcg64 import PCG64
 from .copulas import CopulaSpec, log_density
 from .data import Dataset, PseudoObservations
@@ -293,6 +294,32 @@ def _path_scores(maximal: CopulaTree, uv: np.ndarray, columns) -> dict[int, floa
     return scores
 
 
+def _cv_work(spec, pseudo, data, folds, repeats, seed, stopping, jobs) -> Forked:
+    """The CV's maximal trees, spread over ``jobs`` processes.
+
+    Item 0 is the full-data maximal tree, which the caller grows in this
+    process (``first``) while the fold trees grow; item 1 + r * folds + f
+    is fold f of repeat r, whose result is its held-out scores
+    (``_path_scores``).  One row table of all rows serves every tree.
+    """
+    table = _row_table(spec, pseudo.values)
+
+    def grow(split):
+        if split is None:
+            return build_maximal_tree(spec, pseudo, data, stopping, _table=table)
+        chunks, f = split
+        val_idx = np.sort(chunks[f])
+        train_idx = np.sort(np.concatenate([chunks[g] for g in range(folds) if g != f]))
+        fold_tree = build_maximal_tree(spec, pseudo, data, stopping, train_idx, _table=table)
+        return _path_scores(fold_tree, pseudo.values[val_idx], [c.values[val_idx] for c in data.covariates])
+
+    splits = [None]
+    for rep in range(repeats):
+        chunks = np.array_split(PCG64(seed, spawn_key=(rep,)).permutation(data.n), folds)
+        splits += [(chunks, f) for f in range(folds)]
+    return Forked(grow, splits, jobs)
+
+
 def cross_validate(
     spec: CopulaSpec,
     pseudo: PseudoObservations,
@@ -304,7 +331,8 @@ def cross_validate(
     stopping: StoppingConfig = StoppingConfig(),
     path: PrunePath | None = None,
     *,
-    _table: np.ndarray | None = None,
+    jobs: int = 1,
+    _work: Forked | None = None,
 ) -> CvReport:
     """Repeated k-fold choice of the pruned size; deterministic given seed.
 
@@ -315,27 +343,21 @@ def cross_validate(
     that path's nearest smaller entry.  ``rule`` is MaxMean or OneSE; the
     chosen K is snapped to the full-data path (built here unless supplied).
 
-    The row table of all rows is built once and read by every fold tree
-    and the full-data tree.  ``_table`` is internal: ``fit_pruned_tree``
-    passes the table its full-data tree read.
+    The trees are spread over ``jobs`` processes (``_cv_work``); the report
+    does not depend on ``jobs``.  ``_work`` is internal: ``fit_pruned_tree``
+    passes the work whose full-data tree it grew, so that the fold trees of
+    this process still grow inside this call, where the benchmark's tracer
+    counts them (``pruning.cv_fold_trees`` in perfbench/tracer.py).
     """
     check_cv_options(folds, repeats, rule)
-    n = data.n
-    check_cv_rows(n, folds, stopping.min_leaf)
-    table = _row_table(spec, pseudo.values) if _table is None else _table
-    if path is None:
-        path = prune_path(build_maximal_tree(spec, pseudo, data, stopping, _table=table))
-
-    scores: list[dict[int, float]] = []
-    for rep in range(repeats):
-        chunks = np.array_split(PCG64(seed, spawn_key=(rep,)).permutation(n), folds)
-        for f in range(folds):
-            val_idx = np.sort(chunks[f])
-            train_idx = np.sort(np.concatenate([chunks[g] for g in range(folds) if g != f]))
-            fold_tree = build_maximal_tree(spec, pseudo, data, stopping, train_idx, _table=table)
-            scores.append(
-                _path_scores(fold_tree, pseudo.values[val_idx], [c.values[val_idx] for c in data.covariates])
-            )
+    check_cv_rows(data.n, folds, stopping.min_leaf)
+    if _work is None:
+        with _cv_work(spec, pseudo, data, folds, repeats, seed, stopping, jobs) as work:
+            if path is None:
+                path = prune_path(work.first())
+            scores = work.gather()
+    else:
+        scores = _work.gather()
 
     ks, mean, se, chosen = choose_k(scores, rule, path.k_values)
     chosen = path.entry_for_k(chosen).k
@@ -367,17 +389,19 @@ def fit_pruned_tree(
     repeats: int = 10,
     seed: int = 0,
     rule: str = "OneSE",
+    *,
+    jobs: int = 1,
 ) -> tuple[CopulaTree, PrunePath, CvReport, CopulaTree]:
     """Maximal tree, its prune path, the CV report and the selected subtree.
 
-    One row table of all rows serves the maximal tree and every CV fold tree.
+    The maximal tree grows in this process while the CV's fold trees grow
+    over ``jobs`` processes (``_cv_work``); the result does not depend on
+    ``jobs``.
     """
     check_cv_options(folds, repeats, rule)
     check_cv_rows(data.n, folds, stopping.min_leaf)
-    table = _row_table(spec, pseudo.values)
-    maximal = build_maximal_tree(spec, pseudo, data, stopping, _table=table)
-    path = prune_path(maximal)
-    report = cross_validate(
-        spec, pseudo, data, folds, repeats, seed, rule, stopping, path=path, _table=table
-    )
+    with _cv_work(spec, pseudo, data, folds, repeats, seed, stopping, jobs) as work:
+        maximal = work.first()
+        path = prune_path(maximal)
+        report = cross_validate(spec, pseudo, data, folds, repeats, seed, rule, stopping, path=path, _work=work)
     return maximal, path, report, path.entry_for_k(report.chosen_k).tree

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
 
 from . import copulas as cop
+from ._fork import cpus, fork_map
 from ._pcg64 import PCG64, seed_words
 from .copulas import CopulaSpec, Family, spec_for
 from .data import Dataset, PseudoObservations, numeric_column
@@ -231,6 +231,7 @@ def run_replication(
             repeats=config.cv_repeats,
             seed=scenario.seed,
             rule=config.cv_rule,
+            jobs=1,  # the study spreads its replications, not their folds
         )
         bench = maximal.root.fit  # fit_mle of every row: the covariate-blind benchmark
         mt, mc, ll = evaluate(
@@ -258,11 +259,6 @@ def run_replication(
     return records
 
 
-def _run_one(args):
-    scenario, config, rep = args
-    return run_replication(scenario, config, rep)
-
-
 def run_study(
     cells: list[tuple[str, str]],
     n_reps: int = 50,
@@ -275,8 +271,9 @@ def run_study(
 
     Replications are independent seeded units; seeds are derived from
     (base_seed, cell index, replication index), so results do not depend
-    on scheduling or on n_jobs.  The pool has at most one worker per
-    replication and per CPU, as more would only sit idle.
+    on scheduling or on n_jobs.  The replications are spread over at most
+    n_jobs processes, one per replication and per CPU (``_fork.fork_map``),
+    as more would only sit idle.
     """
     check_cv_rows(n, config.cv_folds, config.stopping.min_leaf)
     tasks = []
@@ -285,15 +282,7 @@ def run_study(
             seed = seed_words(base_seed, spawn_key=(ci, rep))[0]
             tasks.append((ScenarioSpec(fam, surf, n, seed), config, rep))
 
-    workers = min(n_jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_one, tasks, chunksize=1))
-    else:
-        chunks = [_run_one(t) for t in tasks]
-
+    chunks = fork_map(lambda task: run_replication(*task), tasks, min(n_jobs, cpus()))
     records = [r for chunk in chunks for r in chunk]
     records.sort(key=lambda r: (r.family, r.surface, r.rep, r.source, r.model))
     return records

@@ -108,7 +108,7 @@ SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 POOL_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.'))"
 # modules that no command needs, apart from the commands that NEEDED names
 UNUSED = ("numpy.ma", "numpy.polynomial", "numpy.random", "secrets", "hashlib", "logging", "statistics", "decimal",
-          "fractions", "copulatree.simulation", "copulatree.compositional")
+          "fractions", "copulatree.simulation", "copulatree.compositional", "multiprocessing", "concurrent.futures")
 NEEDED = {"flu": ("copulatree.compositional",),
           "simulate": ("copulatree.simulation", "logging", "statistics", "decimal", "fractions")}
 
@@ -123,8 +123,8 @@ def test_cli_import_leaves_out_scipy_special():
 
 
 def test_cli_import_leaves_out_multiprocessing():
-    """Only a study run with --jobs > 1 needs a process pool; its import
-    pulls in multiprocessing, which costs every other CLI call start-up time."""
+    """The fork map that spreads fold trees and replications uses ``os``
+    alone; importing multiprocessing would cost every CLI call start-up time."""
     assert after_cli_import(POOL_LOADED) == "[]"
 
 
@@ -174,7 +174,9 @@ def test_cli_loads_only_what_the_command_runs(call, fit_csv, fixture_csv, tmp_pa
       0.5 MiB), where ``data.unique`` and ``simulation._quartiles`` do not;
     - numpy.polynomial, whose ``polyval`` ``copulas._polyval`` replaces;
     - numpy.random, with the ``secrets`` and OpenSSL ``hashlib`` it imports
-      (about 6 MiB and 14 ms), whose streams ``_pcg64`` reproduces."""
+      (about 6 MiB and 14 ms), whose streams ``_pcg64`` reproduces;
+    - multiprocessing and concurrent.futures, as ``_fork.fork_map`` forks
+      with ``os`` alone."""
     argv = {
         "import": None,
         "fit": fit_margin_tree_argv(fit_csv, tmp_path / "o"),
@@ -182,8 +184,8 @@ def test_cli_loads_only_what_the_command_runs(call, fit_csv, fixture_csv, tmp_pa
                     "--out", tmp_path / "p.csv"],
         "flu": ["flu", "--input", fixture_csv, "--out", tmp_path / "o", "--seed", "3", "--repeats", "1",
                 "--min-leaf", "25"],
-        "simulate": ["simulate", "--families", "clayton", "--surfaces", "step", "--reps", "1", "--n", "300",
-                     "--repeats", "1", "--min-leaf", "30", "--seed", "1", "--out", tmp_path / "o"],
+        "simulate": ["simulate", "--families", "clayton", "--surfaces", "step", "--reps", "2", "--jobs", "2",
+                     "--n", "300", "--repeats", "1", "--min-leaf", "30", "--seed", "1", "--out", tmp_path / "o"],
     }[call]
     if call == "predict":
         assert run_fit(fit_csv, tmp_path / "fit") == EXIT_OK
@@ -680,6 +682,16 @@ class TestSimulate:
         for name in ("records.tsv", "summary.json"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
+    def test_family_names_are_written_canonical(self, tmp_path):
+        """A family given as ``Clayton`` is the study of ``clayton``, and
+        writes its name, and every other byte, as ``clayton`` does."""
+        argv = ["simulate", "--surfaces", "step", "--sources", "U", "--reps", "1", "--n", "200",
+                "--min-leaf", "30", "--seed", "9", "--repeats", "1"]
+        for name in ("clayton", "Clayton"):
+            assert main(argv + ["--families", name, "--out", str(tmp_path / name)]) == EXIT_OK
+        for artifact in ("records.tsv", "summary.json"):
+            assert (tmp_path / "Clayton" / artifact).read_bytes() == (tmp_path / "clayton" / artifact).read_bytes()
+
     def test_paper_preset_config_echo(self, tmp_path):
         out = tmp_path / "paper"
         rc = main(["simulate", "--scale", "paper", "--seed", "1", "--out", str(out), "--dry-run"])
@@ -724,6 +736,16 @@ class TestFlu:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         report = (out1 / "leaf_report.tsv").read_text().splitlines()
         assert report[1].split("\t") == ["leaf_id", "n", "tau", "theta", "loglik", "rules"]
+
+    def test_output_does_not_depend_on_the_worker_count(self, fixture_csv, tmp_path, monkeypatch):
+        args = ["flu", "--input", str(fixture_csv), "--seed", "3", "--repeats", "5", "--min-leaf", "25"]
+        for workers in (1, 3):
+            monkeypatch.setattr(cli, "cpus", lambda: workers)
+            assert main(args + ["--out", str(tmp_path / str(workers))]) == EXIT_OK
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+        for name in os.listdir(tmp_path / "1"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
 
     def test_conditional_beats_single_copula(self, fixture_csv, tmp_path):
         out = tmp_path / "f"

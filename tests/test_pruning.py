@@ -1,6 +1,7 @@
 """Tests for weakest-link pruning and cross-validated selection."""
 
 import json
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -309,10 +310,23 @@ def frank_categorical_case():
     return spec, PseudoObservations(np.column_stack([u, v]), "t"), data, tr.StoppingConfig(min_leaf=20)
 
 
+def gumbel_mixed_case():
+    """Gumbel dependence stepping with a numeric and a categorical covariate."""
+    spec, n = cp.spec_for("gumbel"), 500
+    rng = np.random.default_rng(73)
+    x, g = rng.random(n), rng.integers(0, 3, n)
+    theta = cp.tau_to_theta(spec, np.where(x < 0.5, 0.2, 0.6) + 0.1 * (g == 2))
+    u = np.clip(rng.random(n), 1e-9, 1 - 1e-9)
+    v = np.clip(cp.conditional_quantile(spec, theta, u, rng.random(n)), 1e-12, 1 - 1e-12)
+    data = Dataset(np.zeros((n, 2)), (numeric_column("x", x), categorical_column("g", [f"k{c}" for c in g])))
+    return spec, PseudoObservations(np.column_stack([u, v]), "t"), data, tr.StoppingConfig(min_leaf=30)
+
+
 CV_CASES = {
     "clayton_capped": lambda: clayton_step_case(tr.StoppingConfig(min_leaf=30, max_candidates=16)),
     "clayton_uncapped": lambda: clayton_step_case(tr.StoppingConfig(min_leaf=30)),
     "frank_categorical": frank_categorical_case,
+    "gumbel_mixed": gumbel_mixed_case,
 }
 
 
@@ -372,3 +386,20 @@ def test_fit_pruned_tree_builds_one_row_table(monkeypatch):
     calls.clear()
     pr.cross_validate(spec, pseudo, data, folds=3, repeats=1, seed=1, stopping=stopping)
     assert calls == [data.n]
+
+
+@pytest.mark.parametrize("case", ["clayton_uncapped", "frank_categorical", "gumbel_mixed"])
+def test_worker_count_changes_no_bit(case):
+    """Fold trees spread over 2 or 3 processes give the serial report, path
+    and selected tree bit for bit (pickle writes each float's 8 bytes)."""
+    spec, pseudo, data, stopping = CV_CASES[case]()
+    runs = [pr.fit_pruned_tree(spec, pseudo, data, stopping, folds=3, repeats=2, seed=6, jobs=jobs)
+            for jobs in (1, 2, 3)]
+    reports = [pr.cross_validate(spec, pseudo, data, folds=3, repeats=2, seed=6, stopping=stopping, jobs=jobs)
+               for jobs in (1, 2, 3)]
+    assert runs[0][3].n_leaves > 1
+    for (maximal, path, report, subtree), alone in zip(runs, reports):
+        assert pickle.dumps(report) == pickle.dumps(runs[0][2]) == pickle.dumps(alone)
+        assert json.dumps(tree_to_doc(subtree)) == json.dumps(tree_to_doc(runs[0][3]))
+        assert json.dumps(tree_to_doc(maximal)) == json.dumps(tree_to_doc(runs[0][0]))
+        assert [(e.k, e.train_loglik) for e in path.entries] == [(e.k, e.train_loglik) for e in runs[0][1].entries]

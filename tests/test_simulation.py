@@ -165,31 +165,23 @@ class TestStudyHarness:
         assert [r.rep for r in a] == sorted(r.rep for r in a)
 
     def test_pool_never_outnumbers_the_replications(self, monkeypatch):
-        """A process pool forks all of its max_workers at its first submit, so
-        n_jobs far above the replications must not size it.  The stand-in
-        pool records its size and maps in this process."""
-        import concurrent.futures
+        """n_jobs far above the replications must not size the map: each
+        worker would be a process.  The stand-in fork records each attempt
+        and fails, so every stripe runs in this process."""
+        from copulatree import _fork
 
         asked = []
 
-        class InProcessPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
+        def no_fork():
+            asked.append(1)
+            raise BlockingIOError("fork: resource temporarily unavailable")
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(_fork.os, "fork", no_fork)
         config = sim.PipelineConfig(sources=("U",), cv_repeats=1)
         cells = [("clayton", "step")]
         records = sim.run_study(cells, n_reps=2, n=400, base_seed=5, config=config, n_jobs=10**6)
-        assert all(workers <= 2 for workers in asked)
+        workers = 1 + len(asked)
+        assert workers <= 2
         assert records == sim.run_study(cells, n_reps=2, n=400, base_seed=5, config=config)
 
     def test_tsv_and_summary_roundtrip(self, tmp_path):
