@@ -21,11 +21,13 @@ __all__ = ["cpus", "Forked", "fork_map"]
 
 def cpus() -> int:
     """How many processes a map may use: the CPUs of this process's
-    affinity mask (``taskset`` sets it), or 1 where the platform has no
-    ``fork`` or no affinity mask."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+    affinity mask (``taskset`` sets it), all CPUs where the platform has
+    ``fork`` but no affinity mask (macOS), or 1 without ``fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
-    return 1
+    return os.cpu_count() or 1
 
 
 def _stripe(fn, items, indices) -> list[tuple]:
@@ -123,9 +125,14 @@ class Forked:
         return [value for _, value, _ in done]
 
     def close(self) -> list[tuple[int, bytes, int]]:
-        """Read and reap every child not reaped yet: (pid, bytes, status) of each."""
-        kids, self.kids = self.kids, []
-        return [(pid, *_reply(pid, r)) for pid, r in kids]
+        """Read and reap every child not reaped yet: (pid, bytes, status) of
+        each.  A child leaves the list once reaped, so when a read raises,
+        ``__exit__`` reaps the rest."""
+        replies = []
+        while self.kids:
+            pid, r = self.kids.pop(0)
+            replies.append((pid, *_reply(pid, r)))
+        return replies
 
     def __enter__(self) -> Forked:
         return self

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fork import cpus
 from .copulas import spec_for
 from .data import CATEGORICAL, NUMERIC, Column, Dataset, categorical_column, numeric_column
 from .errors import (
@@ -254,6 +253,8 @@ def _write_pruned_fit(out, subtree, path, report) -> Path:
 
 
 def cmd_fit(args) -> int:
+    from ._fork import cpus
+
     _require(args, "input", "out", "family", "seed")
     stopping = _stopping_from_args(args)
     spec = spec_for(args.family)
@@ -340,6 +341,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_flu(args) -> int:
     from . import compositional
+    from ._fork import cpus
 
     _require(args, "input", "out", "seed")
     stopping = _stopping_from_args(args)

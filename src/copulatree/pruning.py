@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._fork import Forked
 from ._pcg64 import PCG64
 from .copulas import CopulaSpec, log_density
 from .data import Dataset, PseudoObservations
@@ -40,6 +40,9 @@ from .tree import (
     route,
     walk,
 )
+
+if TYPE_CHECKING:
+    from ._fork import Forked
 
 __all__ = [
     "PathEntry",
@@ -302,6 +305,8 @@ def _cv_work(spec, pseudo, data, folds, repeats, seed, stopping, jobs) -> Forked
     is fold f of repeat r, whose result is its held-out scores
     (``_path_scores``).  One row table of all rows serves every tree.
     """
+    from ._fork import Forked  # here, not at import: the CLI's start-up compiles every module it loads
+
     table = _row_table(spec, pseudo.values)
 
     def grow(split):
@@ -331,7 +336,6 @@ def cross_validate(
     stopping: StoppingConfig = StoppingConfig(),
     path: PrunePath | None = None,
     *,
-    jobs: int = 1,
     _work: Forked | None = None,
 ) -> CvReport:
     """Repeated k-fold choice of the pruned size; deterministic given seed.
@@ -343,16 +347,16 @@ def cross_validate(
     that path's nearest smaller entry.  ``rule`` is MaxMean or OneSE; the
     chosen K is snapped to the full-data path (built here unless supplied).
 
-    The trees are spread over ``jobs`` processes (``_cv_work``); the report
-    does not depend on ``jobs``.  ``_work`` is internal: ``fit_pruned_tree``
-    passes the work whose full-data tree it grew, so that the fold trees of
-    this process still grow inside this call, where the benchmark's tracer
-    counts them (``pruning.cv_fold_trees`` in perfbench/tracer.py).
+    The trees grow in this process.  ``_work`` is internal:
+    ``fit_pruned_tree`` passes the work (``_cv_work``) whose full-data tree
+    it grew, so that the fold trees this process grows still grow inside
+    this call, where the benchmark's tracer counts them
+    (``pruning.cv_fold_trees`` in perfbench/tracer.py).
     """
     check_cv_options(folds, repeats, rule)
     check_cv_rows(data.n, folds, stopping.min_leaf)
     if _work is None:
-        with _cv_work(spec, pseudo, data, folds, repeats, seed, stopping, jobs) as work:
+        with _cv_work(spec, pseudo, data, folds, repeats, seed, stopping, 1) as work:
             if path is None:
                 path = prune_path(work.first())
             scores = work.gather()

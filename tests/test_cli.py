@@ -14,6 +14,7 @@ import pytest
 from scipy.special import ndtri
 
 import copulatree
+from copulatree import _fork
 from copulatree import copulas as cp
 from copulatree import cli
 from copulatree import compositional as co
@@ -108,9 +109,11 @@ SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 POOL_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.'))"
 # modules that no command needs, apart from the commands that NEEDED names
 UNUSED = ("numpy.ma", "numpy.polynomial", "numpy.random", "secrets", "hashlib", "logging", "statistics", "decimal",
-          "fractions", "copulatree.simulation", "copulatree.compositional", "multiprocessing", "concurrent.futures")
-NEEDED = {"flu": ("copulatree.compositional",),
-          "simulate": ("copulatree.simulation", "logging", "statistics", "decimal", "fractions")}
+          "fractions", "copulatree.simulation", "copulatree.compositional", "copulatree._fork", "multiprocessing",
+          "concurrent.futures")
+NEEDED = {"fit": ("copulatree._fork",),
+          "flu": ("copulatree.compositional", "copulatree._fork"),
+          "simulate": ("copulatree.simulation", "logging", "statistics", "decimal", "fractions", "copulatree._fork")}
 
 
 def test_cli_import_leaves_out_scipy_special():
@@ -170,6 +173,8 @@ def test_cli_loads_only_what_the_command_runs(call, fit_csv, fixture_csv, tmp_pa
     - the study (``simulation``, which brings ``logging``, and ``statistics``
       for the normal quantile, with its ``decimal`` and ``fractions``) and
       the flu ingest (``compositional``), outside ``simulate`` and ``flu``;
+    - the fork map (``_fork``), outside the commands that fit pruned trees,
+      so that start-up does not compile it;
     - numpy.ma, which ``np.unique`` and ``np.percentile`` import (9-15 ms and
       0.5 MiB), where ``data.unique`` and ``simulation._quartiles`` do not;
     - numpy.polynomial, whose ``polyval`` ``copulas._polyval`` replaces;
@@ -740,7 +745,7 @@ class TestFlu:
     def test_output_does_not_depend_on_the_worker_count(self, fixture_csv, tmp_path, monkeypatch):
         args = ["flu", "--input", str(fixture_csv), "--seed", "3", "--repeats", "5", "--min-leaf", "25"]
         for workers in (1, 3):
-            monkeypatch.setattr(cli, "cpus", lambda: workers)
+            monkeypatch.setattr(_fork, "cpus", lambda: workers)
             assert main(args + ["--out", str(tmp_path / str(workers))]) == EXIT_OK
         with pytest.raises(ChildProcessError):  # every worker was reaped
             os.waitpid(-1, os.WNOHANG)

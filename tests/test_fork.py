@@ -98,3 +98,16 @@ def test_a_failed_fork_leaves_its_stripe_here(monkeypatch):
 
 def test_cpus_reads_the_affinity_mask():
     assert _fork.cpus() == len(os.sched_getaffinity(0))
+
+
+def test_cpus_without_an_affinity_mask_counts_every_cpu(monkeypatch):
+    """Where ``fork`` exists but ``sched_getaffinity`` does not (macOS), the
+    maps use every CPU, as the process pool they replace did."""
+    monkeypatch.delattr(_fork.os, "sched_getaffinity")
+    monkeypatch.setattr(_fork.os, "cpu_count", lambda: 5)
+    assert _fork.cpus() == 5
+
+
+def test_cpus_without_fork_is_1(monkeypatch):
+    monkeypatch.delattr(_fork.os, "fork")
+    assert _fork.cpus() == 1
