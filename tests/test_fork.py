@@ -75,6 +75,25 @@ def test_interrupt_here_still_reaps_every_child():
     assert_no_child_left()
 
 
+def test_a_read_that_raises_still_reaps_every_child(monkeypatch):
+    """An interrupt while this process reads one child's reply leaves the
+    other children for ``__exit__`` to reap."""
+    real, reads = _fork._reply, []
+
+    def reply(pid, fd):
+        out = real(pid, fd)
+        reads.append(pid)
+        if len(reads) == 1:
+            raise KeyboardInterrupt
+        return out
+
+    monkeypatch.setattr(_fork, "_reply", reply)
+    with pytest.raises(KeyboardInterrupt):
+        fork_map(lambda x: x, range(6), 3)
+    assert len(reads) == 2
+    assert_no_child_left()
+
+
 def test_leaving_the_block_early_reaps_every_child():
     """The caller's own work between the fork and ``gather`` (the full-data
     tree of a pruned fit) may raise; the children are reaped all the same."""
