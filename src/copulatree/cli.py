@@ -316,6 +316,7 @@ def cmd_simulate(args) -> int:
         cv_rule=args.rule,
         kernel_h=args.bandwidth,
     )
+    check_cv_rows(n, config.cv_folds, config.stopping.min_leaf)  # as run_study does, so --dry-run agrees
     cells = [(f, s) for f in families for s in surfaces]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -165,6 +165,36 @@ def _clayton_ls(theta, lu, lv, deriv=False):
     return ls, (-np.minimum(lu, lv) - np.maximum(lu, lv) * e) / s
 
 
+def _piecewise(mask, on, off, *args):
+    """``on(*args)`` where ``mask`` holds and ``off(*args)`` elsewhere, each
+    branch called only on its own elements; the branches return an array
+    or a tuple of arrays, and so does this.
+
+    A 1-d mask along the broadcast shape's last axis picks columns: an
+    argument whose last axis runs along it is sliced and any other passes
+    whole, so the screen's rows are not copied per grid column.  Any other
+    mask picks elements of the broadcast arguments.  A mask that holds
+    nowhere or everywhere calls one branch on the arguments as given.
+    """
+    mask = np.asarray(mask)
+    if not mask.any():
+        return off(*args)
+    if mask.all():
+        return on(*args)
+    shape = np.broadcast(*args).shape
+    if mask.shape != shape[-1:]:
+        mask = np.broadcast_to(mask, shape)
+        args = np.broadcast_arrays(*args)
+    outs = None
+    for sel, branch in ((mask, on), (~mask, off)):
+        got = branch(*(x[..., sel] if np.shape(x)[np.ndim(x) - sel.ndim:] == sel.shape else x for x in args))
+        parts = got if isinstance(got, tuple) else (got,)
+        outs = outs or tuple(np.empty(shape) for _ in parts)
+        for out, part in zip(outs, parts):
+            out[..., sel] = part
+    return outs if isinstance(got, tuple) else outs[0]
+
+
 def _frank_log_d(theta, u, v, em, et, deriv=False):
     """log|D| for D = (1 - e^-t) - (1 - e^-tu)(1 - e^-tv) and, if ``deriv``,
     dD/dt / D (else None).
@@ -173,53 +203,36 @@ def _frank_log_d(theta, u, v, em, et, deriv=False):
     The expm1 product rounds to 1 once theta*u and theta*v exceed ~38,
     wiping out the difference; the expanded form keeps the surviving
     exponentials.  Below |theta| = 1 the expanded form cancels instead, so
-    each theta takes the representation that stays exact.  Thetas on both
-    sides of 1 are split by regime: a 1-d theta along the result's last
-    axis (the screen's grid columns), anything else element by element.
+    each theta takes the representation that stays exact.
     """
-    small = abs(theta) < 1.0
-    if isinstance(small, np.ndarray):
-        if small.any() and not small.all():
-            return _frank_split(theta, u, v, em, et, deriv, small)
-        small = small.any()
-    if small:
+
+    def expm1_form(theta, u, v, em, et):
         mu, mv = np.expm1(-theta * u), np.expm1(-theta * v)
         d = em - mu * mv
-        dd = et + u * (mu + 1.0) * mv + v * (mv + 1.0) * mu if deriv else None
-    else:
+        return (d, et + u * (mu + 1.0) * mv + v * (mv + 1.0) * mu) if deriv else d
+
+    def exp_form(theta, u, v, em, et):
         eu, ev, euv = np.exp(-theta * u), np.exp(-theta * v), np.exp(-theta * (u + v))
         d = eu + ev - euv - et
-        dd = (u + v) * euv - u * eu - v * ev + et if deriv else None
+        return (d, (u + v) * euv - u * eu - v * ev + et) if deriv else d
+
+    d = _piecewise(abs(theta) < 1.0, expm1_form, exp_form, theta, u, v, em, et)
+    d, dd = d if deriv else (d, None)
     return np.log(np.abs(d)), (dd / d if deriv else None)
 
 
-def _frank_split(theta, u, v, em, et, deriv, small):
-    """_frank_log_d on an array of thetas on both sides of |theta| = 1."""
-    shape = np.broadcast(theta, u, v).shape
-    if small.ndim != 1 or shape[-1] != small.size:
-        theta, u, v, em, et = np.broadcast_arrays(theta, u, v, em, et)
-        small = abs(theta) < 1.0
-    out = np.empty((2,) + shape)
-    for sel in (small, ~small):
-        args = (x[..., sel] if np.shape(x)[np.ndim(x) - sel.ndim:] == sel.shape else x
-                for x in (theta, u, v, em, et))
-        log_d, dlog_d = _frank_log_d(*args, deriv)
-        out[0][..., sel] = log_d
-        if deriv:
-            out[1][..., sel] = dlog_d
-    return out[0], (out[1] if deriv else None)
-
-
 def _frank_cdf(theta, u, v):
-    small = np.abs(theta) < 1.0
+    """Frank's C, in _frank_log_d's two forms of D on either side of |theta| = 1."""
+
+    def expm1_form(theta, u, v):
+        return -np.log1p(np.expm1(-theta * u) * np.expm1(-theta * v) / np.expm1(-theta)) / theta
+
+    def exp_form(theta, u, v):
+        num = np.exp(-theta) + np.exp(-theta * (u + v)) - np.exp(-theta * u) - np.exp(-theta * v)
+        return -(np.log(np.abs(num)) - np.log(np.abs(np.expm1(-theta)))) / theta
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        naive = -np.log1p(np.expm1(-theta * u) * np.expm1(-theta * v) / np.expm1(-theta)) / theta
-        num = (
-            np.exp(-theta) + np.exp(-theta * (u + v))
-            - np.exp(-theta * u) - np.exp(-theta * v)
-        )
-        expanded = -(np.log(np.abs(num)) - np.log(np.abs(np.expm1(-theta)))) / theta
-    return np.where(small, naive, expanded)
+        return _piecewise(np.abs(theta) < 1.0, expm1_form, exp_form, theta, u, v)
 
 
 def _gumbel_logs(lu, lv):
@@ -286,22 +299,10 @@ def log_density(spec: CopulaSpec, theta, u, v):
     theta = np.asarray(theta, dtype=float)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    indep = _indep_mask(spec, theta)
-    if np.all(indep):
-        return np.zeros(np.broadcast(theta, u, v).shape)
-
-    # Clamp thetas in the independence band to a safe evaluation point; the
-    # result there is overwritten with the exact limit 0 below.
-    safe = np.where(indep, _safe_theta(spec), theta)
-    return np.where(indep, 0.0, _logpdf(spec, safe, u, v)[0])[()]
-
-
-def _safe_theta(spec: CopulaSpec) -> float:
-    if spec.family is Family.CLAYTON:
-        return 1.0
-    if spec.family is Family.GUMBEL:
-        return 2.0
-    return 1.0
+    return _piecewise(
+        _indep_mask(spec, theta), lambda t, u, v: np.zeros(np.broadcast(t, u, v).shape),
+        lambda t, u, v: _logpdf(spec, t, u, v)[0], theta, u, v,
+    )[()]
 
 
 def cdf(spec: CopulaSpec, theta, u, v):
@@ -323,15 +324,14 @@ def cdf(spec: CopulaSpec, theta, u, v):
     ub = np.clip(ub, tiny, 1.0 - 1e-16)
     vb = np.clip(vb, tiny, 1.0 - 1e-16)
 
-    indep = _indep_mask(spec, theta)
-    safe = np.where(indep, _safe_theta(spec), theta)
-    if spec.family is Family.CLAYTON:
-        out = np.exp(-_clayton_ls(safe, np.log(ub), np.log(vb))[0] / safe)
-    elif spec.family is Family.FRANK:
-        out = _frank_cdf(safe, ub, vb)
-    else:
-        out = np.exp(-_gumbel_ls(safe, *_gumbel_logs(np.log(ub), np.log(vb))[2:])[1])
-    out = np.where(indep, ub * vb, out)
+    def family_cdf(theta, u, v):
+        if spec.family is Family.CLAYTON:
+            return np.exp(-_clayton_ls(theta, np.log(u), np.log(v))[0] / theta)
+        if spec.family is Family.FRANK:
+            return _frank_cdf(theta, u, v)
+        return np.exp(-_gumbel_ls(theta, *_gumbel_logs(np.log(u), np.log(v))[2:])[1])
+
+    out = _piecewise(_indep_mask(spec, theta), lambda t, u, v: u * v, family_cdf, theta, ub, vb)
     out = np.where(edge_zero, 0.0, out)
     return np.clip(out, 0.0, 1.0)[()]
 
@@ -393,15 +393,8 @@ def _scalar_or_array(x: np.ndarray):
 def _by_regime(a: np.ndarray, series, closed) -> np.ndarray:
     """``series(a)`` where a < _DEBYE_SWITCH and ``closed(a)`` elsewhere (NaN
     included), each evaluated on its own elements only."""
-    small = a < _DEBYE_SWITCH
-    out = np.empty(a.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if a.ndim == 0:  # a scalar, as fit_mle's tau: no masks
-            out[()] = series(a) if small else closed(a)
-            return out
-        out[small] = series(a[small])
-        out[~small] = closed(a[~small])
-    return out
+        return _piecewise(a < _DEBYE_SWITCH, series, closed, a)
 
 
 def _debye_closed_d1(a):
@@ -527,23 +520,21 @@ def conditional_quantile(spec: CopulaSpec, theta, u, w):
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
     shape = np.broadcast(theta, u, w).shape
-    th = np.broadcast_to(theta, shape).astype(float)
     ub = np.clip(np.broadcast_to(u, shape).astype(float), 1e-12, 1.0 - 1e-12)
     wb = np.clip(np.broadcast_to(w, shape).astype(float), 1e-12, 1.0 - 1e-12)
 
-    indep = _indep_mask(spec, th)
-    safe = np.where(indep, _safe_theta(spec), th)
-    if spec.family is Family.CLAYTON:
-        t = np.exp(-safe * np.log(ub)) * (np.exp(-safe / (1.0 + safe) * np.log(wb)) - 1.0)
-        out = np.exp(-np.log1p(t) / safe)
-    elif spec.family is Family.FRANK:
-        # v = -(1/theta) * log[((1-w) e^{-theta u} + w e^{-theta}) /
-        #                      ((1-w) e^{-theta u} + w)], stable for |theta| <= 50
-        base = (1.0 - wb) * np.exp(-safe * ub)
-        out = -(np.log(base + wb * np.exp(-safe)) - np.log(base + wb)) / safe
-    else:
-        out = _gumbel_cond_quantile(safe, ub, wb)
-    out = np.where(indep, wb, out)
+    def family_quantile(theta, u, w):
+        if spec.family is Family.CLAYTON:
+            t = np.exp(-theta * np.log(u)) * (np.exp(-theta / (1.0 + theta) * np.log(w)) - 1.0)
+            return np.exp(-np.log1p(t) / theta)
+        if spec.family is Family.FRANK:
+            # v = -(1/theta) * log[((1-w) e^{-theta u} + w e^{-theta}) /
+            #                      ((1-w) e^{-theta u} + w)], stable for |theta| <= 50
+            base = (1.0 - w) * np.exp(-theta * u)
+            return -(np.log(base + w * np.exp(-theta)) - np.log(base + w)) / theta
+        return _gumbel_cond_quantile(theta, u, w)
+
+    out = _piecewise(_indep_mask(spec, theta), lambda t, u, w: w, family_quantile, theta, ub, wb)
     return np.clip(out, 1e-15, 1.0 - 1e-15)[()]
 
 

@@ -432,10 +432,11 @@ def test_bad_options_fail_before_any_work(command, flags, message, fit_csv, fixt
     assert capsys.readouterr().err.strip().splitlines() == [f"error: config: {message}"]
 
 
-@pytest.mark.parametrize("command", ["fit", "flu", "simulate"])
+@pytest.mark.parametrize("command", ["fit", "flu", "simulate", "simulate --dry-run"])
 def test_too_few_rows_for_cv_fail_before_any_work(command, fit_csv, tmp_path, capsys, monkeypatch):
     """Fewer rows than folds * 2 * min_leaf exit 3 before any pseudo-observations
-    are built, any data is generated, any row table is built or any tree is grown."""
+    are built, any data is generated, any row table is built or any tree is
+    grown; a study's dry run rejects what its real run would."""
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the row count was checked")
 
@@ -445,12 +446,14 @@ def test_too_few_rows_for_cv_fail_before_any_work(command, fit_csv, tmp_path, ca
         monkeypatch.setattr(module, name, refuse)
     flu_csv = tmp_path / "flu.csv"
     write_flu_fixture_csv(flu_csv, seed=1000)  # 720 unit-seasons
+    simulate = ["simulate", "--families", "clayton", "--surfaces", "step", "--reps", "1", "--n", "200",
+                "--min-leaf", "50"]
     argv, need, got = {
         "fit": (["fit", "--input", str(fit_csv), "--family", "clayton", "--pseudo", "margin-tree",
                  "--min-leaf", "70"], 420, 400),
         "flu": (["flu", "--input", str(flu_csv), "--min-leaf", "130"], 780, 720),
-        "simulate": (["simulate", "--families", "clayton", "--surfaces", "step", "--reps", "1", "--n", "200",
-                      "--min-leaf", "50"], 300, 200),
+        "simulate": (simulate, 300, 200),
+        "simulate --dry-run": (simulate + ["--dry-run"], 300, 200),
     }[command]
     assert main(argv + ["--seed", "1", "--out", str(tmp_path / "o")]) == EXIT_FIT
     assert capsys.readouterr().err.strip().splitlines() == [

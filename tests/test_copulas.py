@@ -133,6 +133,13 @@ class TestLogDensity:
         with pytest.raises(BoundaryError):
             cp.log_density(FRANK, 2.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("spec, band", [(CLAYTON, 1e-9), (FRANK, 0.0), (GUMBEL, 1.0)],
+                             ids=lambda x: getattr(x, "family", x))
+    def test_scalars_give_numpy_floats_in_and_out_of_the_independence_band(self, spec, band):
+        for theta in (band, cp.tau_to_theta(spec, 0.3)):
+            for f in (cp.log_density, cp.cdf, cp.conditional_quantile):
+                assert type(f(spec, theta, 0.3, 0.6)) is np.float64, (f.__name__, theta)
+
     @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.family.value)
     def test_normalization(self, spec, unit_square_integral):
         # graded composite Gauss-Legendre rule (see conftest); its own error
@@ -167,6 +174,36 @@ class TestCdf:
                 for v in grid:
                     c = cp.cdf(spec, theta, u, v)
                     assert max(u + v - 1.0, 0.0) - 1e-12 <= c <= min(u, v) + 1e-12
+
+
+# Per family, thetas in the independence band (and across its edge) and
+# ordinary ones; Frank's also fall on both sides of |theta| = 1, where D
+# changes form.
+MIXED_THETAS = {
+    CLAYTON: st.one_of(st.floats(1e-12, 2.2e-7), st.floats(1e-3, 30.0)),
+    FRANK: st.one_of(st.floats(-1e-6, 1e-6), st.floats(-1.5, 1.5), st.floats(-50.0, 50.0)),
+    GUMBEL: st.one_of(st.floats(1.0, 1.0 + 2e-7), st.floats(1.0, 20.0)),
+}
+OPEN_UNIT = st.floats(1e-9, 1.0 - 1e-9)
+
+
+class TestMixedArrays:
+    """An array of thetas that mixes the regimes gives, element by element,
+    the bits of one-element calls: whichever way its elements are picked."""
+
+    @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.family.value)
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_elements_equal_one_element_calls(self, spec, data):
+        n = data.draw(st.integers(2, 10))
+        theta, u, v = (np.array(data.draw(st.lists(s, min_size=n, max_size=n)))
+                       for s in (MIXED_THETAS[spec], OPEN_UNIT, OPEN_UNIT))
+        for f in (cp.log_density, cp.cdf, cp.conditional_quantile):
+            # element by element, theta along the last axis, theta along the first
+            want = np.array([[f(spec, t, a, b) for a, b in zip(u, v)] for t in theta])
+            assert f(spec, theta, u, v).tobytes() == np.diagonal(want).tobytes(), f.__name__
+            assert f(spec, theta, u[:, None], v[:, None]).tobytes() == want.T.tobytes(), f.__name__
+            assert f(spec, theta[:, None], u, v).tobytes() == want.tobytes(), f.__name__
 
 
 class TestTauBridge:
@@ -565,6 +602,22 @@ class TestScreenDensity:
             np.testing.assert_allclose(
                 ll[:, k], cp.log_density(spec, theta, uv[:, 0], uv[:, 1]), rtol=1e-12, atol=0.0
             )
+
+    @given(
+        small=st.lists(st.floats(-0.999, 0.999).filter(lambda t: abs(t) > 1e-3), min_size=1, max_size=6),
+        large=st.lists(st.one_of(st.floats(1.0, 50.0), st.floats(-50.0, -1.0)), min_size=1, max_size=6),
+        u=st.lists(OPEN_UNIT, min_size=1, max_size=20),
+        data=st.data(),
+    )
+    @settings(max_examples=60)
+    def test_frank_grid_across_one_equals_one_column_calls(self, small, large, u, data):
+        grid = np.array(data.draw(st.permutations(small + large)))
+        u = np.array(u)
+        v = np.array(data.draw(st.lists(OPEN_UNIT, min_size=len(u), max_size=len(u))))
+        both = cp.log_density_and_score(FRANK, grid, u, v)
+        for k in range(len(grid)):
+            for got, want in zip(both, cp.log_density_and_score(FRANK, grid[k:k + 1], u, v)):
+                assert got[:, k].tobytes() == want[:, 0].tobytes(), grid[k]
 
     @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.family.value)
     @pytest.mark.parametrize("power", [1, 3], ids=["uniform", "corners"])
