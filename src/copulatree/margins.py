@@ -25,7 +25,7 @@ import numpy as np
 from ._pcg64 import PCG64
 from .data import CATEGORICAL, NUMERIC, Dataset, PseudoObservations, average_ranks, unique
 from .errors import ConfigError, RegressionError
-from .pruning import choose_k, leaves_below, weakest_link_path
+from .pruning import _copy_pruned, choose_k, leaves_below, weakest_link_path
 from .tree import TreeNode, _per_block, grow, route, sse_fit, sse_split, walk
 
 __all__ = [
@@ -166,17 +166,17 @@ def _grow_sse(y, data, rows, min_leaf) -> TreeNode:
     )
 
 
-def _holdout_score(root, below, leaf_of_row, y) -> float:
+def _holdout_score(ids, by_id, below, leaf_of_row, y) -> float:
     """Minus the squared error of held-out responses ``y`` about their leaf
-    means under the pruned tree ``root``, summed in row order.
+    means under the subtree with leaf ids ``ids``, summed in row order.
 
-    ``leaf_of_row`` holds each row's leaf in the maximal tree that ``root``
-    was pruned from, and ``below`` that tree's ``leaves_below``.
+    ``by_id`` maps the ids of the maximal tree that subtree was pruned from
+    to its nodes, ``below`` is that tree's ``leaves_below`` and
+    ``leaf_of_row`` holds each row's leaf in it.
     """
     mean = np.empty(len(below))  # by maximal node id
-    for nd in walk(root):
-        if nd.is_leaf:
-            mean[below[nd.id]] = nd.fit.mean
+    for i in ids:
+        mean[below[i]] = by_id[i].fit.mean
     resid = y - mean[leaf_of_row]
     return -sum((resid**2).tolist())
 
@@ -192,16 +192,17 @@ def _cv_leaf_count(y, data, min_leaf, seed) -> int:
         train_idx = np.concatenate([g for i, g in enumerate(folds) if i != f])
         maximal = _grow_sse(y, data, train_idx, min_leaf)
         leaf_of_row = route(maximal, [c.values[val_idx] for c in data.covariates], len(val_idx))
-        below, y_val = leaves_below(maximal), y[val_idx]
-        scores.append({k: _holdout_score(root, below, leaf_of_row, y_val) for root, k, _ in weakest_link_path(maximal)})
+        by_id, below, y_val = {nd.id: nd for nd in walk(maximal)}, leaves_below(maximal), y[val_idx]
+        scores.append({k: _holdout_score(ids, by_id, below, leaf_of_row, y_val) for ids, k, _ in weakest_link_path(maximal)})
     return choose_k(scores, "OneSE")[-1]
 
 
 def _pruned_margin_tree(y, data, min_leaf, seed) -> TreeNode:
     """Root of the least-squares tree of ``y``, pruned to the CV leaf count."""
-    path = weakest_link_path(_grow_sse(y, data, np.arange(data.n), min_leaf))
+    maximal = _grow_sse(y, data, np.arange(data.n), min_leaf)
+    path = weakest_link_path(maximal)
     k_star = _cv_leaf_count(y, data, min_leaf, seed) if len(path) > 1 else 1
-    return next(root for root, k, _ in path if k <= k_star)
+    return _copy_pruned(maximal, next(ids for ids, k, _ in path if k <= k_star))
 
 
 def pseudo_margin_tree(data: Dataset, config: MarginTreeConfig = MarginTreeConfig()) -> PseudoObservations:

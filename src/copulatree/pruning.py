@@ -90,7 +90,17 @@ def _copy_pruned(node: TreeNode, leafset: frozenset[int]) -> TreeNode:
     return new
 
 
-def weakest_link_path(root: TreeNode) -> list[tuple[TreeNode, int, float]]:
+def leaves_below(root: TreeNode, cut=frozenset()) -> dict[int, list[int]]:
+    """Node id -> ids of the leaves under that node, children before their
+    parents, for every node of the subtree at ``root`` cut at ``cut``: as in
+    ``walk``, a node whose id is in ``cut`` counts as a leaf."""
+    below: dict[int, list[int]] = {}
+    for nd in reversed(list(walk(root, cut))):
+        below[nd.id] = [nd.id] if nd.is_leaf or nd.id in cut else below[nd.left.id] + below[nd.right.id]
+    return below
+
+
+def weakest_link_path(root: TreeNode) -> list[tuple[frozenset[int], int, float]]:
     """Iterative weakest-link collapse recording every distinct leaf count.
 
     At each step the internal node minimising
@@ -98,45 +108,26 @@ def weakest_link_path(root: TreeNode) -> list[tuple[TreeNode, int, float]]:
         g(t) = (loglik(subtree at t) - loglik(t as leaf)) / (leaves(t) - 1)
 
     collapses; ties collapse the deepest node first, then the lowest id.
-    Returns (pruned copy of the tree, leaf count, summed leaf loglik) for
-    every step, from the full tree down to the root alone.  Each step lists
-    the leaves under every node of the current subtree once, children
-    before their parents.
+    Returns (leaf ids, leaf count, summed leaf loglik) for every step, from
+    the full tree down to the root alone; a step's subtree is the tree at
+    ``root`` cut at its leaf ids (``_copy_pruned``).
     """
     by_id = {nd.id: nd for nd in walk(root)}
-    leafset = frozenset(nd.id for nd in by_id.values() if nd.is_leaf)
 
-    def pruned_nodes():
-        """Nodes of the current subtree, each before its children."""
-        stack = [root]
-        while stack:
-            nd = stack.pop()
-            yield nd
-            if nd.id not in leafset:
-                stack += (nd.right, nd.left)
+    def loglik(ids) -> float:
+        return sum(by_id[i].fit.loglik for i in sorted(ids))
 
-    def snapshot():
-        return (
-            _copy_pruned(root, leafset),
-            len(leafset),
-            sum(by_id[i].fit.loglik for i in sorted(leafset)),
-        )
-
-    path = [snapshot()]
+    leafset = frozenset(i for i, nd in by_id.items() if nd.is_leaf)
+    path = [(leafset, len(leafset), loglik(leafset))]
     while len(leafset) > 1:
-        candidates = []
-        below: dict[int, list[int]] = {}
-        for nd in reversed(list(pruned_nodes())):  # children before their parents
-            if nd.id in leafset:
-                below[nd.id] = [nd.id]
-                continue
-            under = below[nd.id] = below[nd.left.id] + below[nd.right.id]
-            gain = sum(by_id[i].fit.loglik for i in sorted(under)) - nd.fit.loglik
-            g = gain / (len(under) - 1)
-            candidates.append((g, -nd.depth, nd.id, under))
-        g, _, nid, under = min(candidates)
-        leafset = (leafset - set(under)) | {nid}
-        path.append(snapshot())
+        below = leaves_below(root, leafset)
+        _, _, nid = min(
+            ((loglik(under) - by_id[i].fit.loglik) / (len(under) - 1), -by_id[i].depth, i)
+            for i, under in below.items()
+            if i not in leafset
+        )
+        leafset = (leafset - set(below[nid])) | {nid}
+        path.append((leafset, len(leafset), loglik(leafset)))
     return path
 
 
@@ -144,20 +135,10 @@ def prune_path(tree: CopulaTree) -> PrunePath:
     """The weakest-link path of a copula tree; training log-likelihoods
     come from the fits stored at build time."""
     entries = tuple(
-        PathEntry(CopulaTree(tree.spec, root, tree.schema), k, loglik)
-        for root, k, loglik in weakest_link_path(tree.root)
+        PathEntry(CopulaTree(tree.spec, _copy_pruned(tree.root, ids), tree.schema), k, loglik)
+        for ids, k, loglik in weakest_link_path(tree.root)
     )
     return PrunePath(entries, tree.root.fit.n_obs)
-
-
-def leaves_below(root: TreeNode) -> dict[int, list[int]]:
-    """Node id -> ids of the leaves of the subtree at that node, for every
-    node under ``root``.  A pruned copy keeps its nodes' ids, so this maps
-    each leaf of any subtree on the prune path to the maximal leaves under it."""
-    below: dict[int, list[int]] = {}
-    for nd in reversed(list(walk(root))):  # children before their parents
-        below[nd.id] = [nd.id] if nd.is_leaf else below[nd.left.id] + below[nd.right.id]
-    return below
 
 
 def choose_k(scores: list[dict[int, float]], rule: str, path_ks=()) -> tuple[list[int], dict, dict, int]:
@@ -275,25 +256,26 @@ def _path_scores(maximal: CopulaTree, uv: np.ndarray, columns) -> dict[int, floa
     equals ``tree_loglik`` of that subtree bit for bit.
     """
     leaf_of_row = route(maximal.root, columns, len(uv))
+    by_id = {nd.id: nd for nd in walk(maximal.root)}
     below = leaves_below(maximal.root)
 
-    def node_sum(node) -> float | None:
-        """Summed log-density of the rows reaching ``node``; None when none does."""
+    def node_sum(i: int) -> float | None:
+        """Summed log-density of the rows reaching node ``i``; None when none does."""
         reaches = np.zeros(len(below), dtype=bool)  # by maximal node id
-        reaches[below[node.id]] = True
+        reaches[below[i]] = True
         at = uv[reaches[leaf_of_row]]
-        return float(np.sum(log_density(maximal.spec, node.fit.theta_hat, at[:, 0], at[:, 1]))) if len(at) else None
+        return float(np.sum(log_density(maximal.spec, by_id[i].fit.theta_hat, at[:, 0], at[:, 1]))) if len(at) else None
 
     sums: dict[int, float | None] = {}
     scores = {}
-    for entry in prune_path(maximal).entries:
+    for ids, k, _ in weakest_link_path(maximal.root):
         total = 0.0
-        for leaf in entry.tree.leaves():
-            if leaf.id not in sums:
-                sums[leaf.id] = node_sum(leaf)
-            if sums[leaf.id] is not None:
-                total += sums[leaf.id]
-        scores[entry.k] = total
+        for i in sorted(ids):
+            if i not in sums:
+                sums[i] = node_sum(i)
+            if sums[i] is not None:
+                total += sums[i]
+        scores[k] = total
     return scores
 
 

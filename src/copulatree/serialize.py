@@ -91,7 +91,7 @@ def _names(value, where: str) -> list:
 def tree_from_doc(doc: dict) -> CopulaTree:
     """Rebuild a tree from its document; SchemaError on any malformed part."""
     _fields(doc, ("format_version", "family", "nodes", "covariates"), "the document")
-    if doc["format_version"] != FORMAT_VERSION:
+    if _typed(doc["format_version"], int, "format_version", "not an integer") != FORMAT_VERSION:
         raise SchemaError(f"unsupported tree format_version {doc['format_version']!r}")
     try:
         spec = spec_for(doc["family"])
@@ -101,6 +101,7 @@ def tree_from_doc(doc: dict) -> CopulaTree:
     for i, c in enumerate(_typed(doc["covariates"], list, "covariates", "not a list")):
         where = f"covariate {i}"
         _fields(c, ("name", "kind"), where)
+        _typed(c["name"], str, where, "name is not a string")
         if c["kind"] not in (NUMERIC, CATEGORICAL) or (c["kind"] == CATEGORICAL) != ("levels" in c):
             raise SchemaError(f"tree document: {where}: bad kind or levels")
         levels = tuple(_names(c["levels"], where)) if "levels" in c else None
@@ -110,12 +111,18 @@ def tree_from_doc(doc: dict) -> CopulaTree:
     raw = {}
     for i, e in enumerate(_typed(doc["nodes"], list, "nodes", "not a list")):
         _fields(e, ("id", "n", "theta", "tau", "loglik"), f"node {i}")
-        raw[_typed(e["id"], int, f"node {i}", "id is not an integer")] = e
+        if _typed(e["id"], int, f"node {i}", "id is not an integer") in raw:
+            raise SchemaError(f"tree document: node {i}: id {e['id']} appears twice")
+        raw[e["id"]] = e
     if not raw:
         raise SchemaError("tree document: no nodes")
-    seen = set()
 
-    def build(node_id, depth: int) -> TreeNode:
+    # each node before its children, left subtree first, on a stack: a chain may be any depth
+    top = TreeNode(-1, None, -1)  # the root becomes its left child
+    stack, seen = [(top, "left", min(raw))], set()
+    while stack:
+        parent, side, node_id = stack.pop()
+        _typed(node_id, int, f"node {parent.id}", f"{side} is not an integer")
         if node_id not in raw or node_id in seen:
             raise SchemaError(f"tree document: node id {node_id!r} is missing or reached twice")
         seen.add(node_id)
@@ -126,12 +133,13 @@ def tree_from_doc(doc: dict) -> CopulaTree:
             _typed(e["n"], int, where, "n is not an integer"),
             True,
         )
-        node = TreeNode(node_id, fit, depth)
+        node = TreeNode(node_id, fit, parent.depth + 1)
+        setattr(parent, side, node)
         if "rule" in e:
             r = _fields(e["rule"], ("feature", "kind"), f"{where} rule")
             _fields(e, ("left", "right"), where)
-            feature = r["feature"]
-            if not isinstance(feature, int) or not 0 <= feature < len(schema):
+            feature = _typed(r["feature"], int, where, "feature is not an integer")
+            if not 0 <= feature < len(schema):
                 raise SchemaError(f"tree document: {where}: no covariate {feature!r}")
             column = schema[feature]
             if r["kind"] != column.kind:
@@ -145,11 +153,9 @@ def tree_from_doc(doc: dict) -> CopulaTree:
                     raise SchemaError(f"tree document: {where}: left_levels not among the covariate's levels")
                 index = {name: i for i, name in enumerate(column.levels)}
                 node.rule = SplitRule(feature, left_levels=frozenset(index[name] for name in names))
-            node.left = build(e["left"], depth + 1)
-            node.right = build(e["right"], depth + 1)
-        return node
+            stack += [(node, "right", e["right"]), (node, "left", e["left"])]
 
-    return CopulaTree(spec, build(min(raw), 0), tuple(schema))
+    return CopulaTree(spec, top.left, tuple(schema))
 
 
 def write_json(doc, path) -> None:

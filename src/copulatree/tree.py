@@ -229,13 +229,14 @@ class CopulaTree:
         return theta, tau, leaf_ids
 
 
-def walk(node: TreeNode):
-    """Every node of the subtree at ``node``, parents before children."""
+def walk(node: TreeNode, cut=()):
+    """Every node of the subtree at ``node``, parents before children; a
+    node whose id is in ``cut`` counts as a leaf."""
     stack = [node]
     while stack:
         nd = stack.pop()
         yield nd
-        if not nd.is_leaf:
+        if not nd.is_leaf and nd.id not in cut:
             stack.extend([nd.right, nd.left])
 
 

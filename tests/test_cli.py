@@ -668,6 +668,53 @@ class TestPredict:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: schema: ")
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["nodes"][0].update(left=[1]),
+        lambda doc: doc["nodes"][0].update(right={"a": 1}),
+        lambda doc: doc["nodes"][0].update(left=True),
+        lambda doc: doc["nodes"][0].update(left=1.0),
+        lambda doc: doc["nodes"][0]["rule"].update(feature=False),
+        lambda doc: doc.update(format_version=True),
+        lambda doc: doc["covariates"][0].update(name=["x"]),
+        lambda doc: doc["nodes"][2].update(id=1),
+    ])
+    def test_wrongly_typed_tree_field_is_schema_error(self, tmp_path, capsys, edit):
+        """An id, feature or format_version that is not an integer (a bool is
+        not), a covariate name that is not a string and a repeated id are one
+        schema-error line each, not a traceback or a silent 1."""
+        doc = chain_doc(1)
+        edit(doc)
+        rc = main(predict_chain(tmp_path, doc, [0.5]))
+        err = capsys.readouterr().err.splitlines()
+        assert rc == EXIT_SCHEMA and len(err) == 1 and err[0].startswith("error: schema: tree document: "), err
+
+    def test_deep_chain_predicts_every_row(self, tmp_path):
+        """A 2,000-level tree document reads back without recursion."""
+        values = [-1.0, 0.5, 1000.5, 5000.0]
+        assert main(predict_chain(tmp_path, chain_doc(2000), values)) == EXIT_OK
+        rows = list(csv.DictReader(open(tmp_path / "p.csv")))
+        assert [int(r["leaf_id"]) for r in rows] == [1, 3, 2003, 4000]
+
+
+def chain_doc(depth: int) -> dict:
+    """A tree document whose internal node 2i splits x at i, its left child a
+    leaf and its right child the next internal node, ``depth`` levels deep."""
+    def node(i, **rest):
+        return {"id": i, "n": 10, "theta": 1.0 + i, "tau": 0.1, "loglik": 0.0, **rest}
+
+    nodes = [node(2 * i, rule={"feature": 0, "kind": "num", "threshold": float(i)}, left=2 * i + 1, right=2 * i + 2)
+             for i in range(depth)]
+    nodes += [node(2 * i + 1) for i in range(depth)] + [node(2 * depth)]
+    return {"format_version": 1, "family": "clayton", "nodes": nodes, "covariates": [{"name": "x", "kind": "num"}]}
+
+
+def predict_chain(tmp_path, doc, values) -> list[str]:
+    """``predict`` argv for tree ``doc`` on covariate x = ``values``."""
+    (tmp_path / "tree.json").write_text(json.dumps(doc))
+    (tmp_path / "cov.csv").write_text("x\n" + "".join(f"{v!r}\n" for v in values))
+    return ["predict", "--tree", str(tmp_path / "tree.json"), "--input", str(tmp_path / "cov.csv"),
+            "--out", str(tmp_path / "p.csv")]
+
 
 class TestSimulate:
     def test_smoke_and_summary_columns(self, tmp_path):

@@ -4,17 +4,22 @@ generated CSVs and flags, many of them malformed.
 Whatever the input, a run exits 0, 2, 3 or 4. A failing run prints exactly
 one line, ``error: <code>: <message>``, and raises no Python warning (which
 a real process would print as more stderr lines). After a successful
-``fit``, ``predict`` on the same input reproduces ``predictions.csv``.
+``fit``, ``predict`` on the same input reproduces ``predictions.csv``; on
+a fitted ``tree.json`` with wrongly typed, missing or repeated fields it
+exits 0 or 2.
 """
 
 import contextlib
+import copy
 import csv
 import io
+import json
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -116,3 +121,58 @@ def test_fit_and_predict_keep_the_contract(data, flags):
                        "--out", tmp / "p.csv"])
         assert (rc, err) == (EXIT_OK, [])
         assert (tmp / "p.csv").read_bytes() == (tmp / "o" / "predictions.csv").read_bytes()
+
+
+# the fields of a tree document's nodes, rules and covariates, and every JSON
+# type: list, object, bool, float (NaN and infinities too), string, null
+FIELDS = ["id", "left", "right", "feature", "n", "theta", "tau", "loglik", "rule", "kind", "threshold",
+          "left_levels", "name", "levels"]
+JSON_VALUES = st.one_of(st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.sampled_from(["a", "id"]),
+                        st.integers(0, 3), max_size=1), st.booleans(), st.floats(), st.text(max_size=2), st.none())
+
+
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory):
+    """A fit CSV and the tree document that ``fit`` wrote for it, which has
+    numeric and categorical rules."""
+    tmp = tmp_path_factory.mktemp("fitted")
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([HEADER] + clean_rows(3, 200))
+    (tmp / "in.csv").write_text(buf.getvalue())
+    argv = ["fit", "--input", tmp / "in.csv", "--out", tmp / "o", "--family", "clayton", "--seed", "1",
+            "--repeats", "1", "--folds", "2", "--min-leaf", "10", "--rule", "MaxMean"]
+    assert run(argv)[0] == EXIT_OK
+    doc = json.loads((tmp / "o" / "tree.json").read_text())
+    assert {e["rule"]["kind"] for e in doc["nodes"] if "rule" in e} == {"cat", "num"}
+    return tmp, doc
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_predict_keeps_the_contract_on_edited_tree_documents(fitted, data):
+    """Up to three edits of a node's, rule's or covariate's fields: one takes
+    another JSON type, is dropped, or a node takes another node's id."""
+    tmp, doc = fitted
+    doc = copy.deepcopy(doc)
+    for kind in data.draw(st.lists(st.sampled_from(["replace", "drop", "repeat"]), min_size=1, max_size=3)):
+        if kind == "repeat":
+            source, target = data.draw(st.lists(st.sampled_from(doc["nodes"]), min_size=2, max_size=2))
+            target["id"] = source.get("id")
+            continue
+        key = data.draw(st.sampled_from(FIELDS))
+        objs = doc["nodes"] + doc["covariates"] + [e["rule"] for e in doc["nodes"] if isinstance(e.get("rule"), dict)]
+        owners = [o for o in objs if key in o]
+        if not owners:
+            continue
+        obj = data.draw(st.sampled_from(owners))
+        if kind == "drop":
+            del obj[key]
+        else:
+            obj[key] = data.draw(JSON_VALUES)
+    (tmp / "edited.json").write_text(json.dumps(doc))
+    rc, err = run(["predict", "--tree", tmp / "edited.json", "--input", tmp / "in.csv", "--out", tmp / "p.csv"])
+    assert rc in (EXIT_OK, EXIT_SCHEMA)
+    if rc == EXIT_SCHEMA:
+        assert len(err) == 1 and err[0].startswith("error: schema: "), err
+    else:
+        assert err == []

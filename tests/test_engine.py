@@ -133,19 +133,26 @@ class TestSseSplit:
             assert cand.rule == brute_force_sse_split(y, data, 10)[0]
 
 
-def assert_strictly_nested(path):
-    """K falls by at least one per step down to 1, and each subtree is the
-    previous one with internal nodes collapsed (same ids, same rules)."""
+def assert_strictly_nested(root, path):
+    """K falls by at least one per step down to 1.  Every step's leaf ids
+    cover each maximal leaf exactly once, and each step is the previous one
+    with one subtree's leaves replaced by its root.  The pruned copy of a
+    step has exactly its leaves, and the maximal tree's ids and rules."""
     ks = [k for _, k, _ in path]
     assert ks[-1] == 1 and all(a > b for a, b in zip(ks, ks[1:]))
-    for (big, _, _), (small, _, _) in zip(path, path[1:]):
-        big_nodes = {nd.id: nd for nd in tr.walk(big)}
-        small_nodes = {nd.id: nd for nd in tr.walk(small)}
-        assert set(small_nodes) < set(big_nodes)
-        for nid, nd in small_nodes.items():
+    nodes, below = {nd.id: nd for nd in tr.walk(root)}, pr.leaves_below(root)
+    maximal_leaves = sorted(i for i, nd in nodes.items() if nd.is_leaf)
+    for ids, k, _ in path:
+        assert len(ids) == k and sorted(j for i in ids for j in below[i]) == maximal_leaves
+        copy = pr._copy_pruned(root, ids)
+        assert {nd.id for nd in tr.walk(copy) if nd.is_leaf} == ids
+        for nd in tr.walk(copy):
             if not nd.is_leaf:
-                assert nd.rule == big_nodes[nid].rule
-                assert (nd.left.id, nd.right.id) == (big_nodes[nid].left.id, big_nodes[nid].right.id)
+                assert nd.rule == nodes[nd.id].rule
+                assert (nd.left.id, nd.right.id) == (nodes[nd.id].left.id, nodes[nd.id].right.id)
+    for (big, _, _), (small, _, _) in zip(path, path[1:]):
+        [nid] = small - big
+        assert big - small == set(pr.leaves_below(root, big)[nid])
 
 
 class TestPrunePathNesting:
@@ -153,7 +160,8 @@ class TestPrunePathNesting:
     @settings(max_examples=60, deadline=None)
     def test_least_squares_paths(self, case):
         y, _, data = mixed_data(case["seed"], case["n"], case["kinds"])
-        assert_strictly_nested(pr.weakest_link_path(grow_sse(y, data, case["min_leaf"])))
+        root = grow_sse(y, data, case["min_leaf"])
+        assert_strictly_nested(root, pr.weakest_link_path(root))
 
     @given(case=cases)
     @settings(max_examples=15, deadline=None)
@@ -161,8 +169,11 @@ class TestPrunePathNesting:
         _, pseudo, data = mixed_data(case["seed"], case["n"], case["kinds"])
         stopping = tr.StoppingConfig(min_leaf=max(case["min_leaf"], 10), max_candidates=6)
         tree = tr.build_maximal_tree(CLAYTON, pseudo, data, stopping)
-        path = pr.prune_path(tree)
-        assert_strictly_nested([(e.tree.root, e.k, e.train_loglik) for e in path.entries])
+        path = pr.weakest_link_path(tree.root)
+        assert_strictly_nested(tree.root, path)
+        entries = pr.prune_path(tree).entries
+        assert [(e.k, e.train_loglik) for e in entries] == [(k, ll) for _, k, ll in path]
+        assert [{nd.id for nd in e.tree.leaves()} for e in entries] == [ids for ids, _, _ in path]
 
 
 class TestRouter:

@@ -324,8 +324,9 @@ def test_cv_leaf_count_equals_routing_every_entry(seed, monkeypatch):
         want = []
         for f, val_idx in enumerate(folds):
             train_idx = np.concatenate([g for i, g in enumerate(folds) if i != f])
-            path = pr.weakest_link_path(mg._grow_sse(y[:, j], d, train_idx, 10))
-            want.append({k: holdout_score_per_entry(root, y[:, j], d, val_idx) for root, k, _ in path})
+            maximal = mg._grow_sse(y[:, j], d, train_idx, 10)
+            want.append({k: holdout_score_per_entry(pr._copy_pruned(maximal, ids), y[:, j], d, val_idx)
+                         for ids, k, _ in pr.weakest_link_path(maximal)})
         assert seen.pop() == want
         assert max(len(sc) for sc in want) > 2
         assert got == pr.choose_k(want, "OneSE")[-1]

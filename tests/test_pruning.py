@@ -118,7 +118,7 @@ def recursive_weakest_link_path(root):
         return leaves_under(node.left) + leaves_under(node.right)
 
     def snapshot():
-        return pr._copy_pruned(root, leafset), len(leafset), sum(by_id[i].fit.loglik for i in sorted(leafset))
+        return leafset, len(leafset), sum(by_id[i].fit.loglik for i in sorted(leafset))
 
     path = [snapshot()]
     while len(leafset) > 1:
@@ -158,17 +158,13 @@ def random_tree(rng, n_leaves):
 def test_weakest_link_path_equals_the_recursive_one(seed):
     rng = np.random.default_rng(seed)
     root = random_tree(rng, int(rng.integers(1, 40)))
-    got, want = pr.weakest_link_path(root), recursive_weakest_link_path(root)
-    assert [(k, ll) for _, k, ll in got] == [(k, ll) for _, k, ll in want]
-    for (a, _, _), (b, _, _) in zip(got, want):
-        assert [(nd.id, nd.is_leaf) for nd in tr.walk(a)] == [(nd.id, nd.is_leaf) for nd in tr.walk(b)]
+    assert pr.weakest_link_path(root) == recursive_weakest_link_path(root)
 
 
 def test_weakest_link_path_on_grown_trees_equals_the_recursive_one():
     for seed in (11, 12):
         root = step_tree(seed=seed)[0].root
-        got, want = pr.weakest_link_path(root), recursive_weakest_link_path(root)
-        assert [(k, ll) for _, k, ll in got] == [(k, ll) for _, k, ll in want]
+        assert pr.weakest_link_path(root) == recursive_weakest_link_path(root)
 
 
 class TestSelectPenalized:
