@@ -5,11 +5,13 @@
 
 For each workload of perfbench/workloads.py and each data seed, OUT/WORKLOAD/SEED
 gets the generated inputs (``inputs/``), the CLI's ``--out`` directory (``out/``)
-and, for flu, the follow-up ``predict`` output (``out.predict.csv``).  The
-calls are the benchmark's own, made in this process with the copulatree of
-this checkout's ``src``.  OUT/study_all/out then gets one small study of all
-nine family x surface cells: study_step is Clayton's alone, so no workload
-reaches Frank's or Gumbel's ``cdf`` or fits a Gumbel copula.  Two checkouts'
+and, for flu and fit_exhaustive, a ``predict`` output (``out.predict.csv``).
+The calls are the benchmark's own, made in this process with the copulatree
+of this checkout's ``src``; fit_exhaustive's ``predict`` is added here, so that
+the fit header convention (``x_<name>:num``) goes through ``predict`` too, where
+flu's ``ilr.csv`` has plain column names.  OUT/study_all/out then gets one small
+study of all nine family x surface cells: study_step is Clayton's alone, so no
+workload reaches Frank's or Gumbel's ``cdf`` or fits a Gumbel copula.  Two checkouts'
 outputs compare with ``diff -r``.
 """
 
@@ -33,7 +35,12 @@ def write_all(out: str) -> None:
             base = os.path.join(out, workload, str(seed))
             inputs = os.path.join(base, "inputs")
             workloads.write_inputs(workload, seed, inputs)
-            for argv in workloads.cli_argv(workload, seed, inputs, os.path.join(base, "out")):
+            calls = list(workloads.cli_argv(workload, seed, inputs, os.path.join(base, "out")))
+            if workload == "fit_exhaustive":
+                calls.append(["predict", "--tree", os.path.join(base, "out", "tree.json"),
+                              "--input", os.path.join(inputs, "input.csv"),
+                              "--out", os.path.join(base, "out.predict.csv")])
+            for argv in calls:
                 if argv and main(argv) != 0:
                     raise SystemExit(f"{workload} seed {seed}: {argv[0]} failed")
     if main(STUDY_ALL + ["--out", os.path.join(out, "study_all", "out")]) != 0:

@@ -135,17 +135,19 @@ def read_fit_csv(path) -> Dataset:
         y = np.array([[float(row[i]) for i in y_cols] for row in rows])
     except ValueError as exc:
         raise SchemaError(f"{path}: bad response value ({exc})") from None
-    covs = []
-    for i, colname, kind in x_cols:
-        raw = [row[i] for row in rows]
-        if kind == NUMERIC:
-            try:
-                covs.append(numeric_column(colname, [float(v) for v in raw]))
-            except ValueError as exc:
-                raise SchemaError(f"{path}: column {colname}: {exc}") from None
-        else:
-            covs.append(categorical_column(colname, raw))
-    return Dataset(y, tuple(covs))
+    covs = tuple(_column(path, colname, kind, [row[i] for row in rows]) for i, colname, kind in x_cols)
+    return Dataset(y, covs)
+
+
+def _column(path, name: str, kind: str, raw: list[str], levels=()) -> Column:
+    """Covariate ``name`` from its CSV fields; a categorical level table
+    starts with ``levels``, as ``data.categorical_column`` builds it."""
+    if kind == CATEGORICAL:
+        return categorical_column(name, raw, levels)
+    try:
+        return numeric_column(name, [float(v) for v in raw])
+    except ValueError as exc:
+        raise SchemaError(f"{path}: column {name}: {exc}") from None
 
 
 def _covariates_for_tree(path, tree) -> Dataset:
@@ -167,22 +169,8 @@ def _covariates_for_tree(path, tree) -> Dataset:
             raise SchemaError(f"{path}: missing covariate column {sch.name!r}")
         if len(found) > 1:
             raise SchemaError(f"{path}: covariate column {sch.name!r} appears twice")
-        idx = found[0]
-        raw = [row[idx] for row in rows]
-        if sch.kind == NUMERIC:
-            try:
-                covs.append(numeric_column(sch.name, [float(v) for v in raw]))
-            except ValueError as exc:
-                raise SchemaError(f"{path}: column {sch.name}: {exc}") from None
-        else:
-            levels = list(sch.levels)
-            extra = sorted(set(raw) - set(levels))
-            table = tuple(levels + extra)
-            index = {lab: i for i, lab in enumerate(table)}
-            codes = np.array([index[v] for v in raw], dtype=np.int64)
-            covs.append(Column(sch.name, CATEGORICAL, codes, table))
-    n = len(rows)
-    return Dataset(np.zeros((n, 2)), tuple(covs))
+        covs.append(_column(path, sch.name, sch.kind, [row[found[0]] for row in rows], sch.levels))
+    return Dataset(np.zeros((len(rows), 2)), tuple(covs))
 
 
 # ---------------------------------------------------------------------------
@@ -240,38 +228,36 @@ def _with_pseudo_notes(report, pseudo):
     return replace(report, notes=report.notes + pseudo.notes)
 
 
-def _write_pruned_fit(out, subtree, path, report) -> Path:
-    """The pruned fit's tree.json, prune_path.tsv, cv_report.tsv and
-    cv_report.json in ``out``, made if missing; returns ``out`` as a Path."""
-    out = Path(out)
+def _pruned_fit(args, spec, data: Dataset, make_pseudo, stopping: StoppingConfig):
+    """Fit the pruned tree of ``args`` to ``data`` on every CPU and write its
+    tree.json, prune_path.tsv and cv_report.tsv/.json in ``args.out``; too few
+    rows for CV fail before ``make_pseudo()`` runs.
+    Returns (out as a Path, maximal, path, report with pseudo notes, subtree)."""
+    from ._fork import cpus
+
+    check_cv_rows(data.n, args.folds, stopping.min_leaf)
+    pseudo = make_pseudo()
+    maximal, path, report, subtree = fit_pruned_tree(
+        spec, pseudo, data,
+        stopping=stopping, folds=args.folds, repeats=args.repeats,
+        seed=args.seed, rule=args.rule, jobs=cpus(),
+    )
+    report = _with_pseudo_notes(report, pseudo)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_tree_json(subtree, out / "tree.json")
     write_prune_path_tsv(path, out / "prune_path.tsv")
     write_cv_report_tsv(report, out / "cv_report.tsv")
     write_cv_report_json(report, out / "cv_report.json")
-    return out
+    return out, maximal, path, report, subtree
 
 
 def cmd_fit(args) -> int:
-    from ._fork import cpus
-
     _require(args, "input", "out", "family", "seed")
     stopping = _stopping_from_args(args)
     spec = spec_for(args.family)
     data = read_fit_csv(args.input)
-    check_cv_rows(data.n, args.folds, stopping.min_leaf)
-    pseudo = _make_pseudo(args, data)
-    maximal, path, report, subtree = fit_pruned_tree(
-        spec, pseudo, data,
-        stopping=stopping,
-        folds=args.folds,
-        repeats=args.repeats,
-        seed=args.seed,
-        rule=args.rule,
-        jobs=cpus(),
-    )
-    report = _with_pseudo_notes(report, pseudo)
-    out = _write_pruned_fit(args.out, subtree, path, report)
+    out, maximal, path, report, subtree = _pruned_fit(args, spec, data, lambda: _make_pseudo(args, data), stopping)
     theta, tau, leaf_ids = subtree.predict(data)
     write_predictions_csv(out / "predictions.csv", range(data.n), leaf_ids, theta, tau)
     print(
@@ -342,7 +328,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_flu(args) -> int:
     from . import compositional
-    from ._fork import cpus
 
     _require(args, "input", "out", "seed")
     stopping = _stopping_from_args(args)
@@ -359,16 +344,11 @@ def cmd_flu(args) -> int:
     if any(uy.itz for uy in unit_years):
         covs.append(categorical_column("itz", [uy.itz or "?" for uy in unit_years]))
     data = Dataset(y, tuple(covs))
-    check_cv_rows(data.n, args.folds, stopping.min_leaf)
 
-    pseudo = pseudo_margin_tree(data, MarginTreeConfig(min_leaf=args.margin_min_leaf, seed=args.seed))
-    maximal, path, report, subtree = fit_pruned_tree(
-        spec, pseudo, data,
-        stopping=stopping, folds=args.folds, repeats=args.repeats,
-        seed=args.seed, rule=args.rule, jobs=cpus(),
-    )
-    report = _with_pseudo_notes(report, pseudo)
-    out = _write_pruned_fit(args.out, subtree, path, report)
+    def pseudo():
+        return pseudo_margin_tree(data, MarginTreeConfig(min_leaf=args.margin_min_leaf, seed=args.seed))
+
+    out, _, path, report, subtree = _pruned_fit(args, spec, data, pseudo, stopping)
     compositional.write_ilr_csv(unit_years, out / "ilr.csv")
     write_leaf_report(subtree, out / "leaf_report.tsv")
 

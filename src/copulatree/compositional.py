@@ -97,9 +97,11 @@ class UnitYear:
 
 
 _WEEK_RE = re.compile(r"^(\d{4})-W(\d{2})$")
+PSEUDO_COUNT = 0.5  # what a zero cell of a kept unit-season counts as
+SEASON_START = (4, 1)  # (month, day): seasons run April 1 to April 1
 
 
-def _season_of(iso_week: str, boundary_month: int, boundary_day: int) -> str:
+def _season_of(iso_week: str) -> str:
     m = _WEEK_RE.match(iso_week)
     if not m:
         raise IngestionError(f"bad iso_week {iso_week!r}, expected YYYY-Www")
@@ -108,23 +110,17 @@ def _season_of(iso_week: str, boundary_month: int, boundary_day: int) -> str:
         monday = date.fromisocalendar(year, week, 1)
     except ValueError as exc:
         raise IngestionError(f"bad iso_week {iso_week!r}: {exc}") from None
-    start = monday.year if monday >= date(monday.year, boundary_month, boundary_day) else monday.year - 1
+    start = monday.year if monday >= date(monday.year, *SEASON_START) else monday.year - 1
     return f"{start}/{start + 1}"
 
 
-def aggregate_counts(
-    records,
-    min_total: int = 50,
-    pseudo_count: float = 0.5,
-    boundary_month: int = 4,
-    boundary_day: int = 1,
-) -> list[UnitYear]:
+def aggregate_counts(records, min_total: int = 50) -> list[UnitYear]:
     """Sum weekly counts to unit-seasons and emit positive compositions.
 
-    Seasons run boundary-to-boundary (default April 1): a week belongs to
-    the season whose start its Monday falls on or after.  Unit-seasons
+    Seasons run from ``SEASON_START`` (April 1) to the next: a week belongs
+    to the season whose start its Monday falls on or after.  Unit-seasons
     with fewer than ``min_total`` raw cases are dropped; zero cells then
-    take the pseudo-count before normalisation.  ``records`` is any
+    take ``PSEUDO_COUNT`` before normalisation.  ``records`` is any
     iterable of ``WeeklyRecord``s or tuples in its field order, such as the
     iterator ``read_weekly_csv`` returns; each is summed as it is read, so a
     file's rows raise their errors in file order.
@@ -136,7 +132,7 @@ def aggregate_counts(
             raise IngestionError(f"row {i}: negative count")
         season = seasons.get(week)
         if season is None:
-            season = seasons[week] = _season_of(week, boundary_month, boundary_day)
+            season = seasons[week] = _season_of(week)
         entry = sums.get((unit, season))
         if entry is None:
             entry = sums[(unit, season)] = [0, 0, 0, itz]
@@ -152,7 +148,7 @@ def aggregate_counts(
         total = h1 + h3 + b
         if total < min_total:
             continue
-        parts = [c if c > 0 else pseudo_count for c in (h1, h3, b)]
+        parts = [c if c > 0 else PSEUDO_COUNT for c in (h1, h3, b)]
         denom = sum(parts)
         comp = Composition3(parts[0] / denom, parts[1] / denom, parts[2] / denom)
         out.append(UnitYear(unit, season, comp, total, itz))

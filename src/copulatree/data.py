@@ -37,13 +37,14 @@ def numeric_column(name: str, values) -> Column:
     return Column(name, NUMERIC, np.asarray(values, dtype=float))
 
 
-def categorical_column(name: str, labels) -> Column:
-    """Build a categorical column; levels are the sorted unique labels."""
+def categorical_column(name: str, labels, levels=()) -> Column:
+    """Build a categorical column; its level table is ``levels``, then the
+    other labels in sorted order (with no ``levels``, the sorted labels)."""
     labels = [str(x) for x in labels]
-    levels = tuple(sorted(set(labels)))
-    index = {lab: i for i, lab in enumerate(levels)}
+    table = tuple(levels) + tuple(sorted(set(labels).difference(levels)))
+    index = {lab: i for i, lab in enumerate(table)}
     codes = np.array([index[x] for x in labels], dtype=np.int64)
-    return Column(name, CATEGORICAL, codes, levels)
+    return Column(name, CATEGORICAL, codes, table)
 
 
 def unique(x, return_inverse: bool = False, return_counts: bool = False):

@@ -24,7 +24,7 @@ from .copulas import FitResult, spec_for
 from .data import CATEGORICAL, NUMERIC
 from .errors import DomainError, SchemaError
 from .pruning import CvReport, PrunePath, lambda_intervals
-from .tree import ColumnSchema, CopulaTree, SplitRule, TreeNode
+from .tree import ColumnSchema, CopulaTree, SplitRule, TreeNode, walk
 
 FORMAT_VERSION = 1
 
@@ -82,6 +82,22 @@ def _typed(value, kinds, where: str, what: str):
     return value
 
 
+def _float(value, where: str, what: str, bad: str = "") -> float:
+    """A JSON number as a float; an integer no float holds is a SchemaError,
+    and a non-number one with message ``bad`` (default: not a number)."""
+    try:
+        return float(_typed(value, (int, float), where, bad or f"{what} is not a number"))
+    except OverflowError:
+        raise SchemaError(f"tree document: {where}: {what} does not fit a float") from None
+
+
+def _node_id(value, where: str, what: str) -> int:
+    """A JSON integer that fits int64, as the leaf ids of predictions do."""
+    if not -2**63 <= _typed(value, int, where, f"{what} is not an integer") < 2**63:
+        raise SchemaError(f"tree document: {where}: {what} does not fit int64")
+    return value
+
+
 def _names(value, where: str) -> list:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise SchemaError(f"tree document: {where}: levels must be a list of names")
@@ -111,7 +127,7 @@ def tree_from_doc(doc: dict) -> CopulaTree:
     raw = {}
     for i, e in enumerate(_typed(doc["nodes"], list, "nodes", "not a list")):
         _fields(e, ("id", "n", "theta", "tau", "loglik"), f"node {i}")
-        if _typed(e["id"], int, f"node {i}", "id is not an integer") in raw:
+        if _node_id(e["id"], f"node {i}", "id") in raw:
             raise SchemaError(f"tree document: node {i}: id {e['id']} appears twice")
         raw[e["id"]] = e
     if not raw:
@@ -122,14 +138,14 @@ def tree_from_doc(doc: dict) -> CopulaTree:
     stack, seen = [(top, "left", min(raw))], set()
     while stack:
         parent, side, node_id = stack.pop()
-        _typed(node_id, int, f"node {parent.id}", f"{side} is not an integer")
+        _node_id(node_id, f"node {parent.id}", side)
         if node_id not in raw or node_id in seen:
             raise SchemaError(f"tree document: node id {node_id!r} is missing or reached twice")
         seen.add(node_id)
         e = raw[node_id]
         where = f"node {node_id}"
         fit = FitResult(
-            *(_typed(e[k], (int, float), where, f"{k} is not a number") for k in ("theta", "tau", "loglik")),
+            *(_float(e[k], where, k) for k in ("theta", "tau", "loglik")),
             _typed(e["n"], int, where, "n is not an integer"),
             True,
         )
@@ -146,7 +162,7 @@ def tree_from_doc(doc: dict) -> CopulaTree:
                 raise SchemaError(f"tree document: {where}: a {r['kind']!r} rule on a {column.kind} covariate")
             if r["kind"] == NUMERIC:
                 threshold = _fields(r, ("threshold",), where)["threshold"]
-                node.rule = SplitRule(feature, threshold=float(_typed(threshold, (int, float), where, "bad threshold")))
+                node.rule = SplitRule(feature, threshold=_float(threshold, where, "threshold", "bad threshold"))
             else:
                 names = _names(_fields(r, ("left_levels",), where)["left_levels"], where)
                 if not set(names) <= set(column.levels):
@@ -184,7 +200,7 @@ def read_tree_json(path) -> CopulaTree:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, UnicodeDecodeError) as exc:  # ValueError: bad JSON, or an integer over 4300 digits
             raise SchemaError(f"{path}: not a JSON document ({exc})") from None
     return tree_from_doc(doc)
 
@@ -251,16 +267,13 @@ def _rule_text(tree: CopulaTree, node: TreeNode, going_left: bool) -> str:
 def write_leaf_report(tree: CopulaTree, path) -> None:
     """One row per leaf, depth first from the left: its fit and the
     conditions on the path to it, ``(root)`` for a one-leaf tree."""
-    rows = []
-
-    def walk(node, conds):
+    rows, conds = [], {tree.root.id: []}
+    for node in walk(tree.root):  # parents first, left children first
         if node.is_leaf:
             fit = node.fit
             rows.append([node.id, fit.n_obs, repr(fit.tau_hat), repr(fit.theta_hat), repr(fit.loglik),
-                         " & ".join(conds) or "(root)"])
-            return
-        walk(node.left, conds + [_rule_text(tree, node, True)])
-        walk(node.right, conds + [_rule_text(tree, node, False)])
-
-    walk(tree.root, [])
+                         " & ".join(conds[node.id]) or "(root)"])
+        else:
+            conds[node.left.id] = conds[node.id] + [_rule_text(tree, node, True)]
+            conds[node.right.id] = conds[node.id] + [_rule_text(tree, node, False)]
     write_table(path, ["leaf_id", "n", "tau", "theta", "loglik", "rules"], rows)

@@ -654,6 +654,7 @@ class TestPredict:
         assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("doc", ['{"format_version": 1}', "not json at all", "[1, 2]",
+                                     pytest.param("1" + "0" * 5000, id="int-over-4300-digits"),
                                      '{"format_version": 1, "family": "clayton", "covariates": [],'
                                      ' "nodes": [{"id": 0, "n": 5, "theta": 2.0, "tau": 0.5,'
                                      ' "loglik": 1.0, "rule": {"feature": 0, "kind": "num",'
@@ -677,11 +678,15 @@ class TestPredict:
         lambda doc: doc.update(format_version=True),
         lambda doc: doc["covariates"][0].update(name=["x"]),
         lambda doc: doc["nodes"][2].update(id=1),
+        lambda doc: doc["nodes"][1].update(theta=10**400),
+        lambda doc: doc["nodes"][0]["rule"].update(threshold=10**400),
+        lambda doc: (doc["nodes"][1].update(id=2**63), doc["nodes"][0].update(left=2**63)),
     ])
     def test_wrongly_typed_tree_field_is_schema_error(self, tmp_path, capsys, edit):
         """An id, feature or format_version that is not an integer (a bool is
-        not), a covariate name that is not a string and a repeated id are one
-        schema-error line each, not a traceback or a silent 1."""
+        not), a covariate name that is not a string, a repeated id, a number
+        no float holds and an id over int64 are one schema-error line each,
+        not a traceback or a silent 1."""
         doc = chain_doc(1)
         edit(doc)
         rc = main(predict_chain(tmp_path, doc, [0.5]))

@@ -124,11 +124,13 @@ def test_fit_and_predict_keep_the_contract(data, flags):
 
 
 # the fields of a tree document's nodes, rules and covariates, and every JSON
-# type: list, object, bool, float (NaN and infinities too), string, null
+# type: list, object, bool, float (NaN and infinities too), string, null, and
+# integers that no float or no int64 holds
 FIELDS = ["id", "left", "right", "feature", "n", "theta", "tau", "loglik", "rule", "kind", "threshold",
           "left_levels", "name", "levels"]
 JSON_VALUES = st.one_of(st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.sampled_from(["a", "id"]),
-                        st.integers(0, 3), max_size=1), st.booleans(), st.floats(), st.text(max_size=2), st.none())
+                        st.integers(0, 3), max_size=1), st.booleans(), st.floats(), st.text(max_size=2), st.none(),
+                        st.sampled_from([10**400, 2**63]))
 
 
 @pytest.fixture(scope="module")

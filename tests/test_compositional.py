@@ -104,12 +104,6 @@ class TestAggregation:
         assert before[0].season == "2014/2015"
         assert after[0].season == "2015/2016"
 
-    def test_configurable_boundary(self):
-        out = co.aggregate_counts(
-            [self.rec("u", "2015-W14", 30, 30, 30)], boundary_month=1, boundary_day=1
-        )
-        assert out[0].season == "2015/2016"
-
     def test_order_independence(self):
         recs = [
             self.rec("u1", "2015-W20", 10, 20, 30),

@@ -132,6 +132,20 @@ class TestUnique:
                     assert np.array_equal(rest.pop(0), want_counts)
 
 
+class TestCategoricalColumn:
+    @given(st.lists(st.text(max_size=3), min_size=1, max_size=40), st.data())
+    def test_level_table_is_levels_then_the_other_labels_sorted(self, labels, data):
+        """``levels`` lead the table in their order, the unseen labels follow
+        sorted, and the codes index the table back to the labels."""
+        seen = sorted(set(labels))
+        levels = data.draw(st.permutations(seen).flatmap(lambda p: st.integers(0, len(p)).map(lambda k: p[:k])))
+        col = categorical_column("g", labels, levels)
+        table = list(col.levels)
+        assert table[:len(levels)] == levels
+        assert table[len(levels):] == sorted(set(labels) - set(levels))
+        assert np.array(table, dtype=object)[col.values].tolist() == labels
+
+
 class TestKernel:
     def test_huge_bandwidth_matches_empirical(self):
         rng = np.random.default_rng(1)
