@@ -39,14 +39,18 @@ __all__ = [
 ]
 
 
-def _column_ranks(y: np.ndarray) -> np.ndarray:
-    return np.column_stack([average_ranks(y[:, j]) for j in range(y.shape[1])])
+def _class_ranks(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each column's average ranks within each class of ``labels``, over the class size + 1."""
+    out = np.empty_like(values)
+    for label in unique(labels):
+        mask = labels == label
+        out[mask] = np.column_stack([average_ranks(col) for col in values[mask].T]) / (mask.sum() + 1)
+    return out
 
 
 def pseudo_empirical(data: Dataset) -> PseudoObservations:
     """Covariate-free baseline: per-column average ranks over (n + 1)."""
-    vals = _column_ranks(data.responses) / (data.n + 1)
-    return PseudoObservations(vals, "empirical")
+    return PseudoObservations(_class_ranks(data.responses, np.zeros(data.n)), "empirical")
 
 
 def check_bandwidth(h: float) -> None:
@@ -131,12 +135,7 @@ def pseudo_discrete(data: Dataset) -> PseudoObservations:
     combos = zip(*[c.values.tolist() for c in data.covariates])
     class_index: dict = {}
     labels = np.array([class_index.setdefault(c, len(class_index)) for c in combos])
-    out = np.empty_like(data.responses)
-    for lab in range(len(class_index)):
-        mask = labels == lab
-        block = data.responses[mask]
-        out[mask] = _column_ranks(block) / (block.shape[0] + 1)
-    return PseudoObservations(out, "discrete")
+    return PseudoObservations(_class_ranks(data.responses, labels), "discrete")
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +220,6 @@ def pseudo_margin_tree(data: Dataset, config: MarginTreeConfig = MarginTreeConfi
     out = np.empty_like(data.responses)
     columns = [c.values for c in data.covariates]
     for j in range(data.k):
-        y = data.responses[:, j]
-        root = _pruned_margin_tree(y, data, config.min_leaf, config.seed + j)
-        leaf_ids = route(root, columns, data.n)
-        for leaf in unique(leaf_ids):
-            mask = leaf_ids == leaf
-            block = y[mask]
-            out[mask, j] = average_ranks(block) / (block.size + 1)
+        root = _pruned_margin_tree(data.responses[:, j], data, config.min_leaf, config.seed + j)
+        out[:, [j]] = _class_ranks(data.responses[:, [j]], route(root, columns, data.n))
     return PseudoObservations(out, "margin_tree")

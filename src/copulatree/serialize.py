@@ -20,7 +20,7 @@ import csv
 import json
 import math
 
-from .copulas import FitResult, spec_for
+from .copulas import FitResult, spec_for, theta_to_tau
 from .data import CATEGORICAL, NUMERIC
 from .errors import DomainError, SchemaError
 from .pruning import CvReport, PrunePath, lambda_intervals
@@ -149,6 +149,16 @@ def tree_from_doc(doc: dict) -> CopulaTree:
             _typed(e["n"], int, where, "n is not an integer"),
             True,
         )
+        try:
+            tau = theta_to_tau(spec, fit.theta_hat)
+        except DomainError as exc:
+            raise SchemaError(f"tree document: {where}: {exc}") from None
+        if not (fit.tau_hat == tau and fit.tau_hat.hex() == tau.hex()):  # bit for bit; NaN never
+            raise SchemaError(f"tree document: {where}: tau is not the Kendall tau of theta")
+        if not math.isfinite(fit.loglik):
+            raise SchemaError(f"tree document: {where}: loglik is not finite")
+        if fit.n_obs < 1:
+            raise SchemaError(f"tree document: {where}: n is below 1")
         node = TreeNode(node_id, fit, parent.depth + 1)
         setattr(parent, side, node)
         if "rule" in e:
@@ -170,7 +180,9 @@ def tree_from_doc(doc: dict) -> CopulaTree:
                 index = {name: i for i, name in enumerate(column.levels)}
                 node.rule = SplitRule(feature, left_levels=frozenset(index[name] for name in names))
             stack += [(node, "right", e["right"]), (node, "left", e["left"])]
-
+    for node in walk(top.left):
+        if not node.is_leaf and node.left.fit.n_obs + node.right.fit.n_obs != node.fit.n_obs:
+            raise SchemaError(f"tree document: node {node.id}: its children's n do not add up to its own")
     return CopulaTree(spec, top.left, tuple(schema))
 
 

@@ -882,7 +882,7 @@ def sse_split(y: np.ndarray, data: Dataset, idx, parent: SseFit, min_leaf: int) 
 
     The cuts are those of the copula criterion without a candidate cap,
     with a categorical feature's levels ordered by mean response.  Every
-    cut's summed child SSE comes from prefix sums of the centred responses
+    cut's summed child SSE comes from running sums of the centred responses
     and their squares in cut order; widened by _SSE_SLACK per row against
     rounding, it bounds the cut's gain for the refit of ``_refit_best``.
     """
@@ -892,15 +892,16 @@ def sse_split(y: np.ndarray, data: Dataset, idx, parent: SseFit, min_leaf: int) 
     features = _node_cuts(
         data, idx, min_leaf, None, lambda j: _levels_by_mean(yv, data.covariates[j].values[idx])
     )
-    centred = yv - parent.mean
-    side_sums = _side_sums([(fc.order, fc.n_left) for fc in features])
-    s1, s2 = side_sums(np.column_stack([centred, centred**2]))
-    n_left = np.concatenate([fc.n_left for fc in features])
-    side_sse = s2 - s1**2 / np.concatenate([n_left, len(idx) - n_left])
-    parent_sse = -parent.loglik
+    centred, parent_sse, bound = yv - parent.mean, -parent.loglik, []
+    for fc in features:  # the left side of cut k ends at row n_left[k] - 1 of fc.order
+        c, k = centred[fc.order], fc.n_left - 1
+        s1, s2 = np.cumsum(c), np.cumsum(c**2)
+        left_sse = s2[k] - s1[k] ** 2 / fc.n_left
+        right_sse = (s2[-1] - s2[k]) - (s1[-1] - s1[k]) ** 2 / (len(idx) - fc.n_left)
+        bound.append(parent_sse * (1.0 + _SSE_SLACK * len(idx)) - left_sse - right_sse)
     return _refit_best(
         data, idx, features,
-        parent_sse * (1.0 + _SSE_SLACK * len(idx)) - side_sse[: len(n_left)] - side_sse[len(n_left) :],
+        np.concatenate(bound),
         lambda rows: sse_fit(y[rows]),
         lambda lf, rf: parent_sse + lf.loglik + rf.loglik,  # (parent - left) - right, in SSE
         0.0,

@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -681,12 +682,27 @@ class TestPredict:
         lambda doc: doc["nodes"][1].update(theta=10**400),
         lambda doc: doc["nodes"][0]["rule"].update(threshold=10**400),
         lambda doc: (doc["nodes"][1].update(id=2**63), doc["nodes"][0].update(left=2**63)),
+        # values outside what a fit writes: a theta outside Clayton's domain,
+        # every theta and tau NaN or -7.0 (in Frank's domain, so its tau
+        # gives it away), a tau one ulp off its theta's, a non-finite
+        # loglik, an n below 1, and children whose n do not add up
+        lambda doc: doc["nodes"][1].update(theta=float("nan")),
+        lambda doc: doc["nodes"][1].update(theta=float("inf")),
+        lambda doc: doc["nodes"][1].update(theta=-7.0),
+        lambda doc: [e.update(theta=float("nan"), tau=float("nan")) for e in doc["nodes"]],
+        lambda doc: (doc.update(family="frank"), [e.update(theta=-7.0, tau=-7.0) for e in doc["nodes"]]),
+        lambda doc: doc["nodes"][2].update(tau=math.nextafter(doc["nodes"][2]["tau"], 1.0)),
+        lambda doc: doc["nodes"][1].update(loglik=float("nan")),
+        lambda doc: doc["nodes"][0].update(loglik=-float("inf")),
+        lambda doc: (doc["nodes"][1].update(n=0), doc["nodes"][0].update(n=10)),
+        lambda doc: (doc["nodes"][1].update(n=-10), doc["nodes"][0].update(n=0)),
+        lambda doc: doc["nodes"][0].update(n=21),
     ])
     def test_wrongly_typed_tree_field_is_schema_error(self, tmp_path, capsys, edit):
         """An id, feature or format_version that is not an integer (a bool is
         not), a covariate name that is not a string, a repeated id, a number
-        no float holds and an id over int64 are one schema-error line each,
-        not a traceback or a silent 1."""
+        no float holds, an id over int64 and a node no fit writes are one
+        schema-error line each, not a traceback or a silent 1."""
         doc = chain_doc(1)
         edit(doc)
         rc = main(predict_chain(tmp_path, doc, [0.5]))
@@ -702,13 +718,15 @@ class TestPredict:
 
 
 def chain_doc(depth: int) -> dict:
-    """A tree document whose internal node 2i splits x at i, its left child a
-    leaf and its right child the next internal node, ``depth`` levels deep."""
-    def node(i, **rest):
-        return {"id": i, "n": 10, "theta": 1.0 + i, "tau": 0.1, "loglik": 0.0, **rest}
+    """A Clayton tree document whose internal node 2i splits x at i, its left
+    child a leaf and its right child the next internal node, ``depth`` levels
+    deep.  Each leaf holds 10 rows, and node i has theta 1 + i and its tau."""
+    def node(i, n=10, **rest):
+        return {"id": i, "n": n, "theta": 1.0 + i, "tau": cp.theta_to_tau(cp.spec_for("clayton"), 1.0 + i),
+                "loglik": 0.0, **rest}
 
-    nodes = [node(2 * i, rule={"feature": 0, "kind": "num", "threshold": float(i)}, left=2 * i + 1, right=2 * i + 2)
-             for i in range(depth)]
+    nodes = [node(2 * i, 10 * (depth - i + 1), rule={"feature": 0, "kind": "num", "threshold": float(i)},
+                  left=2 * i + 1, right=2 * i + 2) for i in range(depth)]
     nodes += [node(2 * i + 1) for i in range(depth)] + [node(2 * depth)]
     return {"format_version": 1, "family": "clayton", "nodes": nodes, "covariates": [{"name": "x", "kind": "num"}]}
 

@@ -5,8 +5,9 @@ Whatever the input, a run exits 0, 2, 3 or 4. A failing run prints exactly
 one line, ``error: <code>: <message>``, and raises no Python warning (which
 a real process would print as more stderr lines). After a successful
 ``fit``, ``predict`` on the same input reproduces ``predictions.csv``; on
-a fitted ``tree.json`` with wrongly typed, missing or repeated fields it
-exits 0 or 2.
+a fitted ``tree.json`` with wrongly typed, missing, repeated or
+out-of-domain fields, or another family, it exits 0 with finite
+predictions or 2.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import copy
 import csv
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -124,13 +126,14 @@ def test_fit_and_predict_keep_the_contract(data, flags):
 
 
 # the fields of a tree document's nodes, rules and covariates, and every JSON
-# type: list, object, bool, float (NaN and infinities too), string, null, and
-# integers that no float or no int64 holds
+# type: list, object, bool, float (NaN, infinities and a theta outside
+# Clayton's domain too), string, null, and integers that no float or no
+# int64 holds
 FIELDS = ["id", "left", "right", "feature", "n", "theta", "tau", "loglik", "rule", "kind", "threshold",
           "left_levels", "name", "levels"]
 JSON_VALUES = st.one_of(st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.sampled_from(["a", "id"]),
                         st.integers(0, 3), max_size=1), st.booleans(), st.floats(), st.text(max_size=2), st.none(),
-                        st.sampled_from([10**400, 2**63]))
+                        st.sampled_from([10**400, 2**63, math.nan, math.inf, -math.inf, -7.0]))
 
 
 @pytest.fixture(scope="module")
@@ -153,13 +156,24 @@ def fitted(tmp_path_factory):
 @settings(max_examples=100, deadline=None)
 def test_predict_keeps_the_contract_on_edited_tree_documents(fitted, data):
     """Up to three edits of a node's, rule's or covariate's fields: one takes
-    another JSON type, is dropped, or a node takes another node's id."""
+    another JSON type, is dropped, or a node takes another node's id; a
+    leaf's number takes a value no fit writes; or the document names another
+    family."""
     tmp, doc = fitted
     doc = copy.deepcopy(doc)
-    for kind in data.draw(st.lists(st.sampled_from(["replace", "drop", "repeat"]), min_size=1, max_size=3)):
+    kinds = ["number", "replace", "drop", "repeat", "family"]
+    for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
         if kind == "repeat":
             source, target = data.draw(st.lists(st.sampled_from(doc["nodes"]), min_size=2, max_size=2))
             target["id"] = source.get("id")
+            continue
+        if kind == "number":  # on a leaf, whose theta and tau predict writes
+            node = data.draw(st.sampled_from([e for e in doc["nodes"] if "rule" not in e]))
+            node[data.draw(st.sampled_from(["n", "theta", "tau", "loglik"]))] = data.draw(
+                st.sampled_from([math.nan, math.inf, -math.inf, -7.0, 0]))
+            continue
+        if kind == "family":
+            doc["family"] = data.draw(st.sampled_from(["clayton", "frank", "gumbel"]))
             continue
         key = data.draw(st.sampled_from(FIELDS))
         objs = doc["nodes"] + doc["covariates"] + [e["rule"] for e in doc["nodes"] if isinstance(e.get("rule"), dict)]
@@ -178,3 +192,5 @@ def test_predict_keeps_the_contract_on_edited_tree_documents(fitted, data):
         assert len(err) == 1 and err[0].startswith("error: schema: "), err
     else:
         assert err == []
+        with open(tmp / "p.csv") as fh:
+            assert all(math.isfinite(float(v)) for row in list(csv.reader(fh))[1:] for v in row[2:])

@@ -133,6 +133,32 @@ class TestSseSplit:
             assert cand.rule == brute_force_sse_split(y, data, 10)[0]
 
 
+class TestSseBound:
+    @given(seed=st.integers(0, 2**31), n=st.integers(40, 240), kinds=st.sampled_from([("num",), ("cat",), ("num", "cat")]),
+           min_leaf=st.integers(1, 25), scale=st.sampled_from([1e-8, 1e-4, 1.0, 1e4, 1e8]),
+           shift=st.sampled_from([0.0, 1.0, -1e4, 1e8, -1e8]))
+    @settings(max_examples=150, deadline=None)
+    def test_every_bound_covers_its_refit(self, seed, n, kinds, min_leaf, scale, shift):
+        """Every cut's bound that sse_split hands to _refit_best, at every node
+        of a grown tree, is at least the gain of its exact refit: on numeric
+        features with heavy ties, categorical ones with 3 to 6 levels, and
+        responses scaled by 1e-8 to 1e8 and shifted by up to 1e8."""
+        rng = np.random.default_rng(seed)
+        covs = [numeric_column("x", rng.integers(0, int(rng.integers(2, 20)), n) / 2.0) if kind == "num"
+                else categorical_column("g", [f"l{c}" for c in rng.integers(0, int(rng.integers(3, 7)), n)])
+                for kind in kinds]
+        signal = sum(rng.normal() * (c.values > rng.integers(0, 3)) for c in covs)
+        y = shift + scale * np.round(signal + rng.normal(size=n), int(rng.integers(0, 3)))
+        data, calls, refit = Dataset(np.column_stack([y, y]), tuple(covs)), [], tr._refit_best
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tr, "_refit_best", lambda *args: calls.append(args) or refit(*args))
+            grow_sse(y, data, min_leaf)
+        for _, idx, features, bound, fit, gain_of, *_ in calls:
+            for k in range(len(bound)):
+                left, right = tr._cut_rows(data, idx, tr._rule(features, k))
+                assert bound[k] >= gain_of(fit(left), fit(right))
+
+
 def assert_strictly_nested(root, path):
     """K falls by at least one per step down to 1.  Every step's leaf ids
     cover each maximal leaf exactly once, and each step is the previous one

@@ -386,14 +386,18 @@ class TestBuildAndPredict:
                 assert min(node.left.fit.n_obs, node.right.fit.n_obs) >= 50
 
     def test_serialization_roundtrip(self):
+        """A fitted tree of every family passes the document's checks and reads back."""
         pseudo, data = step_node(500, 666, with_x2_cut=False)
-        tree = tr.build_maximal_tree(CLAYTON, pseudo, data, tr.StoppingConfig(min_leaf=50, max_candidates=8))
-        doc = tree_to_doc(tree)
-        back = tree_from_doc(doc)
-        assert json.dumps(tree_to_doc(back), sort_keys=True) == json.dumps(doc, sort_keys=True)
-        theta1, tau1, id1 = tree.predict(data)
-        theta2, tau2, id2 = back.predict(data)
-        assert np.array_equal(id1, id2) and np.array_equal(theta1, theta2)
+        for family in ("clayton", "frank", "gumbel"):
+            stopping = tr.StoppingConfig(min_leaf=50, max_candidates=8)
+            tree = tr.build_maximal_tree(cp.spec_for(family), pseudo, data, stopping)
+            doc = tree_to_doc(tree)
+            back = tree_from_doc(doc)
+            assert len(doc["nodes"]) > 1
+            assert json.dumps(tree_to_doc(back), sort_keys=True) == json.dumps(doc, sort_keys=True)
+            theta1, tau1, id1 = tree.predict(data)
+            theta2, tau2, id2 = back.predict(data)
+            assert np.array_equal(id1, id2) and np.array_equal(theta1, theta2) and np.array_equal(tau1, tau2)
 
     def test_repeated_covariate_name_is_schema_error(self):
         """predict finds a tree's covariates by name, so two of one name are refused."""
@@ -711,7 +715,7 @@ def random_splits(rng, n, kinds):
         n_left = {
             "every": np.arange(1, m),  # 1-row segments
             "one": rng.integers(1, m, 1),
-            "none": np.empty(0, dtype=np.int64),  # sse_split passes features without cuts
+            "none": np.empty(0, dtype=np.int64),  # a feature without cuts
             "some": np.flatnonzero(rng.random(m - 1) < 0.5) + 1,
             "few": np.sort(rng.choice(np.arange(1, m), min(m - 1, 3), replace=False)),  # long segments
         }[kind]
