@@ -11,10 +11,15 @@ of this checkout's ``src``; fit_exhaustive's ``predict`` is added here, so that
 the fit header convention (``x_<name>:num``) goes through ``predict`` too, where
 flu's ``ilr.csv`` has plain column names.  OUT/study_all/out then gets one small
 study of all nine family x surface cells: study_step is Clayton's alone, so no
-workload reaches Frank's or Gumbel's ``cdf`` or fits a Gumbel copula.  Two checkouts'
-outputs compare with ``diff -r``.
+workload reaches Frank's or Gumbel's ``cdf`` or fits a Gumbel copula.
+
+Last it prints one line, ``<count> files, sha256 <hex>``: the number of files
+under OUT and one sha256 over each file's path relative to OUT (``/``-separated),
+its size and its bytes, in sorted path order.  Two checkouts wrote the same
+files exactly when they print the same line; ``diff -r`` names the ones that differ.
 """
 
+import hashlib
 import os
 import sys
 
@@ -47,7 +52,20 @@ def write_all(out: str) -> None:
         raise SystemExit("study_all: simulate failed")
 
 
+def digest(out: str) -> str:
+    """``<count> files, sha256 <hex>`` of every file under ``out``."""
+    paths = sorted(os.path.relpath(os.path.join(d, f), out).replace(os.sep, "/")
+                   for d, _, files in os.walk(out) for f in files)
+    h = hashlib.sha256()
+    for rel in paths:
+        with open(os.path.join(out, rel), "rb") as fh:
+            data = fh.read()
+        h.update(f"{rel}\0{len(data)}\0".encode() + data)
+    return f"{len(paths)} files, sha256 {h.hexdigest()}"
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         raise SystemExit(__doc__)
     write_all(sys.argv[1])
+    print(digest(sys.argv[1]))

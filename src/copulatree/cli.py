@@ -64,18 +64,6 @@ EXIT_CONFIG = 4
 
 
 class _Parser(argparse.ArgumentParser):
-    """``late_defaults``, if given, returns flag defaults that are read only
-    when this parser parses (a subcommand's parser parses only when chosen)."""
-
-    def __init__(self, *args, late_defaults=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.late_defaults = late_defaults
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self.late_defaults is not None:
-            self.set_defaults(**self.late_defaults())
-        return super().parse_known_args(args, namespace)
-
     def error(self, message):  # argparse defaults to exit code 2
         raise ConfigError(message)
 
@@ -228,15 +216,15 @@ def _with_pseudo_notes(report, pseudo):
     return replace(report, notes=report.notes + pseudo.notes)
 
 
-def _pruned_fit(args, spec, data: Dataset, make_pseudo, stopping: StoppingConfig):
+def _pruned_fit(args, spec, data: Dataset, stopping: StoppingConfig):
     """Fit the pruned tree of ``args`` to ``data`` on every CPU and write its
     tree.json, prune_path.tsv and cv_report.tsv/.json in ``args.out``; too few
-    rows for CV fail before ``make_pseudo()`` runs.
+    rows for CV fail before the pseudo estimator runs.
     Returns (out as a Path, maximal, path, report with pseudo notes, subtree)."""
     from ._fork import cpus
 
     check_cv_rows(data.n, args.folds, stopping.min_leaf)
-    pseudo = make_pseudo()
+    pseudo = _make_pseudo(args, data)
     maximal, path, report, subtree = fit_pruned_tree(
         spec, pseudo, data,
         stopping=stopping, folds=args.folds, repeats=args.repeats,
@@ -257,7 +245,7 @@ def cmd_fit(args) -> int:
     stopping = _stopping_from_args(args)
     spec = spec_for(args.family)
     data = read_fit_csv(args.input)
-    out, maximal, path, report, subtree = _pruned_fit(args, spec, data, lambda: _make_pseudo(args, data), stopping)
+    out, maximal, path, report, subtree = _pruned_fit(args, spec, data, stopping)
     theta, tau, leaf_ids = subtree.predict(data)
     write_predictions_csv(out / "predictions.csv", range(data.n), leaf_ids, theta, tau)
     print(
@@ -280,6 +268,13 @@ def cmd_predict(args) -> int:
 def cmd_simulate(args) -> int:
     from . import simulation as sim
 
+    study = sim.PipelineConfig()  # the preset of every flag left unset; explicit flags and --config values win
+    preset = dict(sources=",".join(study.sources), bandwidth=study.kernel_h, folds=study.cv_folds,
+                  repeats=study.cv_repeats, rule=study.cv_rule, reps=500 if args.scale == "paper" else 50, n=1000,
+                  **asdict(study.stopping))  # its fields are the stopping flags' dests
+    for name, value in preset.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     _require(args, "out", "seed")
     families = args.families.split(",") if args.families != "all" else [f.value for f in sim.Family]
     families = [spec_for(f).family.value for f in families]  # records name each family as the study does
@@ -289,9 +284,7 @@ def cmd_simulate(args) -> int:
         if s not in sim.SURFACES:
             raise ConfigError(f"unknown surface {s!r}")
     sim.check_unique(surfaces, "surface")
-    reps = args.reps if args.reps is not None else (500 if args.scale == "paper" else 50)
-    n = args.n if args.n is not None else 1000
-    for name, value in (("reps", reps), ("n", n), ("jobs", args.jobs)):
+    for name, value in (("reps", args.reps), ("n", args.n), ("jobs", args.jobs)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
     config = sim.PipelineConfig(
@@ -302,14 +295,14 @@ def cmd_simulate(args) -> int:
         cv_rule=args.rule,
         kernel_h=args.bandwidth,
     )
-    check_cv_rows(n, config.cv_folds, config.stopping.min_leaf)  # as run_study does, so --dry-run agrees
+    check_cv_rows(args.n, config.cv_folds, config.stopping.min_leaf)  # as run_study does, so --dry-run agrees
     cells = [(f, s) for f in families for s in surfaces]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config_echo = {
         "scale": args.scale,
-        "n_reps": reps,
-        "n": n,
+        "n_reps": args.reps,
+        "n": args.n,
         "seed": args.seed,
         "cells": [list(c) for c in cells],
         "sources": list(config.sources),
@@ -317,12 +310,12 @@ def cmd_simulate(args) -> int:
     if args.dry_run:
         summary = {"format_version": FORMAT_VERSION, "cells": [], "config": config_echo}
     else:
-        records = sim.run_study(cells, reps, n, args.seed, config, n_jobs=args.jobs)
+        records = sim.run_study(cells, args.reps, args.n, args.seed, config, n_jobs=args.jobs)
         sim.write_records_tsv(records, out / "records.tsv")
         summary = sim.summarize(records)
         summary["config"] = config_echo
     write_json(summary, out / "summary.json")
-    print(f"simulate: {len(cells)} cells x {reps} reps -> {out}")
+    print(f"simulate: {len(cells)} cells x {args.reps} reps -> {out}")
     return EXIT_OK
 
 
@@ -345,10 +338,7 @@ def cmd_flu(args) -> int:
         covs.append(categorical_column("itz", [uy.itz or "?" for uy in unit_years]))
     data = Dataset(y, tuple(covs))
 
-    def pseudo():
-        return pseudo_margin_tree(data, MarginTreeConfig(min_leaf=args.margin_min_leaf, seed=args.seed))
-
-    out, _, path, report, subtree = _pruned_fit(args, spec, data, pseudo, stopping)
+    out, _, path, report, subtree = _pruned_fit(args, spec, data, stopping)
     compositional.write_ilr_csv(unit_years, out / "ilr.csv")
     write_leaf_report(subtree, out / "leaf_report.tsv")
 
@@ -365,34 +355,18 @@ def cmd_flu(args) -> int:
 # argument wiring
 
 
-def _add_stopping_flags(p, stopping=StoppingConfig()):
-    p.add_argument("--min-leaf", type=int, default=stopping.min_leaf)
-    p.add_argument("--min-gain", type=float, default=stopping.min_gain)
-    p.add_argument("--max-leaves", type=int, default=stopping.max_leaves)
-    p.add_argument("--max-candidates", type=int, default=stopping.max_candidates)
+def _add_stopping_flags(p, **defaults):
+    """The growth limits' flags; one missing from ``defaults`` is unset (None)."""
+    p.add_argument("--min-leaf", type=int, default=defaults.get("min_leaf"))
+    p.add_argument("--min-gain", type=float, default=defaults.get("min_gain"))
+    p.add_argument("--max-leaves", type=int, default=defaults.get("max_leaves"))
+    p.add_argument("--max-candidates", type=int, default=defaults.get("max_candidates"))
 
 
-def _add_cv_flags(p, repeats, folds=3, rule="OneSE"):
+def _add_cv_flags(p, folds=None, repeats=None, rule=None):
     p.add_argument("--folds", type=int, default=folds)
     p.add_argument("--repeats", type=int, default=repeats)
     p.add_argument("--rule", choices=["MaxMean", "OneSE"], default=rule)
-
-
-def _study_defaults() -> dict:
-    """simulate's flag defaults: the study preset, ``simulation.PipelineConfig()``.
-    They are read when simulate parses, so the other commands never import
-    ``simulation``."""
-    from . import simulation
-
-    study = simulation.PipelineConfig()
-    return {
-        "sources": ",".join(study.sources),
-        "bandwidth": study.kernel_h,
-        "folds": study.cv_folds,
-        "repeats": study.cv_repeats,
-        "rule": study.cv_rule,
-        **asdict(study.stopping),  # its fields are the stopping flags' dests
-    }
 
 
 def build_parser() -> _Parser:
@@ -412,8 +386,8 @@ def build_parser() -> _Parser:
     p.add_argument("--design", default=None, help="comma-separated design columns for --pseudo normal")
     p.add_argument("--margin-min-leaf", type=int, default=MarginTreeConfig.min_leaf)
     p.add_argument("--seed", type=int, default=None)
-    _add_stopping_flags(p)
-    _add_cv_flags(p, repeats=10)
+    _add_stopping_flags(p, **asdict(StoppingConfig()))
+    _add_cv_flags(p, folds=3, repeats=10, rule="OneSE")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", parents=[common], help="apply a fitted tree JSON to covariates")
@@ -422,7 +396,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("simulate", parents=[common], help="run the scenario study", late_defaults=_study_defaults)
+    p = sub.add_parser("simulate", parents=[common], help="run the scenario study")
     p.add_argument("--families", default="all")
     p.add_argument("--surfaces", default="all")
     p.add_argument("--sources")
@@ -436,8 +410,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.add_argument("--bandwidth", type=float)
     p.add_argument("--dry-run", action="store_true", help="echo the resolved config without running")
+    # --sources, --bandwidth, --reps, --n and these flags are unset (None) here:
+    # cmd_simulate fills them from the study preset
     _add_stopping_flags(p)
-    _add_cv_flags(p, repeats=None)
+    _add_cv_flags(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("flu", parents=[common], help="end-to-end compositional pipeline")
@@ -447,9 +423,9 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--min-cases", type=int, default=50)
     p.add_argument("--margin-min-leaf", type=int, default=MarginTreeConfig.min_leaf)
-    _add_stopping_flags(p)
-    _add_cv_flags(p, repeats=50)
-    p.set_defaults(func=cmd_flu)
+    _add_stopping_flags(p, **asdict(StoppingConfig()))
+    _add_cv_flags(p, folds=3, repeats=50, rule="OneSE")
+    p.set_defaults(func=cmd_flu, pseudo="margin-tree")
 
     return parser
 

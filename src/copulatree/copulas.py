@@ -67,17 +67,16 @@ class Family(str, Enum):
 
 @dataclass(frozen=True)
 class CopulaSpec:
-    """A copula family together with its open parameter and tau domains."""
+    """A copula family together with its open tau domain."""
 
     family: Family
-    theta_domain: tuple[float, float]
     tau_domain: tuple[float, float]
 
 
 _SPECS = {
-    Family.CLAYTON: CopulaSpec(Family.CLAYTON, (0.0, math.inf), (0.0, 1.0)),
-    Family.FRANK: CopulaSpec(Family.FRANK, (-math.inf, math.inf), (-1.0, 1.0)),
-    Family.GUMBEL: CopulaSpec(Family.GUMBEL, (1.0, math.inf), (0.0, 1.0)),
+    Family.CLAYTON: CopulaSpec(Family.CLAYTON, (0.0, 1.0)),
+    Family.FRANK: CopulaSpec(Family.FRANK, (-1.0, 1.0)),
+    Family.GUMBEL: CopulaSpec(Family.GUMBEL, (0.0, 1.0)),
 }
 
 

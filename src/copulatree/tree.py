@@ -499,9 +499,7 @@ def _side_sums(splits):
     feature's rows took about 1.7 times as long on the study benchmark's
     nodes (numpy 2.4, 2 vCPUs).
     """
-    splits = [(rows, np.append(0, n_left)) for rows, n_left in splits if len(n_left)]
-    if not splits:
-        return lambda values: np.empty(values.shape[1:] + (0,))
+    splits = [(rows, np.append(0, n_left)) for rows, n_left in splits]
     n_cuts = sum(len(starts) - 1 for _, starts in splits)
 
     def sums(values):

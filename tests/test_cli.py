@@ -9,6 +9,7 @@ import pkgutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -548,19 +549,57 @@ def test_margin_tree_fallback_is_one_warning_line_and_a_report_note(command, fit
 class TestParser:
     def test_defaults_are_the_config_defaults(self):
         parser = build_parser()
-        study = sim.PipelineConfig()
-        for command, stopping in (("fit", StoppingConfig()), ("flu", StoppingConfig()),
-                                  ("simulate", study.stopping)):
+        stopping = StoppingConfig()
+        for command in ("fit", "flu"):
             args = parser.parse_args([command])
             assert (args.min_leaf, args.min_gain, args.max_leaves, args.max_candidates) == (
                 stopping.min_leaf, stopping.min_gain, stopping.max_leaves, stopping.max_candidates)
-        for command in ("fit", "flu"):
-            assert parser.parse_args([command]).margin_min_leaf == MarginTreeConfig().min_leaf
-        args = parser.parse_args(["simulate"])
-        assert (args.sources, args.folds, args.repeats, args.rule, args.bandwidth) == (
-            ",".join(study.sources), study.cv_folds, study.cv_repeats, study.cv_rule, study.kernel_h)
+            assert args.margin_min_leaf == MarginTreeConfig().min_leaf
+        assert parser.parse_args(["flu"]).pseudo == "margin-tree"
+
+    @staticmethod
+    def study_call(monkeypatch, tmp_path, flags=(), config=None):
+        """(config, reps, n) that ``simulate --seed 1`` with ``flags`` (and the
+        --config file of ``config``'s lines) passes to run_study."""
+        calls = []
+
+        def run_study(cells, reps, n, seed, config, n_jobs=1):
+            calls.append((config, reps, n))
+            return []
+
+        monkeypatch.setattr(sim, "run_study", run_study)
+        monkeypatch.setattr(sim, "summarize", lambda records: {})
+        argv = ["simulate", "--seed", "1", "--out", str(tmp_path / "o"), *flags]
+        if config is not None:
+            (tmp_path / "cfg.txt").write_text(config)
+            argv += ["--config", str(tmp_path / "cfg.txt")]
+        assert main(argv) == EXIT_OK
+        (call,) = calls
+        return call
+
+    def test_simulate_runs_the_study_preset(self, monkeypatch, tmp_path):
+        assert self.study_call(monkeypatch, tmp_path) == (sim.PipelineConfig(), 50, 1000)
         # the study preset itself
-        assert (args.max_candidates, args.repeats, args.rule) == (16, 5, "MaxMean")
+        study = sim.PipelineConfig()
+        assert (study.stopping.max_candidates, study.cv_repeats, study.cv_rule) == (16, 5, "MaxMean")
+
+    def test_simulate_paper_scale_runs_500_reps(self, monkeypatch, tmp_path):
+        _, reps, n = self.study_call(monkeypatch, tmp_path, ["--scale", "paper"])
+        assert (reps, n) == (500, 1000)
+
+    def test_simulate_flag_beats_config_beats_preset(self, monkeypatch, tmp_path):
+        config, _, _ = self.study_call(monkeypatch, tmp_path, ["--max-candidates", "8"], "max_candidates = 4\n")
+        assert config.stopping.max_candidates == 8
+        config, _, _ = self.study_call(monkeypatch, tmp_path, [], "max_candidates = 4\n")
+        assert config == replace(sim.PipelineConfig(), stopping=StoppingConfig(max_candidates=4))
+
+    def test_flu_estimator_is_no_config_key(self, fixture_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("pseudo = kernel\n")
+        argv = ["flu", "--input", str(fixture_csv), "--out", str(tmp_path / "o"), "--seed", "1",
+                "--config", str(cfg)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.strip().splitlines() == ["error: config: unknown config key 'pseudo'"]
 
 
 class TestPredict:
