@@ -482,8 +482,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             at = argv.index(args.command) + 1
-            tokens = _config_argv(parser.subcommands[args.command], _load_config_file(args.config))
+            values = _load_config_file(args.config)
             try:
+                tokens = _config_argv(parser.subcommands[args.command], values)
                 args = parser.parse_args(argv[:at] + tokens + argv[at:])
             except ConfigError as exc:
                 raise ConfigError(f"{args.config}: {exc}") from None

@@ -380,6 +380,7 @@ _DEBYE_SWITCH = 2.0
 _DEBYE_SERIES = _debye_series(18)
 _DEBYE_SLOPE = _DEBYE_SERIES * np.arange(1, 36, 2)  # (2k - 1) c_k
 _DEBYE_TAIL_K = np.arange(18.0, 0.0, -1.0)  # the tail's k, smallest term first
+_FLOAT_MAX = np.finfo(float).max
 
 _NEWTON_RTOL = 1e-14  # Frank's tau -> theta stops at steps below this share of theta
 _NEWTON_MAX_STEPS = 64
@@ -399,7 +400,10 @@ def _by_regime(a: np.ndarray, series, closed) -> np.ndarray:
 def _debye_closed_d1(a):
     """D1 at a >= _DEBYE_SWITCH from the sum of 18 exponential terms."""
     ka = a[..., None] * _DEBYE_TAIL_K
-    tail = np.cumsum(np.exp(-ka) * (ka + 1.0) / _DEBYE_TAIL_K**2, axis=-1)[..., -1]
+    # a * k overflows for a above about 1e307, where exp(-ka) is long 0: capping
+    # ka + 1 keeps 0 x inf from turning the term into NaN, and moves no finite term
+    terms = np.exp(-ka) * np.minimum(ka + 1.0, _FLOAT_MAX)
+    tail = np.cumsum(terms / _DEBYE_TAIL_K**2, axis=-1)[..., -1]
     return (math.pi**2 / 6.0 - tail) / a
 
 

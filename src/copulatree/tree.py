@@ -865,7 +865,8 @@ def _refit_best(data, idx, features, bound, fit, gain_of, min_gain, fitted=None)
 
 def sse_fit(y: np.ndarray) -> SseFit:
     """Least-squares fit of the responses ``y`` at a node."""
-    return SseFit(float(y.mean()), -float(np.sum((y - y.mean()) ** 2)))
+    mean = y.mean()
+    return SseFit(float(mean), -float(np.sum((y - mean) ** 2)))
 
 
 def _levels_by_mean(y, codes) -> list[tuple[int]]:

@@ -373,6 +373,21 @@ class TestFit:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: config: ")
 
+    @pytest.mark.parametrize("command, line, message", [
+        ("fit", "no_such_key = 1", "unknown config key 'no_such_key'"),
+        ("simulate", "dry_run = maybe", "dry_run: expected true or false, got 'maybe'"),
+    ])
+    def test_config_key_error_names_the_file(self, fit_csv, tmp_path, capsys, command, line, message):
+        """An unknown key and a bad boolean are reported with the file's name,
+        as a value that fails its flag's type is."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{line}\n")
+        argv = [command, "--out", str(tmp_path / "o"), "--seed", "1", "--config", str(cfg)]
+        if command == "fit":
+            argv += ["--input", str(fit_csv)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: config: {cfg}: {message}"]
+
 
 class TestSimulateConfig:
     @pytest.mark.parametrize("key, value, message", BAD_VALUES, ids=bad_value_ids(BAD_VALUES))
@@ -599,7 +614,7 @@ class TestParser:
         argv = ["flu", "--input", str(fixture_csv), "--out", str(tmp_path / "o"), "--seed", "1",
                 "--config", str(cfg)]
         assert main(argv) == EXIT_CONFIG
-        assert capsys.readouterr().err.strip().splitlines() == ["error: config: unknown config key 'pseudo'"]
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: config: {cfg}: unknown config key 'pseudo'"]
 
 
 class TestPredict:

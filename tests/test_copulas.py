@@ -296,7 +296,8 @@ class TestTauBridge:
             a = np.abs(x)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 ka = a[..., None] * k
-                closed = (math.pi**2 / 6.0 - np.cumsum(np.exp(-ka) * (ka + 1.0) / k**2, axis=-1)[..., -1]) / a
+                terms = np.exp(-ka) * np.minimum(ka + 1.0, np.finfo(float).max)
+                closed = (math.pi**2 / 6.0 - np.cumsum(terms / k**2, axis=-1)[..., -1]) / a
                 series = 1.0 - a / 4.0 + a * a * poly(a * a, c)
             return np.where(a < s, series, closed) - np.minimum(x, 0.0) / 2.0
 
@@ -330,6 +331,36 @@ class TestTauBridge:
 
     def test_debye_series_is_exact_bernoulli_rounded(self):
         assert cp._DEBYE_SERIES.tolist() == [float(c) for c in DEBYE_C[:18]]
+
+    # (theta, debye1(theta).hex(), Frank theta_to_tau(theta).hex()) on both
+    # sides of the series/closed-form switch and into the tail's underflow
+    DEBYE_BITS = [
+        (-50.0, "0x1.9086c0c486c7dp+4", "-0x1.d863352a4ecc6p-1"),
+        (-7.5, "0x1.fbfe4804ab42cp+1", "-0x1.2aa70009f5e3cp-1"),
+        (-2.0, "0x1.9b60e5b1cb8e3p+0", "-0x1.b60e5b1cb8e30p-3"),
+        (-0.5, "0x1.21c5fa67deb2cp+0", "-0x1.c5fa67deb2c10p-5"),
+        (-1e-3, "0x1.001062c520eefp+0", "-0x1.d208a55ae2e3ap-14"),
+        (1e-3, "0x1.ffdf3c52f6174p-1", "0x1.d208a55ae2e3ap-14"),
+        (0.5, "0x1.c38bf4cfbd658p-1", "0x1.c5fa67deb2c10p-5"),
+        (1.999, "0x1.36d50f27dcf7ap-1", "0x1.b5da5ff31f6f1p-3"),
+        (2.0, "0x1.36c1cb63971c6p-1", "0x1.b60e5b1cb8e30p-3"),
+        (7.5, "0x1.bfe4804ab42c4p-3", "0x1.2aa70009f5e3cp-1"),
+        (50.0, "0x1.0d81890d8fac4p-5", "0x1.d863352a4ecc6p-1"),
+        (800.0, "0x1.0d81890d8fac4p-9", "0x1.fd71fccec3e86p-1"),
+        (1e306, "0x1.27b56b42e3fefp-1016", "0x1.0000000000000p+0"),
+    ]
+
+    @pytest.mark.parametrize("theta, d1, tau", DEBYE_BITS)
+    def test_debye1_and_frank_tau_keep_their_bits(self, theta, d1, tau):
+        assert cp.debye1(theta).hex() == d1
+        assert cp.theta_to_tau(FRANK, theta).hex() == tau
+
+    @pytest.mark.parametrize("theta", [1e307, -1e307, 1.7e308, -1.7e308])
+    def test_debye1_and_frank_tau_finite_for_huge_theta(self, theta):
+        # D1(a) -> pi^2 / (6a) and tau -> sign(theta) as |theta| grows
+        d1 = cp.debye1(theta)
+        assert np.isfinite(d1) and d1 == pytest.approx(math.pi**2 / 6.0 / theta if theta > 0 else -theta / 2.0)
+        assert cp.theta_to_tau(FRANK, theta) == math.copysign(1.0, theta)
 
     @pytest.mark.parametrize("coefficients", ["_DEBYE_SERIES", "_DEBYE_SLOPE"])
     def test_polyval_is_numpys_bit_for_bit(self, coefficients):
